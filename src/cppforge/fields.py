@@ -8,6 +8,11 @@ code: coefficient vectors are read as base-q (resp. base-p) positional
 numbers with the constant coefficient as the least significant digit. Codes
 are what the CLI prints and what value tables store.
 
+One class, FieldDesc, models every level: degree d above a subfield, with
+the prime field as the base case. Its convolution over the subfield
+(_mul_vec) defines multiplication; levels of order up to _LOG_TABLE_MAX
+cache exp/log lists derived from it, which tables.py also reuses.
+
 Moduli, when not supplied, are chosen canonically: candidate coefficient
 tuples are scanned in ascending code order (constant coefficient varying
 fastest) and the first monic irreducible wins, so two constructions of the
@@ -16,7 +21,7 @@ same field always agree.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     DivisionByZero,
@@ -31,7 +36,7 @@ from .errors import (
 # (smaller, configurable) cap in permcheck.
 MAX_FIELD_ORDER = 1 << 20
 
-# Base fields at or below this order get exp/log tables on first multiply.
+# Levels at or below this order get exp/log tables on first multiply.
 _LOG_TABLE_MAX = 1 << 16
 
 
@@ -150,128 +155,97 @@ class FieldElement:
 
 
 class FieldDesc:
-    """F_{p^r} as F_p[x] modulo a monic irreducible of degree r.
+    """One level F_(s^d) = F_s[y]/(modulus) of degree d above its subfield F_s.
 
-    Element codes are sum(c_i * p^i) over the coefficient residues c_i.
-    Use make_prime_field / make_extension rather than the constructor.
+    The prime field F_p is the base case: no subfield, one digit mod p. A
+    flat field F_(p^r) is the level of degree r above F_p; TowerDesc is a
+    level of degree n above a field F_q and adds the tower-only API. Element
+    codes are sum(c_i * s^i) over the subfield codes c_i, low degree first.
+
+    Every level exposes p, modulus, order and full_degree (the degree over
+    F_p). Flat fields add r and q = order; towers add base, n and q =
+    base.q. Use make_prime_field / make_extension / make_tower rather than
+    the constructor.
     """
 
     def __init__(self, p: int, r: int, modulus: tuple[int, ...]):
-        self.p = p
         self.r = r
-        self.modulus = tuple(int(c) % p for c in modulus)
         self.q = p**r
-        self.order = self.q
-        self.full_degree = r
+        sub = FieldDesc(p, 1, (0, 1)) if r > 1 else None
+        self._set_level(p, sub, r, tuple(int(c) % p for c in modulus))
+
+    def _set_level(self, p: int, sub: Optional[FieldDesc], degree: int, modulus: tuple[int, ...]):
+        self.p = p
+        self.modulus = modulus
+        self._sub = sub
+        self._deg = degree
+        self._radix = p if sub is None else sub.order
+        self.order = self._radix**degree
+        self.full_degree = degree if sub is None else degree * sub.full_degree
+        self._red_rows = self._make_red_rows() if degree > 1 else None
         self._exp = None
         self._log = None
-        self._red_rows = self._make_red_rows() if r > 1 else None
         self._lagrange_cache = None
+        # the class is part of the key: flat F_8 and the tower F_8/F_2 differ;
+        # the hash uses ints only, so it is the same in every process
+        self._key = (type(self), p, sub, degree, modulus)
+        self._hash = hash((self.order, modulus))
 
     # -- representation ------------------------------------------------
 
     def _vec(self, code: int) -> list[int]:
-        p = self.p
+        s = self._radix
         out = []
-        for _ in range(self.r):
-            code, c = divmod(code, p)
+        for _ in range(self._deg):
+            code, c = divmod(code, s)
             out.append(c)
         return out
 
     def _codeof(self, vec: Sequence[int]) -> int:
         code = 0
         for c in reversed(vec):
-            code = code * self.p + c
+            code = code * self._radix + c
         return code
 
     def _make_red_rows(self):
-        # row j holds the coefficient vector of x^(r+j) mod modulus
-        p, r, m = self.p, self.r, self.modulus
-        row = [(-m[i]) % p for i in range(r)]
+        # row j holds the digit vector of y^(d+j) mod modulus
+        sub, d, m = self._sub, self._deg, self.modulus
+        row = [sub._cneg(m[i]) for i in range(d)]
         rows = [row]
-        for _ in range(r - 2):
+        for _ in range(d - 2):
             prev = rows[-1]
-            hi = prev[r - 1]
-            row = [(hi * rows[0][0]) % p] + [
-                (prev[i - 1] + hi * rows[0][i]) % p for i in range(1, r)
+            hi = prev[d - 1]
+            row = [sub._cmul(hi, rows[0][0])] + [
+                sub._cadd(prev[i - 1], sub._cmul(hi, rows[0][i])) for i in range(1, d)
             ]
             rows.append(row)
         return rows
 
-    # -- code arithmetic -------------------------------------------------
-
-    def _cadd(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            # digits are single bits in disjoint positions, so coefficientwise
-            # addition mod 2 is XOR of the codes
-            return a ^ b
-        p = self.p
-        va, vb = self._vec(a), self._vec(b)
-        return self._codeof([(x + y) % p for x, y in zip(va, vb)])
-
-    def _cneg(self, a: int) -> int:
-        if self.r == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        p = self.p
-        return self._codeof([(-x) % p for x in self._vec(a)])
-
-    def _csub(self, a: int, b: int) -> int:
-        return self._cadd(a, self._cneg(b))
+    # -- the definition: convolution over the subfield ------------------
 
     def _mul_vec(self, u: Sequence[int], v: Sequence[int]) -> list[int]:
-        p, r = self.p, self.r
-        prod = [0] * (2 * r - 1)
+        sub, d = self._sub, self._deg
+        if sub is None:
+            return [u[0] * v[0] % self.p]
+        add, mul = sub._cadd, sub._cmul
+        prod = [0] * (2 * d - 1)
         for i, ui in enumerate(u):
             if ui:
                 for j, vj in enumerate(v):
                     if vj:
-                        prod[i + j] = (prod[i + j] + ui * vj) % p
-        res = prod[:r]
-        for j in range(r - 1):
-            hi = prod[r + j]
+                        prod[i + j] = add(prod[i + j], mul(ui, vj))
+        res = prod[:d]
+        for j in range(d - 1):
+            hi = prod[d + j]
             if hi:
                 row = self._red_rows[j]
-                for i in range(r):
+                for i in range(d):
                     if row[i]:
-                        res[i] = (res[i] + hi * row[i]) % p
+                        res[i] = add(res[i], mul(hi, row[i]))
         return res
 
-    def _build_logtables(self):
-        q = self.q
-        g = self._find_generator_vec()
-        exp = [0] * (q - 1)
-        log = [-1] * q
-        acc = [1] + [0] * (self.r - 1)
-        for j in range(q - 1):
-            c = self._codeof(acc)
-            exp[j] = c
-            log[c] = j
-            acc = self._mul_vec(acc, g)
-        if self._codeof(acc) != 1:
-            raise AssertionError("generator order mismatch while building tables")
-        self._exp = exp
-        self._log = log
-
-    def _find_generator_vec(self):
-        q = self.q
-        factors = _prime_factors(q - 1)
-        for cand in range(2, q):
-            v = self._vec(cand)
-            ok = True
-            for f in factors:
-                if self._pow_vec(v, (q - 1) // f) == [1] + [0] * (self.r - 1):
-                    ok = False
-                    break
-            if ok:
-                return v
-        raise AssertionError("no multiplicative generator found")
-
-    def _pow_vec(self, v, e):
-        acc = [1] + [0] * (self.r - 1)
+    def _pow_vec(self, v: Sequence[int], e: int) -> list[int]:
+        acc = self._vec(1)
         base = list(v)
         while e:
             if e & 1:
@@ -280,39 +254,107 @@ class FieldDesc:
             e >>= 1
         return acc
 
+    def _find_generator(self) -> int:
+        """Smallest code of multiplicative order order - 1, by the convolution."""
+        m = self.order - 1
+        if m == 1:
+            return 1
+        one = self._vec(1)
+        factors = _prime_factors(m)
+        for cand in range(2, self.order):
+            v = self._vec(cand)
+            if all(self._pow_vec(v, m // f) != one for f in factors):
+                return cand
+        raise AssertionError("no multiplicative generator found")
+
+    def log_tables(self) -> Optional[tuple[list[int], list[int]]]:
+        """(exp, log) with exp[j] = g^j for the smallest-code generator g,
+        log[exp[j]] = j and log[0] = -1.
+
+        Built from the convolution on first use, never by the constructor;
+        None when the order exceeds _LOG_TABLE_MAX.
+        """
+        if self._exp is None:
+            if self.order > _LOG_TABLE_MAX:
+                return None
+            m = self.order - 1
+            g = self._vec(self._find_generator())
+            exp = [0] * m
+            log = [-1] * self.order
+            acc = self._vec(1)
+            for j in range(m):
+                c = self._codeof(acc)
+                exp[j] = c
+                log[c] = j
+                acc = self._mul_vec(acc, g)
+            if self._codeof(acc) != 1:
+                raise AssertionError("generator order mismatch while building tables")
+            self._exp, self._log = exp, log
+        return self._exp, self._log
+
+    # -- code arithmetic -------------------------------------------------
+    #
+    # A code is also the base-p number of its coefficients over F_p at
+    # every level, so addition is digitwise mod p on that expansion.
+
+    def _cadd(self, a: int, b: int) -> int:
+        p = self.p
+        if p == 2:
+            # digits are single bits in disjoint positions: addition is XOR
+            return a ^ b
+        if self.full_degree == 1:
+            return (a + b) % p
+        out, place = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + y) % p * place
+            place *= p
+        return out
+
+    def _cneg(self, a: int) -> int:
+        p = self.p
+        if p == 2:
+            return a
+        if self.full_degree == 1:
+            return (-a) % p
+        out, place = 0, 1
+        while a:
+            a, x = divmod(a, p)
+            out += (-x) % p * place
+            place *= p
+        return out
+
+    def _csub(self, a: int, b: int) -> int:
+        return self._cadd(a, self._cneg(b))
+
     def _cmul(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a * b) % self.p
+        if self._sub is None:
+            return a * b % self.p
         if a == 0 or b == 0:
             return 0
-        if self._log is None and self.q <= _LOG_TABLE_MAX:
-            self._build_logtables()
-        if self._log is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        if self._log is not None or self.log_tables():
+            return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
         return self._codeof(self._mul_vec(self._vec(a), self._vec(b)))
 
     def _cinv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"inverse of zero in {self!r}")
-        if self.r == 1:
+        if self._sub is None:
             return pow(a, -1, self.p)
-        if self._log is None and self.q <= _LOG_TABLE_MAX:
-            self._build_logtables()
-        if self._log is not None:
-            return self._exp[(-self._log[a]) % (self.q - 1)]
-        return self._cpow(a, self.q - 2)
+        if self._log is not None or self.log_tables():
+            return self._exp[-self._log[a] % (self.order - 1)]
+        return self._cpow(a, self.order - 2)
 
     def _cpow(self, a: int, e: int) -> int:
         if e == 0:
             return 1
         if a == 0:
             return 0
-        if self.r == 1:
+        if self._sub is None:
             return pow(a, e, self.p)
-        if self._log is None and self.q <= _LOG_TABLE_MAX:
-            self._build_logtables()
-        if self._log is not None:
-            return self._exp[(self._log[a] * e) % (self.q - 1)]
+        if self._log is not None or self.log_tables():
+            return self._exp[self._log[a] * e % (self.order - 1)]
         return self._codeof(self._pow_vec(self._vec(a), e))
 
     # -- element API -----------------------------------------------------
@@ -335,11 +377,15 @@ class FieldDesc:
             raise FieldMismatch(f"{x!r} does not live in {self!r}")
         return x.code
 
-    def element(self, coeffs: Iterable[int]) -> FieldElement:
-        vec = [int(c) % self.p for c in coeffs]
-        if len(vec) > self.r:
-            raise ValueError(f"too many coefficients for degree {self.r}")
-        vec += [0] * (self.r - len(vec))
+    def _coeff_code(self, c) -> int:
+        # flat fields reduce coefficient digits mod p rather than rejecting them
+        return int(c) % self.p
+
+    def element(self, coeffs: Iterable[Union[int, FieldElement]]) -> FieldElement:
+        vec = [self._coeff_code(c) for c in coeffs]
+        if len(vec) > self._deg:
+            raise ValueError(f"too many coefficients for degree {self._deg}")
+        vec += [0] * (self._deg - len(vec))
         return FieldElement(self, self._codeof(vec))
 
     def elements(self) -> Iterator[FieldElement]:
@@ -349,15 +395,7 @@ class FieldDesc:
 
     def multiplicative_generator(self) -> FieldElement:
         """Smallest-code generator of the multiplicative group."""
-        if self.q == 2:
-            return self.one
-        if self.r == 1:
-            factors = _prime_factors(self.q - 1)
-            for cand in range(2, self.q):
-                if all(pow(cand, (self.q - 1) // f, self.p) != 1 for f in factors):
-                    return FieldElement(self, cand)
-            raise AssertionError("no generator found")
-        return FieldElement(self, self._codeof(self._find_generator_vec()))
+        return FieldElement(self, self._find_generator())
 
     def descriptor(self) -> str:
         mods = ",".join(str(c) for c in self.modulus)
@@ -366,160 +404,32 @@ class FieldDesc:
     def __eq__(self, other):
         if not isinstance(other, FieldDesc):
             return NotImplemented
-        return (self.p, self.r, self.modulus) == (other.p, other.r, other.modulus)
+        return self._key == other._key
 
     def __hash__(self):
-        return hash((self.p, self.r, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"F_{self.q}"
 
 
-class TowerDesc:
+class TowerDesc(FieldDesc):
     """F_{q^n} as F_q[y] modulo a monic irreducible of degree n over F_q.
 
     Element codes are sum(encode(c_i) * q^i) over base-field coefficients,
-    so the embedded copy of F_q is exactly the codes below q.
+    so the embedded copy of F_q is exactly the codes below q. The
+    arithmetic is FieldDesc's; this class holds what only a tower has.
     """
 
     def __init__(self, base: FieldDesc, n: int, modulus: tuple[int, ...]):
         self.base = base
         self.n = n
-        self.modulus = tuple(int(c) for c in modulus)
-        self.p = base.p
         self.q = base.q
-        self.order = base.q**n
-        self.full_degree = base.r * n
-        self._red_rows = self._make_red_rows() if n > 1 else None
+        self._set_level(base.p, base, n, tuple(int(c) for c in modulus))
         self._kernel_cache = None
-        self._lagrange_cache = None
 
-    def _vec(self, code: int) -> list[int]:
-        q = self.q
-        out = []
-        for _ in range(self.n):
-            code, c = divmod(code, q)
-            out.append(c)
-        return out
-
-    def _codeof(self, vec: Sequence[int]) -> int:
-        code = 0
-        for c in reversed(vec):
-            code = code * self.q + c
-        return code
-
-    def _make_red_rows(self):
-        b, n, m = self.base, self.n, self.modulus
-        row = [b._cneg(m[i]) for i in range(n)]
-        rows = [row]
-        for _ in range(n - 2):
-            prev = rows[-1]
-            hi = prev[n - 1]
-            row = [b._cmul(hi, rows[0][0])] + [
-                b._cadd(prev[i - 1], b._cmul(hi, rows[0][i])) for i in range(1, n)
-            ]
-            rows.append(row)
-        return rows
-
-    def _cadd(self, a: int, b: int) -> int:
-        if self.p == 2:
-            # q is a power of two, so base digits occupy disjoint bit fields
-            # and digitwise base addition is XOR of the whole codes
-            return a ^ b
-        base = self.base
-        va, vb = self._vec(a), self._vec(b)
-        return self._codeof([base._cadd(x, y) for x, y in zip(va, vb)])
-
-    def _cneg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        base = self.base
-        return self._codeof([base._cneg(x) for x in self._vec(a)])
-
-    def _csub(self, a: int, b: int) -> int:
-        return self._cadd(a, self._cneg(b))
-
-    def _mul_vec(self, u: Sequence[int], v: Sequence[int]) -> list[int]:
-        b, n = self.base, self.n
-        prod = [0] * (2 * n - 1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    if vj:
-                        prod[i + j] = b._cadd(prod[i + j], b._cmul(ui, vj))
-        res = prod[:n]
-        for j in range(n - 1):
-            hi = prod[n + j]
-            if hi:
-                row = self._red_rows[j]
-                for i in range(n):
-                    if row[i]:
-                        res[i] = b._cadd(res[i], b._cmul(hi, row[i]))
-        return res
-
-    def _cmul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self.n == 1:
-            return self.base._cmul(a, b)
-        return self._codeof(self._mul_vec(self._vec(a), self._vec(b)))
-
-    def _cpow(self, a: int, e: int) -> int:
-        if e == 0:
-            return 1
-        if a == 0:
-            return 0
-        acc, base = 1, a
-        while e:
-            if e & 1:
-                acc = self._cmul(acc, base)
-            base = self._cmul(base, base)
-            e >>= 1
-        return acc
-
-    def _cinv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero(f"inverse of zero in {self!r}")
-        return self._cpow(a, self.order - 2)
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    def decode(self, code: int) -> FieldElement:
-        if not isinstance(code, int) or not 0 <= code < self.order:
-            raise OutOfRange(code, self.order)
-        return FieldElement(self, code)
-
-    def encode(self, x: FieldElement) -> int:
-        if not isinstance(x, FieldElement) or x.home != self:
-            raise FieldMismatch(f"{x!r} does not live in {self!r}")
-        return x.code
-
-    def element(self, coeffs: Iterable[Union[int, FieldElement]]) -> FieldElement:
-        vec = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.home != self.base:
-                    raise FieldMismatch("tower coefficients must come from the base field")
-                vec.append(c.code)
-            else:
-                c = int(c)
-                if not 0 <= c < self.q:
-                    raise OutOfRange(c, self.q)
-                vec.append(c)
-        if len(vec) > self.n:
-            raise ValueError(f"too many coefficients for degree {self.n}")
-        vec += [0] * (self.n - len(vec))
-        return FieldElement(self, self._codeof(vec))
-
-    def elements(self) -> Iterator[FieldElement]:
-        for code in range(self.order):
-            yield FieldElement(self, code)
+    def _coeff_code(self, c) -> int:
+        return _code_in(self.base, c, "tower coefficients")
 
     def embed(self, x: FieldElement) -> FieldElement:
         """Embed a base-field element (codes are preserved)."""
@@ -537,13 +447,6 @@ class TowerDesc:
             raise FieldMismatch(f"code {x.code} lies outside the embedded base field")
         return FieldElement(self.base, x.code)
 
-    def multiplicative_generator(self) -> FieldElement:
-        factors = _prime_factors(self.order - 1)
-        for cand in range(2, self.order):
-            if all(self._cpow(cand, (self.order - 1) // f) != 1 for f in factors):
-                return FieldElement(self, cand)
-        raise AssertionError("no generator found")
-
     def descriptor(self) -> str:
         parts = []
         for c in self.modulus:
@@ -551,19 +454,20 @@ class TowerDesc:
             parts.append("[" + ",".join(str(x) for x in vec) + "]")
         return f"{self.base.descriptor()};n={self.n};tmod=[{','.join(parts)}]"
 
-    def __eq__(self, other):
-        if not isinstance(other, TowerDesc):
-            return NotImplemented
-        return (self.base, self.n, self.modulus) == (other.base, other.n, other.modulus)
-
-    def __hash__(self):
-        return hash((self.base, self.n, self.modulus))
-
     def __repr__(self):
         return f"F_{self.order}/F_{self.q}"
 
 
-Home = Union[FieldDesc, TowerDesc]
+def _code_in(home: FieldDesc, c, what: str) -> int:
+    """The code of c as an element of home: an element of home or an int code."""
+    if isinstance(c, FieldElement):
+        if c.home != home:
+            raise FieldMismatch(f"{what} must come from the base field")
+        return c.code
+    c = int(c)
+    if not 0 <= c < home.order:
+        raise OutOfRange(c, home.order)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +481,7 @@ def _ptrim(cs: list[int]) -> list[int]:
     return cs
 
 
-def _padd(home: Home, a: Sequence[int], b: Sequence[int]) -> list[int]:
+def _padd(home: FieldDesc, a: Sequence[int], b: Sequence[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -586,11 +490,11 @@ def _padd(home: Home, a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _ptrim(out)
 
 
-def _psub(home: Home, a: Sequence[int], b: Sequence[int]) -> list[int]:
+def _psub(home: FieldDesc, a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _padd(home, a, [home._cneg(c) for c in b])
 
 
-def _pmul(home: Home, a: Sequence[int], b: Sequence[int]) -> list[int]:
+def _pmul(home: FieldDesc, a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -602,7 +506,7 @@ def _pmul(home: Home, a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _ptrim(out)
 
 
-def _pmod(home: Home, a: Sequence[int], m: Sequence[int]) -> list[int]:
+def _pmod(home: FieldDesc, a: Sequence[int], m: Sequence[int]) -> list[int]:
     # m must be monic
     out = list(a)
     d = len(m) - 1
@@ -641,14 +545,14 @@ def _pgcd(home, a, b):
     return a
 
 
-def _peval(home: Home, cs: Sequence[int], x: int) -> int:
+def _peval(home: FieldDesc, cs: Sequence[int], x: int) -> int:
     acc = 0
     for c in reversed(cs):
         acc = home._cadd(home._cmul(acc, x), c)
     return acc
 
 
-def _poly_is_irreducible(home: Home, m: Sequence[int]) -> bool:
+def _poly_is_irreducible(home: FieldDesc, m: Sequence[int]) -> bool:
     """Irreducibility of a monic polynomial over the home field.
 
     Degree 2 and 3 reduce to a root check; higher degrees use the
@@ -674,7 +578,7 @@ def _poly_is_irreducible(home: Home, m: Sequence[int]) -> bool:
 _MODULUS_CACHE: dict[tuple[str, int], tuple[int, ...]] = {}
 
 
-def _canonical_modulus(home: Home, degree: int) -> tuple[int, ...]:
+def _canonical_modulus(home: FieldDesc, degree: int) -> tuple[int, ...]:
     """First irreducible monic in ascending code order, c_0 fastest.
 
     The scan is deterministic in (home, degree), so results are memoized;
@@ -712,18 +616,8 @@ def make_prime_field(p: int) -> FieldDesc:
     return FieldDesc(p, 1, (0, 1))
 
 
-def _normalize_modulus(home: Home, degree: int, modulus) -> tuple[int, ...]:
-    cs = []
-    for c in modulus:
-        if isinstance(c, FieldElement):
-            if c.home != home:
-                raise FieldMismatch("modulus coefficients must come from the base field")
-            cs.append(c.code)
-        else:
-            c = int(c)
-            if not 0 <= c < home.order:
-                raise OutOfRange(c, home.order)
-            cs.append(c)
+def _normalize_modulus(home: FieldDesc, degree: int, modulus) -> tuple[int, ...]:
+    cs = [_code_in(home, c, "modulus coefficients") for c in modulus]
     if len(cs) != degree + 1:
         raise ValueError(f"modulus must have {degree + 1} coefficients, got {len(cs)}")
     if cs[-1] != 1:
@@ -740,7 +634,7 @@ def make_extension(base: FieldDesc, degree: int, modulus=None):
     non-prime base it yields the tower F_{q^degree} / F_q. Use make_tower to
     force a tower over a prime base.
     """
-    if not isinstance(base, FieldDesc):
+    if type(base) is not FieldDesc:  # towers are not bases
         raise FieldMismatch("make_extension needs a FieldDesc base")
     if not isinstance(degree, int) or degree < 1:
         raise ValueError("extension degree must be a positive integer")
@@ -759,7 +653,7 @@ def make_extension(base: FieldDesc, degree: int, modulus=None):
 
 def make_tower(base: FieldDesc, n: int, modulus=None) -> TowerDesc:
     """The tower F_{q^n} over F_q, q = base.q."""
-    if not isinstance(base, FieldDesc):
+    if type(base) is not FieldDesc:  # towers are not bases
         raise FieldMismatch("towers are built over a FieldDesc base")
     if not isinstance(n, int) or n < 1:
         raise ValueError("tower degree must be a positive integer")
@@ -792,7 +686,7 @@ class Poly:
 
     __slots__ = ("home", "coeffs")
 
-    def __init__(self, home: Home, coeffs: Iterable = ()):
+    def __init__(self, home: FieldDesc, coeffs: Iterable = ()):
         cs = []
         for c in coeffs:
             if isinstance(c, FieldElement):

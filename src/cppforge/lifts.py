@@ -41,6 +41,7 @@ from .maps import (
     ppoly_permutes_kernel,
     ppoly_quotient,
     ppoly_quotient_eval,
+    trace_code,
     trace_kernel,
 )
 from .permcheck import (
@@ -83,16 +84,6 @@ def _trace_poly(tower: TowerDesc) -> Poly:
     for i in range(tower.n):
         codes[tower.q**i] = 1
     return Poly._raw(tower, codes)
-
-
-def _scalar_trace(tower: TowerDesc, xc: int) -> int:
-    q = tower.q
-    acc = xc
-    t = xc
-    for _ in range(tower.n - 1):
-        t = tower._cpow(t, q)
-        acc = tower._cadd(acc, t)
-    return acc
 
 
 def _guard_expansion(ncoeffs: int):
@@ -334,7 +325,8 @@ def cppeg_construct(e: int, t: int, k: int, alpha) -> LiftResult:
         raise PreconditionViolated("e >= 1 and t >= 1", f"e={e} t={t}")
     if isinstance(alpha, FieldElement):
         base = alpha.home
-        if not isinstance(base, FieldDesc) or base.p != 2 or base.r != e * t:
+        # the flat field F_(2^(e*t)) only: a tower is a FieldDesc subclass
+        if type(base) is not FieldDesc or base.p != 2 or base.r != e * t:
             raise FieldMismatch(f"alpha must live in F_(2^{e * t})")
         a_code = alpha.code
     else:
@@ -425,7 +417,7 @@ def trace_lift_simple(h: Poly, tower: TowerDesc) -> LiftResult:
     htab = [eval_poly(h, FieldElement(base, v)).code for v in range(q)]
 
     def f(xc: int) -> int:
-        return tower._cmul(xc, htab[_scalar_trace(tower, xc)])
+        return tower._cmul(xc, htab[trace_code(tower, xc)])
 
     def expand() -> Poly:
         _guard_expansion(max(h.degree, 0) * q ** (tower.n - 1) + 2)
@@ -461,7 +453,7 @@ def general_trace_map(h: Poly, L: PPoly, a, tower: TowerDesc) -> Callable[[int],
     atab = [ppoly_quotient_eval(L, FieldElement(tower, t)).code for t in range(q)]
 
     def f(xc: int) -> int:
-        t = _scalar_trace(tower, xc)
+        t = trace_code(tower, xc)
         ax = ppoly_quotient_eval(L, FieldElement(tower, xc)).code
         hh = tower._cadd(htab[t], tower._cmul(a_code, atab[t]))
         hh = tower._csub(hh, tower._cmul(a_code, ax))
@@ -479,8 +471,8 @@ def _proof_identity_holds(
     base = tower.base
     htab = [eval_poly(h, FieldElement(base, v)).code for v in range(tower.q)]
     for xc in range(tower.order):
-        t = _scalar_trace(tower, xc)
-        if _scalar_trace(tower, f(xc)) != base._cmul(t, htab[t]):
+        t = trace_code(tower, xc)
+        if trace_code(tower, f(xc)) != base._cmul(t, htab[t]):
             return False
     return True
 

@@ -36,16 +36,20 @@ def _down(tower: TowerDesc, code: int) -> FieldElement:
     return FieldElement(tower.base, code)
 
 
-def rel_trace(x: FieldElement) -> FieldElement:
-    """Relative trace tr(x) = x + x^q + ... + x^(q^(n-1)), in the base field."""
-    tower = _require_tower(x)
+def trace_code(tower: TowerDesc, xc: int) -> int:
+    """Code of tr(x) = x + x^q + ... + x^(q^(n-1)) for the code xc of x."""
     q = tower.q
-    acc = x.code
-    t = x.code
+    acc = t = xc
     for _ in range(tower.n - 1):
         t = tower._cpow(t, q)
         acc = tower._cadd(acc, t)
-    return _down(tower, acc)
+    return acc
+
+
+def rel_trace(x: FieldElement) -> FieldElement:
+    """Relative trace tr(x) = x + x^q + ... + x^(q^(n-1)), in the base field."""
+    tower = _require_tower(x)
+    return _down(tower, trace_code(tower, x.code))
 
 
 def norm_exponent(tower: TowerDesc) -> int:
@@ -225,19 +229,12 @@ def ppoly_permutes_kernel(
     if cached is not None:
         return cached
     kernel = trace_kernel(tower)
-    q = tower.q
     seen = set()
     for x in kernel:
         y = ppoly_eval(L, x).code
         if theta:
             y = tower._csub(y, tower._cmul(theta, x.code))
-        # trace of the image, inline for the escape check
-        acc = y
-        t = y
-        for _ in range(tower.n - 1):
-            t = tower._cpow(t, q)
-            acc = tower._cadd(acc, t)
-        if acc != 0:
+        if trace_code(tower, y) != 0:
             raise MapEscapesKernel(x.code, y)
         seen.add(y)
     out = len(seen) == len(kernel)

@@ -53,7 +53,6 @@ class CppCheck(NamedTuple):
 class FiberCriterionReport:
     square_commutes: bool
     lambda_surjective: bool
-    lambdabar_surjective: bool
     h_bijective: bool
     fibers_injective: bool
     conclusion: Optional[bool]
@@ -142,10 +141,6 @@ def is_complete_permutation(f: Poly, cap: Optional[int] = None) -> CppCheck:
     return CppCheck(table_verdict(home.order, tab), table_verdict(home.order, shifted))
 
 
-def is_cpp(f: Poly, cap: Optional[int] = None) -> CppCheck:
-    return is_complete_permutation(f, cap)
-
-
 def _as_table(home, f, what: str) -> list[int]:
     if isinstance(f, Poly):
         if f.home != home:
@@ -206,7 +201,6 @@ def fiber_criterion_verify(
     return FiberCriterionReport(
         square_commutes=square_commutes,
         lambda_surjective=lam_surjective,
-        lambdabar_surjective=lam_surjective,
         h_bijective=h_bijective,
         fibers_injective=fibers_injective,
         conclusion=conclusion,

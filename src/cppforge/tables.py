@@ -1,11 +1,12 @@
 """Vectorized table arithmetic for exhaustive sweeps.
 
-The scalar classes in fields.py define the arithmetic; this module
+The scalar arithmetic in fields.py defines the fields; this module
 re-expresses it as numpy index arithmetic so that whole-field scans stay
 cheap at desk scale (orders up to 2^16). Nothing here is an independent
-source of truth: the construction of every table bottoms out in the same
-scalar ops, and test_tables.py additionally cross-checks random entries
-pointwise. Bulk code exists for speed only.
+source of truth: EXP/LOG are the scalar exp/log lists of each level
+(FieldDesc.log_tables), every other table is built from them or from the
+scalar ops, and test_tables.py pins each table to the scalar ops. Bulk
+code exists for speed only.
 """
 
 from __future__ import annotations
@@ -40,26 +41,15 @@ class BaseTables:
             row = [field._cadd(a, b) for b in range(q)]
             add[a] = row
         self.ADD = add
-        # force the scalar log tables into existence, then vectorize
-        field._cmul(1, 1)
-        if field._log is not None:
-            log = np.array(field._log, dtype=np.int64)
-            exp = np.array(field._exp, dtype=np.int64)
-            idx = np.arange(q)
-            la, lb = np.meshgrid(log, log, indexing="ij")
-            mul = exp[(la + lb) % (q - 1)].astype(np.int32)
-            mul[0, :] = 0
-            mul[:, 0] = 0
-            self.MUL = mul
-            inv = np.zeros(q, dtype=np.int32)
-            inv[1:] = exp[(-log[1:]) % (q - 1)]
-            self.INV = inv
-        else:  # pragma: no cover - caps keep q small enough for log tables
-            mul = np.empty((q, q), dtype=np.int32)
-            for a in range(q):
-                mul[a] = [field._cmul(a, b) for b in range(q)]
-            self.MUL = mul
-            self.INV = np.array([0] + [field._cinv(a) for a in range(1, q)], dtype=np.int32)
+        exp, log = (np.array(t, dtype=np.int64) for t in field.log_tables())
+        la, lb = np.meshgrid(log, log, indexing="ij")
+        mul = exp[(la + lb) % (q - 1)].astype(np.int32)
+        mul[0, :] = 0
+        mul[:, 0] = 0
+        self.MUL = mul
+        inv = np.zeros(q, dtype=np.int32)
+        inv[1:] = exp[(-log[1:]) % (q - 1)]
+        self.INV = inv
         self.NEG = np.array([field._cneg(a) for a in range(q)], dtype=np.int32)
         self._hit = np.empty(q, dtype=bool)
 
@@ -120,7 +110,7 @@ class TowerTables:
         "_digit_shift",
         "_scale_rows",
         "_hit",
-        "_full_add",
+        "_half_add",
     )
 
     def __init__(self, tower: TowerDesc, base_tables: Optional[BaseTables] = None):
@@ -135,24 +125,16 @@ class TowerTables:
         self.q = tower.q
         self.n = tower.n
         self.p = tower.p
-        g = tower.multiplicative_generator().code
         m = order - 1
-        exp = np.empty(m, dtype=np.int32)
+        exp, log = tower.log_tables()
+        self.EXP = np.array(exp, dtype=np.int32)
+        self.LOG = np.array(log, dtype=np.int32)
         # LOG[0] = 2m keeps every log sum of a zero operand at >= 2m, past
         # the reach of any nonzero product (<= 2m - 2), so MEXP below can
         # resolve products without a separate zero mask
-        log = np.full(order, 2 * m, dtype=np.int32)
-        acc = 1
-        for j in range(m):
-            exp[j] = acc
-            log[acc] = j
-            acc = tower._cmul(acc, g)
-        if acc != 1:
-            raise AssertionError("generator order mismatch while building tower tables")
-        self.EXP = exp
-        self.LOG = log
+        self.LOG[0] = 2 * m
         mexp = np.zeros(4 * m + 1, dtype=np.int32)
-        mexp[: 2 * m - 1] = exp[np.arange(2 * m - 1) % m]
+        mexp[: 2 * m - 1] = self.EXP[np.arange(2 * m - 1) % m]
         self.MEXP = mexp
         if self.p == 2:
             self._digit_shift = None
@@ -177,7 +159,7 @@ class TowerTables:
             raise AssertionError("trace kernel has the wrong size")
         self._scale_rows = {}
         self._hit = np.empty(order, dtype=bool)
-        self._full_add = None
+        self._half_add = None
 
     # -- arithmetic on index arrays -------------------------------------
 
@@ -192,21 +174,19 @@ class TowerTables:
     def add_to_x(self, tab: np.ndarray) -> np.ndarray:
         """tab[..., x] + x rowwise, the shifted map behind CPP checks.
 
-        Char 2 reduces to XOR. For odd p a full order x order addition
-        table is materialized once (odd-characteristic towers at desk
-        scale stay small enough for that).
+        Char 2 reduces to XOR. For odd p, digit addition never carries, so
+        codes split at lo = q^ceil(n/2) into a low and a high half, and one
+        lo x lo addition table of the low digits serves both halves.
         """
         xs = np.arange(self.order, dtype=tab.dtype)
         if self.p == 2:
             return tab ^ xs
-        if self._full_add is None:
-            full = np.empty((self.order, self.order), dtype=np.int32)
-            row = np.arange(self.order, dtype=np.int64)
-            for a in range(0, self.order, _ROW_BLOCK):
-                blk = np.arange(a, min(a + _ROW_BLOCK, self.order), dtype=np.int64)
-                full[a : a + len(blk)] = self.add(blk[:, None], row[None, :])
-            self._full_add = full
-        return self._full_add[tab, xs]
+        lo = self.q ** ((self.n + 1) // 2)
+        if self._half_add is None:
+            codes = np.arange(lo, dtype=np.int64)
+            self._half_add = self.add(codes[:, None], codes[None, :]).astype(np.int32)
+        half = self._half_add
+        return half[tab % lo, xs % lo] + lo * half[tab // lo, xs // lo]
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.MEXP[self.LOG[a] + self.LOG[b]]

@@ -2,8 +2,12 @@
 
 Prime fields are checked against integer arithmetic mod p; extensions are
 checked against the field axioms directly, exhaustively where the order
-allows and by hypothesis sampling elsewhere.
+allows and by hypothesis sampling elsewhere. The exp/log lookups every
+level uses are pinned to the convolution that defines multiplication.
 """
+
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +26,9 @@ from cppforge.errors import (
     FieldMismatch,
     NotIrreducible,
     NotPrime,
+    OutOfRange,
 )
+from cppforge.grids import tower_grid
 
 
 def test_prime_field_matches_int_mod_p():
@@ -200,3 +206,93 @@ def test_tower_pow_agrees_with_repeated_mul(xc, e):
     for _ in range(e):
         acc = tw._cmul(acc, xc)
     assert tw._cpow(xc, e) == acc
+
+
+def _check_ops_against_convolution(f, pairs, powers):
+    # the log tables are derived from the convolution, which stays the
+    # definition: products, powers and inverses must agree with it
+    m = f.order - 1
+    for a, b in pairs:
+        assert f._cmul(a, b) == f._codeof(f._mul_vec(f._vec(a), f._vec(b))), (f, a, b)
+    for a, e in powers:
+        assert f._cpow(a, e) == f._codeof(f._pow_vec(f._vec(a), e)), (f, a, e)
+        if a:
+            assert f._cinv(a) == f._codeof(f._pow_vec(f._vec(a), m - 1)), (f, a)
+    if f.full_degree > 1:
+        assert f._log is not None  # the ops above went through the tables
+
+
+def test_log_tables_match_convolution_every_pair_up_to_256():
+    for tw in tower_grid(256):
+        for f in (tw.base, tw):
+            codes = range(f.order)
+            exps = (0, 1, 2, f.p, f.order - 2, f.order + 3)
+            _check_ops_against_convolution(
+                f, itertools.product(codes, codes), itertools.product(codes, exps)
+            )
+
+
+def test_log_tables_match_convolution_sampled_up_to_4096():
+    # every pair at order 4096 is ~16.7M convolutions: sample instead
+    rng = random.Random(4096)
+    for tw in tower_grid(4096):
+        n = tw.order
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(200)]
+        powers = [(rng.randrange(n), rng.randrange(3 * n)) for _ in range(20)]
+        _check_ops_against_convolution(tw, pairs, powers)
+
+
+def test_flat_and_tower_levels_stay_distinct(f2):
+    flat = make_extension(f2, 3)
+    tower = make_tower(f2, 3)
+    assert flat.modulus == tower.modulus == (1, 1, 0, 1)
+    assert flat != tower and len({flat, tower}) == 2
+    assert flat == make_extension(f2, 3) and tower == make_tower(f2, 3)
+    assert flat.descriptor() == "p=2;r=3;mod=[1,1,0,1]"
+    assert tower.descriptor() == "p=2;r=1;mod=[0,1];n=3;tmod=[[1],[1],[0],[1]]"
+    assert (repr(flat), repr(tower)) == ("F_8", "F_8/F_2")
+    with pytest.raises(FieldMismatch):
+        _ = flat.one + tower.one
+    # one modulus, one encoding: the arithmetic agrees code for code
+    for a in range(8):
+        for b in range(8):
+            assert flat._cmul(a, b) == tower._cmul(a, b)
+    # a tower is never the base of a further extension
+    for build in (make_extension, make_tower):
+        with pytest.raises(FieldMismatch):
+            build(tower, 2)
+
+
+def test_element_reduces_on_flat_fields_and_range_checks_on_towers(f3, f4, f9):
+    assert f9.element([4, 5]).code == 1 + 2 * 3
+    tw = make_tower(f3, 2)
+    assert tw.element([2, 1]).code == 2 + 1 * 3
+    with pytest.raises(OutOfRange):
+        tw.element([4])
+    t4 = make_tower(f4, 2)
+    assert t4.element([f4.decode(3), 1]).code == 3 + 1 * 4
+    with pytest.raises(FieldMismatch):
+        t4.element([f9.one])
+
+
+def _order_by_convolution(f, c):
+    one = f._vec(1)
+    v = f._vec(c)
+    x, k = v, 1
+    while x != one:
+        x, k = f._mul_vec(x, v), k + 1
+    return k
+
+
+def test_multiplicative_generator_is_smallest_code_on_every_kind_of_level(f2, f3, f4, f9, f16):
+    levels = [
+        f2, f3, make_prime_field(7), f4, f9, f16,
+        make_tower(f2, 3), make_tower(f3, 3), make_tower(f4, 2),
+        make_tower(make_extension(f2, 3), 2),
+    ]
+    for f in levels:
+        want = next(c for c in range(1, f.order) if _order_by_convolution(f, c) == f.order - 1)
+        assert f.multiplicative_generator().code == want, f
+        if f.order > 2:
+            exp, log = f.log_tables()
+            assert exp[1] == want and log[want] == 1

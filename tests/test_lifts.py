@@ -120,7 +120,7 @@ def test_cppeg_both_configurations():
         assert len(admissible) == 10
 
 
-def test_cppeg_rejects_bad_shapes():
+def test_cppeg_rejects_bad_shapes(t42):
     with pytest.raises(PreconditionViolated):
         cppeg_construct(1, 4, 4, 2)  # k = t
     with pytest.raises(PreconditionViolated):
@@ -131,6 +131,8 @@ def test_cppeg_rejects_bad_shapes():
         cppeg_construct(2, 2, 1, 1)  # 1 is a (r^k - 1)-th power
     with pytest.raises(FieldMismatch):
         cppeg_construct(2, 2, 1, 16)  # code outside F_16
+    with pytest.raises(FieldMismatch):
+        cppeg_construct(2, 2, 1, t42.decode(2))  # F_16/F_4 is not the flat F_16
 
 
 def test_cppeg_witness_collapses_to_frobenius_scaling():

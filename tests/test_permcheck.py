@@ -7,7 +7,6 @@ from cppforge import (
     Poly,
     fiber_criterion_verify,
     is_complete_permutation,
-    is_cpp,
     is_permutation,
     make_extension,
     make_prime_field,
@@ -56,14 +55,14 @@ def test_scaling_cpp_statuses():
         chk = is_complete_permutation(Poly(f4, [0, c]))
         assert chk.both
     # the identity is a permutation whose shift x + x = 0 collapses
-    chk = is_cpp(Poly(f4, [0, 1]))
+    chk = is_complete_permutation(Poly(f4, [0, 1]))
     assert chk.f_verdict.is_permutation and not chk.shifted_verdict.is_permutation
     assert not chk.both
 
 
 def test_identity_is_complete_in_odd_characteristic():
     f5 = make_prime_field(5)
-    assert is_cpp(Poly(f5, [0, 1])).both
+    assert is_complete_permutation(Poly(f5, [0, 1])).both
 
 
 def test_cap_guards_value_table():
@@ -75,7 +74,7 @@ def test_cap_guards_value_table():
 def test_verdict_json_shapes():
     v = table_verdict(3, [0, 1, 2])
     assert v.to_json() == {"is_permutation": True, "witness": None}
-    chk = is_cpp(Poly(make_prime_field(3), [0, 1]))
+    chk = is_complete_permutation(Poly(make_prime_field(3), [0, 1]))
     j = chk.f_verdict.to_json()
     assert set(j) == {"is_permutation", "witness"}
 
@@ -148,7 +147,7 @@ def test_random_tables_verdict_matches_set_semantics(tab):
 def test_random_cubics_cpp_agrees_with_table_check(codes):
     f = make_prime_field(5)
     h = Poly(f, [0] + codes)  # zero constant keeps f(0) = 0
-    chk = is_cpp(h)
+    chk = is_complete_permutation(h)
     tab = value_table(h)
     shifted = [f._cadd(v, x) for x, v in enumerate(tab)]
     assert chk.f_verdict.is_permutation == (len(set(tab)) == 5)

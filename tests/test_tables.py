@@ -1,10 +1,14 @@
 """Bulk table layer against the scalar arithmetic it accelerates.
 
-The numpy tables are a second, independent implementation of the same
-field operations; every public entry point is pinned to the convolution
-arithmetic on FieldDesc/TowerDesc, exhaustively on small fields and on
-seeded samples where a full cross product would be slow.
+The numpy tables are a speed path, not an independent source of truth:
+their EXP/LOG are the scalar exp/log lists of FieldDesc.log_tables. Every
+public entry point is pinned to the scalar ops on FieldDesc/TowerDesc,
+exhaustively on small fields and on seeded samples where a full cross
+product would be slow; test_fields.py pins the scalar log tables to the
+convolution that defines them.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ import pytest
 from cppforge import make_extension, make_prime_field, make_tower, rel_norm, rel_trace
 from cppforge.errors import OrderCapExceeded
 from cppforge.maps import trace_kernel
-from cppforge.tables import BULK_TOWER_CAP, BaseTables, base_tables, tower_tables
+from cppforge.tables import BULK_TOWER_CAP, BaseTables, TowerTables, base_tables, tower_tables
 
 
 @pytest.fixture(scope="module", params=[(2, 3), (3, 2), (5, 1), (2, 4)])
@@ -133,6 +137,8 @@ def test_tower_structural_checks_hold(tt):
 def test_tower_add_to_x_and_cpp_status(tt):
     xs = np.arange(tt.order, dtype=np.int32)
     assert np.array_equal(tt.add_to_x(np.zeros(tt.order, dtype=np.int32)), xs)
+    tabs = np.random.default_rng(13).integers(0, tt.order, size=(3, tt.order), dtype=np.int32)
+    assert np.array_equal(tt.add_to_x(tabs), tt.add(tabs, xs))
     perm, cpp = tt.cpp_status(xs)
     assert perm and cpp == (tt.p != 2)
     # scaling by a generator g is a bijection; complete exactly when g != -1
@@ -141,6 +147,22 @@ def test_tower_add_to_x_and_cpp_status(tt):
     perm, cpp = tt.cpp_status(tab.astype(np.int32))
     assert perm
     assert cpp == (tt.tower._cadd(g, 1) != 0)
+
+
+def test_odd_add_to_x_memory_is_bounded():
+    # a full order x order addition table would be 3125^2 * 4 B = 39 MB here
+    # (and ~13.9 GB for the 3^10 towers that BULK_TOWER_CAP admits)
+    tw = make_tower(make_prime_field(5), 5)
+    tt = TowerTables(tw, base_tables(tw.base))  # fresh: no cached helper tables
+    tabs = np.arange(8 * tt.order, dtype=np.int32).reshape(8, -1) % tt.order
+    tracemalloc.start()
+    try:
+        out = tt.add_to_x(tabs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert np.array_equal(out, tt.add(tabs, np.arange(tt.order)))
 
 
 def test_zero_operand_products_are_zero(tt):
