@@ -39,7 +39,7 @@ from .lifts import (
     trace_lift_simple,
 )
 from .maps import PPoly, binomial_kernel_criterion, norm_exponent
-from .tables import base_tables, tower_tables
+from .tables import base_tables, bijective_rows, cpp_rows, tower_tables
 
 DEFAULT_SEED = 20260819
 
@@ -131,30 +131,6 @@ class SweepReport:
         }
 
 
-def _batched_bijection(tabs: np.ndarray, width: int) -> np.ndarray:
-    rows = np.arange(tabs.shape[0])[:, None]
-    hit = np.zeros((tabs.shape[0], width), dtype=bool)
-    hit[rows, tabs] = True
-    return hit.all(axis=1)
-
-
-def _batched_cpp(bt, tabs: np.ndarray) -> np.ndarray:
-    """CPP status per row of base-field value tables."""
-    q = bt.q
-    perm = _batched_bijection(tabs, q)
-    shifted = bt.ADD[tabs, np.arange(q, dtype=np.int32)[None, :]]
-    return perm & _batched_bijection(shifted, q)
-
-
-def _batched_tower_cpp(tt, tabs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(permutation?, CPP?) per row; the shifted pass runs only on permutations."""
-    perm = _batched_bijection(tabs, tt.order)
-    cpp = perm.copy()
-    if perm.any():
-        cpp[perm] = _batched_bijection(tt.add_to_x(tabs[perm]), tt.order)
-    return perm, cpp
-
-
 def _distinct_pairs(lam_scaled: np.ndarray, tabs: np.ndarray, order: int) -> np.ndarray:
     """Rowwise: is x -> (lambda(x), f(x)) injective? Exact, via key sort."""
     keys = np.sort(lam_scaled[None, :] + tabs, axis=1)
@@ -220,7 +196,7 @@ def sweep_norm_lift(
     max_order = 4096 if max_order is None else max_order
     rng = np.random.default_rng(seed)
     rep = SweepReport("thm2.2")
-    t0 = time.time()
+    t0 = time.perf_counter()
     fiber_agree = 0
     fiber_cases = 0
     builder_checks = 0
@@ -245,15 +221,15 @@ def sweep_norm_lift(
                 hv = _batched_horner(bt, coeffs)
                 # witness x*h(x^n) on the base
                 wit = bt.MUL[xs_b[None, :], hv[:, pow_n]]
-                wit_cpp = _batched_cpp(bt, wit)
+                _, wit_cpp = cpp_rows(bt, wit)
                 # lifted x*h(nor x) on the tower
                 lifted = _lift_rows(tt, hv, tt.NOR)
-                perm, lift_cpp = _batched_tower_cpp(tt, lifted)
+                perm, lift_cpp = cpp_rows(tt, lifted)
                 # fiber criterion with induced v -> v*h(v)^n; the pair scan
                 # only decides the conclusion when the induced map bijects
                 h_ind = bt.MUL[xs_b[None, :], pow_n[hv]]
                 square_ok = (tt.NOR[lifted] == h_ind[:, tt.NOR]).all(axis=1)
-                h_bij = _batched_bijection(h_ind, q)
+                h_bij = bijective_rows(h_ind)
                 conclusion = h_bij.copy()
                 if h_bij.any():
                     conclusion[h_bij] = _distinct_pairs(lam_scaled, lifted[h_bij], order)
@@ -280,12 +256,12 @@ def sweep_norm_lift(
             res = norm_lift(h, tower)
             hv1 = _batched_horner(bt, all_h[i : i + 1])
             wit1 = bt.MUL[xs_b[None, :], hv1[:, pow_n]]
-            assert bool(_batched_cpp(bt, wit1)[0]) == res.predicted_cpp
+            assert bool(cpp_rows(bt, wit1)[1][0]) == res.predicted_cpp
             lifted1 = _lift_rows(tt, hv1, tt.NOR)
             if full_budget > 0:
                 full_budget -= 1
                 ver = res.verified_cpp(order)
-                assert bool(_batched_tower_cpp(tt, lifted1)[1][0]) == ver
+                assert bool(cpp_rows(tt, lifted1)[1][0]) == ver
             else:
                 for x in rng.integers(0, order, size=32):
                     xe = FieldElement(tower, int(x))
@@ -297,7 +273,7 @@ def sweep_norm_lift(
         "fiber_agreements": fiber_agree,
         "builder_crosschecks": builder_checks,
     }
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -320,7 +296,7 @@ def sweep_monomial_norm(max_order: Optional[int] = None, seed: int = DEFAULT_SEE
     max_order = 4096 if max_order is None else max_order
     rng = np.random.default_rng(seed)
     rep = SweepReport("cor2.3")
-    t0 = time.time()
+    t0 = time.perf_counter()
     builder_checks = 0
     for q, n in norm_lift_pairs(max_order):
         p, r = _prime_power(q)
@@ -328,19 +304,16 @@ def sweep_monomial_norm(max_order: Optional[int] = None, seed: int = DEFAULT_SEE
         bt = base_tables(tower.base)
         tt = tower_tables(tower)
         npow = norm_exponent(tower)
-        xs_b = np.arange(q, dtype=np.int32)
+        alphas = np.arange(1, q)
         replays = 0
         for s in range(max(q - 1, 1)):
             wtab_all = bt.pow_all(1 + n * s)
             ltab_all = tt.pow_all(1 + s * npow)
-            for alpha in range(1, q):
-                wit = bt.MUL[alpha, wtab_all]
-                wit_shift = bt.ADD[wit, xs_b]
-                wcpp = bool(bt.is_bijection(wit) and bt.is_bijection(wit_shift))
-                lifted = tt.scale_row(alpha)[ltab_all]
-                _, lcpp = tt.cpp_status(lifted)
-                rep.note(wcpp == lcpp, lcpp,
-                         {"q": q, "n": n, "s": s, "alpha": alpha})
+            # one row per alpha = 1..q-1
+            _, wcpp = cpp_rows(bt, bt.MUL[alphas[:, None], wtab_all[None, :]])
+            _, lcpp = cpp_rows(tt, tt.mul(alphas[:, None], ltab_all[None, :]))
+            for alpha, w, lc in zip(range(1, q), wcpp.tolist(), lcpp.tolist()):
+                rep.note(w == lc, lc, {"q": q, "n": n, "s": s, "alpha": alpha})
             if replays < 3 and rng.integers(0, 4) == 0:
                 alpha = int(rng.integers(1, q))
                 res = monomial_cpp_check(alpha, s, tower)
@@ -348,7 +321,7 @@ def sweep_monomial_norm(max_order: Optional[int] = None, seed: int = DEFAULT_SEE
                 replays += 1
                 builder_checks += 1
     rep.extras = {"builder_crosschecks": builder_checks}
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -362,7 +335,7 @@ def sweep_quadratic_monomials(max_order: Optional[int] = None, seed: int = DEFAU
     max_order = 4096 if max_order is None else max_order
     rng = np.random.default_rng(seed)
     rep = SweepReport("cor2.5")
-    t0 = time.time()
+    t0 = time.perf_counter()
     builder_checks = 0
     for et in range(2, 31):
         if 2 ** (2 * et) > max_order:
@@ -393,15 +366,14 @@ def sweep_quadratic_monomials(max_order: Optional[int] = None, seed: int = DEFAU
                     if tt is None:
                         tt = tower_tables(res.tower)
                         exp_tab = tt.pow_all(res.params["exponent"])
-                    lifted = tt.scale_row(alpha)[exp_tab]
-                    _, ver = tt.cpp_status(lifted)
-                    rep.note(res.predicted_cpp is True and ver is True, bool(ver),
+                    ver = bool(cpp_rows(tt, tt.scale_row(alpha)[exp_tab][None, :])[1][0])
+                    rep.note(res.predicted_cpp is True and ver, ver,
                              {"e": e, "t": t, "k": k, "alpha": alpha})
                     if builder_checks < 4 and rng.integers(0, 5) == 0:
                         assert res.verified_cpp(tt.order) == ver
                         builder_checks += 1
     rep.extras = {"builder_crosschecks": builder_checks}
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -414,7 +386,7 @@ def sweep_trace_simple(
     max_order = 1024 if max_order is None else max_order
     rng = np.random.default_rng(seed)
     rep = SweepReport("thm3.2")
-    t0 = time.time()
+    t0 = time.perf_counter()
     builder_checks = 0
     for tower in tower_grid(max_order):
         bt = base_tables(tower.base)
@@ -432,9 +404,9 @@ def sweep_trace_simple(
             coeffs = all_h[lo : lo + row_budget]
             hv = _batched_horner(bt, coeffs)
             wit = bt.MUL[xs_b[None, :], hv]
-            wit_cpp = _batched_cpp(bt, wit)
+            _, wit_cpp = cpp_rows(bt, wit)
             lifted = _lift_rows(tt, hv, tt.TR)
-            _, lift_cpp = _batched_tower_cpp(tt, lifted)
+            _, lift_cpp = cpp_rows(tt, lifted)
             for i in range(len(coeffs)):
                 rep.note(bool(wit_cpp[i] == lift_cpp[i]), bool(lift_cpp[i]),
                          {"q": q, "n": tower.n, "h": coeffs[i].tolist()})
@@ -442,11 +414,11 @@ def sweep_trace_simple(
             h = Poly(tower.base, [int(c) for c in all_h[i]])
             res = trace_lift_simple(h, tower)
             assert res.verified_cpp(order) == bool(
-                _batched_tower_cpp(tt, _lift_rows(tt, _batched_horner(bt, all_h[i : i + 1]), tt.TR))[1][0]
+                cpp_rows(tt, _lift_rows(tt, _batched_horner(bt, all_h[i : i + 1]), tt.TR))[1][0]
             )
             builder_checks += 1
     rep.extras = {"builder_crosschecks": builder_checks}
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -467,7 +439,7 @@ def sweep_trace_general(max_order: Optional[int] = None, seed: int = DEFAULT_SEE
     max_order = 256 if max_order is None else max_order
     rng = np.random.default_rng(seed)
     rep = SweepReport("thm3.3")
-    t0 = time.time()
+    t0 = time.perf_counter()
     hypothesis_failures = 0
     for tower in tower_grid(max_order):
         base = tower.base
@@ -494,7 +466,7 @@ def sweep_trace_general(max_order: Optional[int] = None, seed: int = DEFAULT_SEE
                              {"q": q, "n": tower.n, "h": hc.tolist(),
                               "L": L.text(), "a": a})
     rep.extras = {"hypothesis_failures": hypothesis_failures}
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -513,7 +485,7 @@ def sweep_trace_binomial(
     max_order = 256 if max_order is None else max_order
     rng = np.random.default_rng(seed)
     rep = SweepReport("thm3.7")
-    t0 = time.time()
+    t0 = time.perf_counter()
     builder_checks = 0
     identity_failures = 0
     for tower in tower_grid(max_order):
@@ -541,11 +513,11 @@ def sweep_trace_binomial(
                     coeffs = all_h[lo : lo + row_budget]
                     hv = _batched_horner(bt, coeffs)
                     wit = bt.MUL[xs_b[None, :], hv]
-                    wit_cpp = _batched_cpp(bt, wit)
+                    _, wit_cpp = cpp_rows(bt, wit)
                     htr = hv[:, tt.TR]
                     hh = htr ^ a_adiff[None, :] if p == 2 else tt.add(htr, a_adiff[None, :])
                     lifted = _mul_by_x(tt, hh)
-                    _, lift_cpp = _batched_tower_cpp(tt, lifted)
+                    _, lift_cpp = cpp_rows(tt, lifted)
                     ident = (tt.TR[lifted] == bt.MUL[tt.TR[None, :], htr]).all(axis=1)
                     identity_failures += int((~ident).sum())
                     for i in range(len(coeffs)):
@@ -567,7 +539,7 @@ def sweep_trace_binomial(
                 builder_checks += 1
     rep.extras = {"builder_crosschecks": builder_checks,
                   "identity_failures": identity_failures}
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -580,7 +552,7 @@ def sweep_kernel_binomials(max_order: Optional[int] = None, seed: int = DEFAULT_
     """
     max_order = 4096 if max_order is None else max_order
     rep = SweepReport("lemma3.4")
-    t0 = time.time()
+    t0 = time.perf_counter()
     no_case_true = no_case_false = 0
     for tower in tower_grid(max_order):
         tt = tower_tables(tower)
@@ -613,7 +585,7 @@ def sweep_kernel_binomials(max_order: Optional[int] = None, seed: int = DEFAULT_
                           "case": verdict.case_applied})
     rep.extras = {"no_case_exhaustive_true": no_case_true,
                   "no_case_exhaustive_false": no_case_false}
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 

@@ -48,6 +48,7 @@ from .permcheck import (
     DEFAULT_EXHAUSTIVE_CAP,
     eval_poly,
     is_complete_permutation,
+    table_is_cpp,
     table_verdict,
 )
 
@@ -163,12 +164,7 @@ class LiftResult:
         limit = DEFAULT_EXHAUSTIVE_CAP if cap is None else cap
         if self.tower.order > limit:
             return None
-        tab = self.map_table(limit)
-        if not table_verdict(self.tower.order, tab).is_permutation:
-            return False
-        add = self.tower._cadd
-        shifted = [add(v, x) for x, v in enumerate(tab)]
-        return table_verdict(self.tower.order, shifted).is_permutation
+        return table_is_cpp(self.tower, self.map_table(limit))
 
     def to_json(self, cap: Optional[int] = None) -> dict:
         try:
@@ -287,9 +283,7 @@ def monomial_cpp_check(alpha, s: int, tower: TowerDesc) -> LiftResult:
     _guard_expansion(w_exp + 1)
     witness = Poly.monomial(base, w_exp, a_code)
     wtab = [base._cmul(a_code, base._cpow(xc, w_exp)) for xc in range(q)]
-    perm = table_verdict(q, wtab).is_permutation
-    shifted = [base._cadd(v, x) for x, v in enumerate(wtab)]
-    predicted = perm and table_verdict(q, shifted).is_permutation
+    predicted = table_is_cpp(base, wtab)
 
     def f(xc: int) -> int:
         return tower._cmul(a_code, tower._cpow(xc, l_exp))
@@ -356,9 +350,7 @@ def cppeg_construct(e: int, t: int, k: int, alpha) -> LiftResult:
     _guard_expansion(w_exp + 1)
     witness = Poly.monomial(base, w_exp, a_code)
     wtab = [base._cmul(a_code, base._cpow(xc, w_exp)) for xc in range(q)]
-    perm = table_verdict(q, wtab).is_permutation
-    shifted = [base._cadd(v, x) for x, v in enumerate(wtab)]
-    predicted = perm and table_verdict(q, shifted).is_permutation
+    predicted = table_is_cpp(base, wtab)
     if predicted is not True:
         raise AssertionError(
             f"unconditional construction produced a non-CPP witness at "

@@ -29,10 +29,16 @@ def _require_tower(x: FieldElement) -> TowerDesc:
     return x.home
 
 
-def _down(tower: TowerDesc, code: int) -> FieldElement:
+def check_in_base(tower: TowerDesc, codes) -> None:
+    """Assert that trace/norm codes landed in the embedded base field."""
     # structural coercion: the embedded base field is exactly the codes < q
-    if code >= tower.q:
-        raise AssertionError(f"value {code} escaped the base field of {tower!r}")
+    top = max(codes)
+    if top >= tower.q:
+        raise AssertionError(f"value {top} escaped the base field of {tower!r}")
+
+
+def _down(tower: TowerDesc, code: int) -> FieldElement:
+    check_in_base(tower, (code,))
     return FieldElement(tower.base, code)
 
 
@@ -70,7 +76,9 @@ def trace_kernel(tower: TowerDesc) -> tuple[FieldElement, ...]:
     asserted rather than assumed.
     """
     if tower._kernel_cache is None:
-        ker = tuple(x for x in tower.elements() if rel_trace(x).code == 0)
+        tr = [trace_code(tower, xc) for xc in range(tower.order)]
+        check_in_base(tower, tr)
+        ker = tuple(FieldElement(tower, xc) for xc, t in enumerate(tr) if t == 0)
         if len(ker) != tower.q ** (tower.n - 1):
             raise AssertionError(
                 f"kernel size {len(ker)} != q^(n-1) = {tower.q ** (tower.n - 1)}"

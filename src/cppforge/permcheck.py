@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import BadTableLength, FieldMismatch, OrderCapExceeded
+from .errors import BadTableLength, FieldMismatch, OrderCapExceeded, OutOfRange
 from .fields import FieldDesc, FieldElement, Poly, TowerDesc
-from .maps import norm_exponent, rel_norm, rel_trace
+from .maps import check_in_base, norm_exponent, trace_code
 
 DEFAULT_EXHAUSTIVE_CAP = 1 << 16
 
@@ -133,6 +133,15 @@ def is_permutation(f: Poly, cap: Optional[int] = None) -> PermVerdict:
     return table_verdict(f.home.order, value_table(f, cap))
 
 
+def table_is_cpp(home: FieldDesc, table: Sequence[int]) -> bool:
+    """Is the value table over home a CPP?  The shifted table f + x is built
+    only when f permutes; is_complete_permutation reports both witnesses."""
+    if not table_verdict(home.order, table).is_permutation:
+        return False
+    shifted = [home._cadd(v, x) for x, v in enumerate(table)]
+    return table_verdict(home.order, shifted).is_permutation
+
+
 def is_complete_permutation(f: Poly, cap: Optional[int] = None) -> CppCheck:
     """Verdicts for f and for f + x; f is a CPP when both hold."""
     home = f.home
@@ -151,7 +160,7 @@ def _as_table(home, f, what: str) -> list[int]:
         raise BadTableLength(len(tab), home.order)
     for v in tab:
         if not 0 <= v < home.order:
-            raise BadTableLength(v, home.order)
+            raise OutOfRange(v, home.order)
     return tab
 
 
@@ -183,9 +192,11 @@ def fiber_criterion_verify(
     ftab = _as_table(tower, f, "f")
     htab = _as_table(base, h, "h")
     if lambda_kind == "trace":
-        lam = [rel_trace(x).code for x in tower.elements()]
+        lam = [trace_code(tower, xc) for xc in range(order)]
     else:
-        lam = [rel_norm(x).code for x in tower.elements()]
+        e = norm_exponent(tower)
+        lam = [tower._cpow(xc, e) for xc in range(order)]
+    check_in_base(tower, lam)
 
     square_commutes = all(lam[ftab[x]] == htab[lam[x]] for x in range(order))
     lam_surjective = len(set(lam)) == q

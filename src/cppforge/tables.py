@@ -27,7 +27,7 @@ _ROW_BLOCK = 512  # row chunk for order x order pair scans
 class BaseTables:
     """Dense q x q operation tables for a base field."""
 
-    __slots__ = ("field", "q", "p", "ADD", "MUL", "NEG", "INV", "_hit")
+    __slots__ = ("field", "q", "p", "ADD", "MUL", "NEG", "INV")
 
     def __init__(self, field: FieldDesc):
         q = field.q
@@ -51,7 +51,6 @@ class BaseTables:
         inv[1:] = exp[(-log[1:]) % (q - 1)]
         self.INV = inv
         self.NEG = np.array([field._cneg(a) for a in range(q)], dtype=np.int32)
-        self._hit = np.empty(q, dtype=bool)
 
     def pow_all(self, e: int) -> np.ndarray:
         """x^e for every x, with 0^0 = 1 to match the scalar rule."""
@@ -77,18 +76,9 @@ class BaseTables:
             acc = self.ADD[self.MUL[acc, xs], int(c)]
         return acc
 
-    def is_bijection(self, tab: np.ndarray) -> bool:
-        hit = self._hit
-        hit[:] = False
-        hit[tab] = True
-        return bool(hit.all())
-
-    def cpp_status(self, tab: np.ndarray) -> tuple[bool, bool]:
-        perm = self.is_bijection(tab)
-        if not perm:
-            return False, False
-        shifted = self.ADD[tab, np.arange(self.q, dtype=np.int32)]
-        return True, self.is_bijection(shifted)
+    def add_to_x(self, tab: np.ndarray) -> np.ndarray:
+        """tab[..., x] + x rowwise, the shifted map behind CPP checks."""
+        return self.ADD[tab, np.arange(self.q, dtype=np.int32)]
 
 
 class TowerTables:
@@ -109,7 +99,6 @@ class TowerTables:
         "KERNEL",
         "_digit_shift",
         "_scale_rows",
-        "_hit",
         "_half_add",
     )
 
@@ -158,7 +147,6 @@ class TowerTables:
         if len(self.KERNEL) != self.q ** (self.n - 1):
             raise AssertionError("trace kernel has the wrong size")
         self._scale_rows = {}
-        self._hit = np.empty(order, dtype=bool)
         self._half_add = None
 
     # -- arithmetic on index arrays -------------------------------------
@@ -210,20 +198,6 @@ class TowerTables:
             self._scale_rows[b] = row
         return row
 
-    # -- verdicts --------------------------------------------------------
-
-    def is_bijection(self, tab: np.ndarray) -> bool:
-        hit = self._hit
-        hit[:] = False
-        hit[tab] = True
-        return bool(hit.all())
-
-    def cpp_status(self, tab: np.ndarray) -> tuple[bool, bool]:
-        perm = self.is_bijection(tab)
-        if not perm:
-            return False, False
-        return True, self.is_bijection(self.add_to_x(tab))
-
     # -- whole-field pair scans (chunked to bound memory) ----------------
 
     def check_trace_additive(self) -> bool:
@@ -247,6 +221,29 @@ class TowerTables:
             if not (lhs == want).all():
                 return False
         return True
+
+
+# -- the batched verdict ---------------------------------------------------
+
+
+def bijective_rows(tabs: np.ndarray) -> np.ndarray:
+    """Per row of a 2-D batch of value tables, each over a field of order
+    tabs.shape[-1]: is it a bijection?  The batched twin of the scalar
+    reference permcheck.table_verdict, which the sweeps replay against."""
+    rows = np.arange(tabs.shape[0])[:, None]
+    hit = np.zeros(tabs.shape, dtype=bool)
+    hit[rows, tabs] = True
+    return hit.all(axis=1)
+
+
+def cpp_rows(t, tabs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(permutation?, CPP?) per row; BaseTables or TowerTables t supplies
+    add_to_x, which runs only on the rows that are permutations."""
+    perm = bijective_rows(tabs)
+    cpp = perm.copy()
+    if perm.any():
+        cpp[perm] = bijective_rows(t.add_to_x(tabs[perm]))
+    return perm, cpp
 
 
 _BASE_CACHE: dict[str, BaseTables] = {}

@@ -14,7 +14,7 @@ from cppforge import (
     rel_norm,
     value_table,
 )
-from cppforge.errors import BadTableLength, FieldMismatch, OrderCapExceeded
+from cppforge.errors import BadTableLength, FieldMismatch, OrderCapExceeded, OutOfRange
 from cppforge.permcheck import eval_poly, table_verdict
 
 
@@ -130,6 +130,15 @@ def test_fiber_criterion_accepts_polys_and_rejects_wrong_homes():
         fiber_criterion_verify([0] * tower.order, h, lambda_kind="trace")
     with pytest.raises(ValueError):
         fiber_criterion_verify(f, h, lambda_kind="projection")
+
+
+def test_fiber_criterion_names_an_out_of_range_value():
+    tower = make_tower(make_extension(make_prime_field(2), 2), 2)
+    ftab = list(range(tower.order))
+    ftab[3] = tower.order  # right length, one value past the field
+    with pytest.raises(OutOfRange) as err:
+        fiber_criterion_verify(ftab, Poly(tower.base, [0, 1]), lambda_kind="trace", tower=tower)
+    assert err.value.code == tower.order and err.value.order == tower.order
 
 
 @settings(max_examples=80, deadline=None)

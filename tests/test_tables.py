@@ -13,10 +13,30 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cppforge import make_extension, make_prime_field, make_tower, rel_norm, rel_trace
+from cppforge import (
+    Poly,
+    TowerDesc,
+    is_complete_permutation,
+    make_extension,
+    make_prime_field,
+    make_tower,
+    rel_norm,
+    rel_trace,
+    table_is_cpp,
+    table_verdict,
+    value_table,
+)
 from cppforge.errors import OrderCapExceeded
+from cppforge.grids import tower_grid
 from cppforge.maps import trace_kernel
-from cppforge.tables import BULK_TOWER_CAP, BaseTables, TowerTables, base_tables, tower_tables
+from cppforge.tables import (
+    BULK_TOWER_CAP,
+    TowerTables,
+    base_tables,
+    bijective_rows,
+    cpp_rows,
+    tower_tables,
+)
 
 
 @pytest.fixture(scope="module", params=[(2, 3), (3, 2), (5, 1), (2, 4)])
@@ -60,13 +80,13 @@ def test_base_horner_matches_eval(bt):
 def test_base_bijection_and_cpp_status(bt):
     f = bt.field
     q = f.order
-    ident = np.arange(q, dtype=np.int32)
-    assert bt.is_bijection(ident)
-    assert not bt.is_bijection(np.zeros(q, dtype=np.int32))
-    perm, cpp = bt.cpp_status(ident)
-    assert perm
+    ident = np.arange(q, dtype=np.int32)[None, :]
+    assert bijective_rows(ident)[0]
+    assert not bijective_rows(np.zeros((1, q), dtype=np.int32))[0]
+    perm, cpp = cpp_rows(bt, ident)
+    assert perm[0]
     # x + x = 2x: bijective iff the characteristic is odd
-    assert cpp == (f.p != 2)
+    assert cpp[0] == (f.p != 2)
 
 
 @pytest.fixture(scope="module", params=[(2, 2, 3), (3, 1, 3), (5, 1, 2), (2, 3, 2)])
@@ -139,14 +159,48 @@ def test_tower_add_to_x_and_cpp_status(tt):
     assert np.array_equal(tt.add_to_x(np.zeros(tt.order, dtype=np.int32)), xs)
     tabs = np.random.default_rng(13).integers(0, tt.order, size=(3, tt.order), dtype=np.int32)
     assert np.array_equal(tt.add_to_x(tabs), tt.add(tabs, xs))
-    perm, cpp = tt.cpp_status(xs)
-    assert perm and cpp == (tt.p != 2)
+    perm, cpp = cpp_rows(tt, xs[None, :])
+    assert perm[0] and cpp[0] == (tt.p != 2)
     # scaling by a generator g is a bijection; complete exactly when g != -1
     g = tt.tower.multiplicative_generator().code
     tab = tt.mul(np.full(tt.order, g, dtype=np.int64), xs.astype(np.int64))
-    perm, cpp = tt.cpp_status(tab.astype(np.int32))
-    assert perm
-    assert cpp == (tt.tower._cadd(g, 1) != 0)
+    perm, cpp = cpp_rows(tt, tab.astype(np.int32)[None, :])
+    assert perm[0]
+    assert cpp[0] == (tt.tower._cadd(g, 1) != 0)
+
+
+def _homes_up_to_256():
+    """Every tower of tower_grid(256) and every base field under one, once."""
+    out = {}
+    for tw in tower_grid(256):
+        out.setdefault(tw.base.descriptor(), tw.base)
+        out[tw.descriptor()] = tw
+    return [pytest.param(home, id=repr(home)) for home in out.values()]
+
+
+@pytest.mark.parametrize("home", _homes_up_to_256())
+def test_cpp_rows_match_the_scalar_route_row_by_row(home):
+    tabs = tower_tables(home) if isinstance(home, TowerDesc) else base_tables(home)
+    order = home.order
+    rng = np.random.default_rng(order * 31 + home.p)
+    minus_one = home._cneg(1)
+    gs = sorted({1, minus_one, *(int(g) for g in rng.integers(1, order, size=6))})
+    scaled = [Poly(home, [0, g]) for g in gs]  # g*x: a CPP exactly when g != -1
+    polys = [Poly(home, [int(c) for c in rng.integers(0, order, size=4)]) for _ in range(4)]
+    batch = np.concatenate([
+        rng.integers(0, order, size=(6, order)),
+        np.stack([rng.permutation(order) for _ in range(6)]),
+        np.array([value_table(f) for f in scaled + polys]),
+    ]).astype(np.int32)
+    perm, cpp = cpp_rows(tabs, batch)
+    assert np.array_equal(perm, bijective_rows(batch))
+    for i, row in enumerate(batch.tolist()):
+        assert perm[i] == table_verdict(order, row).is_permutation, (home, i)
+        assert cpp[i] == table_is_cpp(home, row), (home, i)
+    for i, g in enumerate(gs, start=12):
+        assert perm[i] and cpp[i] == (g != minus_one), (home, g)
+    for i, f in enumerate(scaled + polys, start=12):
+        assert table_is_cpp(home, batch[i].tolist()) == is_complete_permutation(f).both
 
 
 def test_odd_add_to_x_memory_is_bounded():
