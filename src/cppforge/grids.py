@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import HypothesisFails, PreconditionViolated
 from .fields import (
-    FieldDesc,
     FieldElement,
     Poly,
     TowerDesc,
@@ -42,6 +41,8 @@ from .maps import PPoly, binomial_kernel_criterion, norm_exponent
 from .tables import base_tables, bijective_rows, cpp_rows, tower_tables
 
 DEFAULT_SEED = 20260819
+H_DEGREE = 2  # every nonzero h of degree <= H_DEGREE is swept exhaustively
+_ROW_CELLS = 1 << 21  # rows x order cells per batched block
 
 _TOWERS: dict[tuple[int, int, int], TowerDesc] = {}
 
@@ -80,14 +81,15 @@ def tower_grid(max_order: int = 4096) -> list[TowerDesc]:
     return out
 
 
+def _norm_lift_towers(max_order: int) -> list[TowerDesc]:
+    """Towers of tower_grid with gcd(n, q-1) = 1, sorted by (q, n)."""
+    towers = [t for t in tower_grid(max_order) if math.gcd(t.n, t.q - 1) == 1]
+    return sorted(towers, key=lambda t: (t.q, t.n))
+
+
 def norm_lift_pairs(max_order: int = 4096) -> list[tuple[int, int]]:
     """(q, n) pairs admissible for the norm lift: gcd(n, q-1) = 1, q^n <= cap."""
-    pairs = []
-    for t in tower_grid(max_order):
-        if math.gcd(t.n, t.q - 1) == 1:
-            pairs.append((t.q, t.n))
-    pairs.sort()
-    return pairs
+    return [(t.q, t.n) for t in _norm_lift_towers(max_order)]
 
 
 @dataclass
@@ -106,16 +108,17 @@ class SweepReport:
     def clean(self) -> bool:
         return not self.counterexamples and self.agreements == self.cases
 
-    def note(self, ok: bool, outcome: bool, detail: Optional[dict] = None):
-        self.cases += 1
-        if outcome:
-            self.true_outcomes += 1
-        else:
-            self.false_outcomes += 1
-        if ok:
-            self.agreements += 1
-        else:
-            self.counterexamples.append(detail or {})
+    def note(self, ok, outcome, detail=None):
+        """Tally one case, or a batch: bool arrays ok and outcome, with
+        detail a function from row index to that row's counterexample."""
+        ok, outcome = np.atleast_1d(ok), np.atleast_1d(outcome)
+        trues = int(outcome.sum())
+        self.cases += ok.size
+        self.true_outcomes += trues
+        self.false_outcomes += outcome.size - trues
+        self.agreements += int(ok.sum())
+        for i in np.flatnonzero(~ok):
+            self.counterexamples.append(detail(int(i)) if callable(detail) else detail or {})
 
     def to_json(self) -> dict:
         return {
@@ -131,15 +134,38 @@ class SweepReport:
         }
 
 
+REGISTRY: dict = {}
+
+
+def _sweep(token: str, default_max_order: int):
+    """Register body(rep, max_order, rng, **options) -> extras as the sweep
+    `token`: the wrapper owns the max_order default, the seeded rng, the
+    report and its perf_counter timing."""
+
+    def register(body):
+        def sweep(max_order: Optional[int] = None, seed: int = DEFAULT_SEED,
+                  **options) -> SweepReport:
+            max_order = default_max_order if max_order is None else max_order
+            rng = np.random.default_rng(seed)
+            rep = SweepReport(token)
+            t0 = time.perf_counter()
+            rep.extras = body(rep, max_order, rng, **options)
+            rep.elapsed = time.perf_counter() - t0
+            return rep
+
+        # body's name and doc; the signature and annotations stay sweep's
+        sweep.__name__ = sweep.__qualname__ = body.__name__
+        sweep.__doc__ = body.__doc__
+        REGISTRY[token] = sweep
+        return sweep
+
+    return register
+
+
 def _distinct_pairs(lam_scaled: np.ndarray, tabs: np.ndarray, order: int) -> np.ndarray:
     """Rowwise: is x -> (lambda(x), f(x)) injective? Exact, via key sort."""
     keys = np.sort(lam_scaled[None, :] + tabs, axis=1)
     return (np.diff(keys, axis=1) != 0).sum(axis=1) + 1 == order
-
-
-def _mul_by_x(tt, vals: np.ndarray) -> np.ndarray:
-    """Rowwise x * vals[., x] over the tower, vals already embedded codes."""
-    return tt.MEXP[tt.LOG[vals] + tt.LOG[None, :]]
 
 
 def _lift_rows(tt, hcols: np.ndarray, sel: np.ndarray) -> np.ndarray:
@@ -150,6 +176,17 @@ def _lift_rows(tt, hcols: np.ndarray, sel: np.ndarray) -> np.ndarray:
     """
     logs = tt.LOG[hcols][:, sel] + tt.LOG[None, :]
     return tt.MEXP[logs]
+
+
+def _h_blocks(bt, h_rows: np.ndarray, order: int, sub: Optional[np.ndarray] = None):
+    """Blocks of h rows, each with its values on the base and the witness
+    verdict per row: is x*h(sub[x]) (x*h(x) without sub) a CPP of the base?"""
+    xs = np.arange(bt.q, dtype=np.int32)[None, :]
+    step = max(1, _ROW_CELLS // order)
+    for lo in range(0, len(h_rows), step):
+        coeffs = h_rows[lo : lo + step]
+        hv = bt.horner(coeffs)
+        yield coeffs, hv, cpp_rows(bt, bt.MUL[xs, hv if sub is None else hv[:, sub]])[1]
 
 
 def _all_h_coeffs(q: int, max_degree: int) -> np.ndarray:
@@ -172,57 +209,32 @@ def _random_h_coeffs(q: int, count: int, rng) -> np.ndarray:
     return out
 
 
-def _batched_horner(bt, coeffs: np.ndarray) -> np.ndarray:
-    xs = np.arange(bt.q, dtype=np.int32)[None, :]
-    acc = np.zeros((coeffs.shape[0], bt.q), dtype=np.int32)
-    for j in range(coeffs.shape[1] - 1, -1, -1):
-        acc = bt.ADD[bt.MUL[acc, xs], coeffs[:, j][:, None]]
-    return acc
-
-
-def sweep_norm_lift(
-    max_order: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
-    random_h: int = 100,
-    max_h_degree: int = 2,
-) -> SweepReport:
+@_sweep("thm2.2", 4096)
+def sweep_norm_lift(rep: SweepReport, max_order: int, rng, random_h: int = 100) -> dict:
     """x*h(nor(x)) CPP on the tower vs x*h(x^n) CPP on the base.
 
     Runs over every admissible (q, n) pair, every nonzero h of degree <=
-    max_h_degree, plus seeded random h of degree < q. The fiber-criterion
+    H_DEGREE, plus seeded random h of degree < q. The fiber-criterion
     verdict (lambda = nor, induced map v -> v*h(v)^n) is folded into the
     same pass and must agree with the direct permutation check.
     """
-    max_order = 4096 if max_order is None else max_order
-    rng = np.random.default_rng(seed)
-    rep = SweepReport("thm2.2")
-    t0 = time.perf_counter()
     fiber_agree = 0
     fiber_cases = 0
     builder_checks = 0
-    for q, n in norm_lift_pairs(max_order):
-        p, r = _prime_power(q)
-        tower = _tower(p, r, n)
+    towers = _norm_lift_towers(max_order)
+    for tower in towers:
+        q, n, order = tower.q, tower.n, tower.order
         bt = base_tables(tower.base)
         tt = tower_tables(tower)
-        order = tt.order
         xs_b = np.arange(q, dtype=np.int32)
         pow_n = bt.pow_all(n)  # x -> x^n: substitution index and induced-map power
         lam_scaled = (tt.NOR.astype(np.int64) * order).astype(np.int32)
-        all_h = _all_h_coeffs(q, max_h_degree)
+        all_h = _all_h_coeffs(q, H_DEGREE)
         rand_h = _random_h_coeffs(q, random_h, rng)
-        blocks = [all_h] if rand_h.size == 0 else [all_h, rand_h]
         sample_idx = set(rng.integers(0, len(all_h), size=8).tolist())
-        row_budget = max(1, (1 << 21) // order)
-        done = 0
-        for block in blocks:
-            for lo in range(0, len(block), row_budget):
-                coeffs = block[lo : lo + row_budget]
-                hv = _batched_horner(bt, coeffs)
-                # witness x*h(x^n) on the base
-                wit = bt.MUL[xs_b[None, :], hv[:, pow_n]]
-                _, wit_cpp = cpp_rows(bt, wit)
-                # lifted x*h(nor x) on the tower
+        verdicts = []  # (witness, lift) CPP verdicts of the all_h rows
+        for block in (all_h, rand_h):
+            for coeffs, hv, wit_cpp in _h_blocks(bt, block, order, pow_n):
                 lifted = _lift_rows(tt, hv, tt.NOR)
                 perm, lift_cpp = cpp_rows(tt, lifted)
                 # fiber criterion with induced v -> v*h(v)^n; the pair scan
@@ -236,110 +248,75 @@ def sweep_norm_lift(
                 fiber_cases += len(coeffs)
                 fiber_ok = (conclusion == perm) & square_ok
                 fiber_agree += int(fiber_ok.sum())
-                for i in np.flatnonzero(~fiber_ok):
-                    rep.counterexamples.append(
-                        {"q": q, "n": n, "h": coeffs[i].tolist(), "why": "fiber verdict"})
-                for i in range(len(coeffs)):
-                    ok = bool(wit_cpp[i] == lift_cpp[i])
-                    if not ok:
-                        rep.note(False, bool(lift_cpp[i]),
-                                 {"q": q, "n": n, "h": coeffs[i].tolist()})
-                    else:
-                        rep.note(True, bool(lift_cpp[i]))
-                done += len(coeffs)
-        # replay a seeded sample through the scalar builder; big towers get
-        # one full-table replay and seeded point pinning for the rest, small
-        # ones replay the whole table every time
-        full_budget = len(sample_idx) if order < 1024 else 1
-        for i in sorted(sample_idx):
-            h = Poly(tower.base, [int(c) for c in all_h[i]])
-            res = norm_lift(h, tower)
-            hv1 = _batched_horner(bt, all_h[i : i + 1])
-            wit1 = bt.MUL[xs_b[None, :], hv1[:, pow_n]]
-            assert bool(cpp_rows(bt, wit1)[1][0]) == res.predicted_cpp
-            lifted1 = _lift_rows(tt, hv1, tt.NOR)
-            if full_budget > 0:
-                full_budget -= 1
-                ver = res.verified_cpp(order)
-                assert bool(cpp_rows(tt, lifted1)[1][0]) == ver
+                rep.counterexamples += [{"q": q, "n": n, "h": coeffs[i].tolist(),
+                                         "why": "fiber verdict"}
+                                        for i in np.flatnonzero(~fiber_ok)]
+                rep.note(wit_cpp == lift_cpp, lift_cpp,
+                         lambda i: {"q": q, "n": n, "h": coeffs[i].tolist()})
+                if block is all_h:
+                    verdicts.append((wit_cpp, lift_cpp))
+        wit_all, lift_all = (np.concatenate(v) for v in zip(*verdicts))
+        # replay a seeded sample through the scalar builder against the
+        # batch's verdicts; big towers get one full-table replay and seeded
+        # point pinning for the rest, small ones replay the whole table
+        for j, i in enumerate(sorted(sample_idx)):
+            res = norm_lift(Poly(tower.base, [int(c) for c in all_h[i]]), tower)
+            assert res.predicted_cpp == wit_all[i]
+            if order < 1024 or j == 0:
+                assert res.verified_cpp(order) == lift_all[i]
             else:
+                lifted = _lift_rows(tt, bt.horner(all_h[i : i + 1]), tt.NOR)[0]
                 for x in rng.integers(0, order, size=32):
-                    xe = FieldElement(tower, int(x))
-                    assert res.evaluate(xe).code == int(lifted1[0, x])
+                    assert res.evaluate(FieldElement(tower, int(x))).code == lifted[x]
             builder_checks += 1
-    rep.extras = {
-        "pairs": norm_lift_pairs(max_order),
+    return {
+        "pairs": [(t.q, t.n) for t in towers],
         "fiber_cases": fiber_cases,
         "fiber_agreements": fiber_agree,
         "builder_crosschecks": builder_checks,
     }
-    rep.elapsed = time.perf_counter() - t0
-    return rep
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    for p in _primes_upto(q):
-        if q % p == 0:
-            r = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                r += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, r
-    raise ValueError(f"{q} is not a prime power")
-
-
-def sweep_monomial_norm(max_order: Optional[int] = None, seed: int = DEFAULT_SEED) -> SweepReport:
+@_sweep("cor2.3", 4096)
+def sweep_monomial_norm(rep: SweepReport, max_order: int, rng) -> dict:
     """alpha*x^(1+s*(q^n-1)/(q-1)) vs alpha*x^(1+ns), all s in 0..q-2, all alpha."""
-    max_order = 4096 if max_order is None else max_order
-    rng = np.random.default_rng(seed)
-    rep = SweepReport("cor2.3")
-    t0 = time.perf_counter()
     builder_checks = 0
-    for q, n in norm_lift_pairs(max_order):
-        p, r = _prime_power(q)
-        tower = _tower(p, r, n)
+    for tower in _norm_lift_towers(max_order):
+        q, n = tower.q, tower.n
         bt = base_tables(tower.base)
         tt = tower_tables(tower)
         npow = norm_exponent(tower)
-        alphas = np.arange(1, q)
+        alphas = np.arange(1, q)[:, None]  # one row per alpha = 1..q-1
         replays = 0
         for s in range(max(q - 1, 1)):
-            wtab_all = bt.pow_all(1 + n * s)
-            ltab_all = tt.pow_all(1 + s * npow)
-            # one row per alpha = 1..q-1
-            _, wcpp = cpp_rows(bt, bt.MUL[alphas[:, None], wtab_all[None, :]])
-            _, lcpp = cpp_rows(tt, tt.mul(alphas[:, None], ltab_all[None, :]))
-            for alpha, w, lc in zip(range(1, q), wcpp.tolist(), lcpp.tolist()):
-                rep.note(w == lc, lc, {"q": q, "n": n, "s": s, "alpha": alpha})
+            _, wcpp = cpp_rows(bt, bt.MUL[alphas, bt.pow_all(1 + n * s)[None, :]])
+            _, lcpp = cpp_rows(tt, tt.mul(alphas, tt.pow_all(1 + s * npow)[None, :]))
+            rep.note(wcpp == lcpp, lcpp,
+                     lambda i: {"q": q, "n": n, "s": s, "alpha": i + 1})
             if replays < 3 and rng.integers(0, 4) == 0:
                 alpha = int(rng.integers(1, q))
                 res = monomial_cpp_check(alpha, s, tower)
-                assert res.verified_cpp(tt.order) == res.predicted_cpp
+                assert res.verified_cpp(tt.order) == res.predicted_cpp == lcpp[alpha - 1]
                 replays += 1
                 builder_checks += 1
-    rep.extras = {"builder_crosschecks": builder_checks}
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return {"builder_crosschecks": builder_checks}
 
 
-def sweep_quadratic_monomials(max_order: Optional[int] = None, seed: int = DEFAULT_SEED) -> SweepReport:
+@_sweep("cor2.5", 4096)
+def sweep_quadratic_monomials(rep: SweepReport, max_order: int, rng) -> dict:
     """The unconditional quadratic-extension monomial family, all (e, t, k, alpha).
 
     Admissible alpha give CPPs with no side condition, so every outcome
     must be True; inadmissible alpha are counted as skipped after their
-    rejection is confirmed.
+    rejection is confirmed. The admissible alpha of one (e, t, k) are
+    checked as one batch.
     """
-    max_order = 4096 if max_order is None else max_order
-    rng = np.random.default_rng(seed)
-    rep = SweepReport("cor2.5")
-    t0 = time.perf_counter()
     builder_checks = 0
     for et in range(2, 31):
         if 2 ** (2 * et) > max_order:
             break
+        base = make_extension(make_prime_field(2), et)
+        q = base.q
         for e in range(1, et + 1):
             if et % e:
                 continue
@@ -347,79 +324,62 @@ def sweep_quadratic_monomials(max_order: Optional[int] = None, seed: int = DEFAU
             for k in range(1, t):
                 if e == 1 and math.gcd(k, t) == 1:
                     continue
-                base = make_extension(make_prime_field(2), et)
-                q = base.q
                 g = math.gcd(2 ** (e * k) - 1, q - 1)
-                tt = None
+                built = []
                 for alpha in range(1, q):
-                    admissible = base._cpow(alpha, (q - 1) // g) != 1
-                    if not admissible:
-                        try:
-                            cppeg_construct(e, t, k, alpha)
-                            rep.note(False, False,
-                                     {"e": e, "t": t, "k": k, "alpha": alpha,
-                                      "why": "inadmissible alpha accepted"})
-                        except PreconditionViolated:
-                            rep.skipped += 1
+                    if base._cpow(alpha, (q - 1) // g) != 1:
+                        built.append(cppeg_construct(e, t, k, alpha))
                         continue
-                    res = cppeg_construct(e, t, k, alpha)
-                    if tt is None:
-                        tt = tower_tables(res.tower)
-                        exp_tab = tt.pow_all(res.params["exponent"])
-                    ver = bool(cpp_rows(tt, tt.scale_row(alpha)[exp_tab][None, :])[1][0])
-                    rep.note(res.predicted_cpp is True and ver, ver,
-                             {"e": e, "t": t, "k": k, "alpha": alpha})
+                    try:
+                        cppeg_construct(e, t, k, alpha)
+                        rep.note(False, False,
+                                 {"e": e, "t": t, "k": k, "alpha": alpha,
+                                  "why": "inadmissible alpha accepted"})
+                    except PreconditionViolated:
+                        rep.skipped += 1
+                if not built:
+                    continue
+                tt = tower_tables(built[0].tower)
+                exp_tab = tt.pow_all(built[0].params["exponent"])
+                alphas = [res.params["alpha"] for res in built]
+                ver = cpp_rows(tt, tt.mul(np.array(alphas)[:, None], exp_tab[None, :]))[1]
+                predicted = np.array([res.predicted_cpp is True for res in built])
+                rep.note(predicted & ver, ver,
+                         lambda i: {"e": e, "t": t, "k": k, "alpha": alphas[i]})
+                for res, v in zip(built, ver):
                     if builder_checks < 4 and rng.integers(0, 5) == 0:
-                        assert res.verified_cpp(tt.order) == ver
+                        assert res.verified_cpp(tt.order) == v
                         builder_checks += 1
-    rep.extras = {"builder_crosschecks": builder_checks}
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return {"builder_crosschecks": builder_checks}
 
 
-def sweep_trace_simple(
-    max_order: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
-    max_h_degree: int = 2,
-) -> SweepReport:
+@_sweep("thm3.2", 1024)
+def sweep_trace_simple(rep: SweepReport, max_order: int, rng) -> dict:
     """x*h(tr(x)) CPP on the tower vs x*h(x) CPP on the base, admissible h."""
-    max_order = 1024 if max_order is None else max_order
-    rng = np.random.default_rng(seed)
-    rep = SweepReport("thm3.2")
-    t0 = time.perf_counter()
     builder_checks = 0
     for tower in tower_grid(max_order):
         bt = base_tables(tower.base)
         tt = tower_tables(tower)
         q, order = tower.q, tower.order
         minus_one = tower.base._cneg(1)
-        xs_b = np.arange(q, dtype=np.int32)
-        all_h = _all_h_coeffs(q, max_h_degree)
+        all_h = _all_h_coeffs(q, H_DEGREE)
         all_h = all_h[(all_h[:, 0] != 0) & (all_h[:, 0] != minus_one)]
         if len(all_h) == 0:
             continue
         sample_idx = set(rng.integers(0, len(all_h), size=4).tolist())
-        row_budget = max(1, (1 << 21) // order)
-        for lo in range(0, len(all_h), row_budget):
-            coeffs = all_h[lo : lo + row_budget]
-            hv = _batched_horner(bt, coeffs)
-            wit = bt.MUL[xs_b[None, :], hv]
-            _, wit_cpp = cpp_rows(bt, wit)
-            lifted = _lift_rows(tt, hv, tt.TR)
-            _, lift_cpp = cpp_rows(tt, lifted)
-            for i in range(len(coeffs)):
-                rep.note(bool(wit_cpp[i] == lift_cpp[i]), bool(lift_cpp[i]),
-                         {"q": q, "n": tower.n, "h": coeffs[i].tolist()})
+        verdicts = []  # (witness, lift) CPP verdicts per row
+        for coeffs, hv, wit_cpp in _h_blocks(bt, all_h, order):
+            _, lift_cpp = cpp_rows(tt, _lift_rows(tt, hv, tt.TR))
+            rep.note(wit_cpp == lift_cpp, lift_cpp,
+                     lambda i: {"q": q, "n": tower.n, "h": coeffs[i].tolist()})
+            verdicts.append((wit_cpp, lift_cpp))
+        wit_all, lift_all = (np.concatenate(v) for v in zip(*verdicts))
         for i in sorted(sample_idx):
-            h = Poly(tower.base, [int(c) for c in all_h[i]])
-            res = trace_lift_simple(h, tower)
-            assert res.verified_cpp(order) == bool(
-                cpp_rows(tt, _lift_rows(tt, _batched_horner(bt, all_h[i : i + 1]), tt.TR))[1][0]
-            )
+            res = trace_lift_simple(Poly(tower.base, [int(c) for c in all_h[i]]), tower)
+            assert res.predicted_cpp == wit_all[i]
+            assert res.verified_cpp(order) == lift_all[i]
             builder_checks += 1
-    rep.extras = {"builder_crosschecks": builder_checks}
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return {"builder_crosschecks": builder_checks}
 
 
 def _random_ppoly(tower: TowerDesc, rng) -> PPoly:
@@ -429,17 +389,14 @@ def _random_ppoly(tower: TowerDesc, rng) -> PPoly:
     return PPoly(tower, pairs)
 
 
-def sweep_trace_general(max_order: Optional[int] = None, seed: int = DEFAULT_SEED) -> SweepReport:
+@_sweep("thm3.3", 256)
+def sweep_trace_general(rep: SweepReport, max_order: int, rng) -> dict:
     """The H(x) = h(tr x) + a*A(tr x) - a*A(x) lift, seeded L sample per tower.
 
     Cases whose kernel hypothesis fails are counted as skipped; built
     cases must match the exhaustive CPP check and carry a verified proof
     identity.
     """
-    max_order = 256 if max_order is None else max_order
-    rng = np.random.default_rng(seed)
-    rep = SweepReport("thm3.3")
-    t0 = time.perf_counter()
     hypothesis_failures = 0
     for tower in tower_grid(max_order):
         base = tower.base
@@ -465,16 +422,11 @@ def sweep_trace_general(max_order: Optional[int] = None, seed: int = DEFAULT_SEE
                     rep.note(ok, bool(ver),
                              {"q": q, "n": tower.n, "h": hc.tolist(),
                               "L": L.text(), "a": a})
-    rep.extras = {"hypothesis_failures": hypothesis_failures}
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return {"hypothesis_failures": hypothesis_failures}
 
 
-def sweep_trace_binomial(
-    max_order: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
-    max_h_degree: int = 2,
-) -> SweepReport:
+@_sweep("thm3.7", 256)
+def sweep_trace_binomial(rep: SweepReport, max_order: int, rng) -> dict:
     """L = x^(p^k) lifts on every tower/k passing the arithmetic conditions.
 
     The batched path recomputes H(x) = h(tr x) + a*(A(tr x) - A(x)) from
@@ -482,10 +434,6 @@ def sweep_trace_binomial(
     trace_lift_binomial, which also re-verifies the kernel hypothesis the
     arithmetic conditions promise.
     """
-    max_order = 256 if max_order is None else max_order
-    rng = np.random.default_rng(seed)
-    rep = SweepReport("thm3.7")
-    t0 = time.perf_counter()
     builder_checks = 0
     identity_failures = 0
     for tower in tower_grid(max_order):
@@ -499,31 +447,29 @@ def sweep_trace_binomial(
         bt = base_tables(tower.base)
         tt = tower_tables(tower)
         order = tt.order
-        xs_b = np.arange(q, dtype=np.int32)
-        neg_row = None if p == 2 else tt.scale_row(tower.base._cneg(1))
-        all_h = _all_h_coeffs(q, max_h_degree)
-        row_budget = max(1, (1 << 20) // order)
+        xs = np.arange(order)[None, :]
+        minus = tt.scale_row(tower.base._cneg(1))
+        all_h = _all_h_coeffs(q, H_DEGREE)
+        # h values on the trace and witness verdicts depend on neither k nor a
+        blocks = [(coeffs, hv[:, tt.TR], wit_cpp)
+                  for coeffs, hv, wit_cpp in _h_blocks(bt, all_h, order)]
         for k in ks:
-            avec = tt.pow_map(np.arange(order, dtype=np.int64), p**k - 1)
-            atr = avec[tt.TR]
-            adiff = atr ^ avec if p == 2 else tt.add(atr, neg_row[avec])
+            avec = tt.pow_all(p**k - 1)
+            adiff = tt.add(avec[tt.TR], minus[avec])  # A(tr x) - A(x)
+
+            def lift(htr: np.ndarray, a: int) -> np.ndarray:
+                """x*H(x) per row of h(tr x) values, H(x) = h(tr x) + a*adiff(x)."""
+                return tt.mul(tt.add(htr, tt.scale_row(a)[adiff][None, :]), xs)
+
             for a in range(1, q):
-                a_adiff = tt.scale_row(a)[adiff]
-                for lo in range(0, len(all_h), row_budget):
-                    coeffs = all_h[lo : lo + row_budget]
-                    hv = _batched_horner(bt, coeffs)
-                    wit = bt.MUL[xs_b[None, :], hv]
-                    _, wit_cpp = cpp_rows(bt, wit)
-                    htr = hv[:, tt.TR]
-                    hh = htr ^ a_adiff[None, :] if p == 2 else tt.add(htr, a_adiff[None, :])
-                    lifted = _mul_by_x(tt, hh)
+                for coeffs, htr, wit_cpp in blocks:
+                    lifted = lift(htr, a)
                     _, lift_cpp = cpp_rows(tt, lifted)
                     ident = (tt.TR[lifted] == bt.MUL[tt.TR[None, :], htr]).all(axis=1)
                     identity_failures += int((~ident).sum())
-                    for i in range(len(coeffs)):
-                        rep.note(bool(wit_cpp[i] == lift_cpp[i]) and bool(ident[i]),
-                                 bool(lift_cpp[i]),
-                                 {"q": q, "n": n, "k": k, "a": a, "h": coeffs[i].tolist()})
+                    rep.note((wit_cpp == lift_cpp) & ident, lift_cpp,
+                             lambda i: {"q": q, "n": n, "k": k, "a": a,
+                                        "h": coeffs[i].tolist()})
             for i in rng.integers(0, len(all_h), size=3):
                 h = Poly(tower.base, [int(c) for c in all_h[i]])
                 a = int(rng.integers(1, q))
@@ -531,42 +477,32 @@ def sweep_trace_binomial(
                 ver = res.verified_cpp(order)
                 assert ver == res.predicted_cpp
                 assert res.extras["proof_identity_holds"] is True
-                hv1 = _batched_horner(bt, all_h[i : i + 1])
-                htr1 = hv1[:, tt.TR]
-                aad = tt.scale_row(a)[adiff]
-                hh1 = htr1 ^ aad[None, :] if p == 2 else tt.add(htr1, aad[None, :])
-                assert res.map_table(order) == _mul_by_x(tt, hh1)[0].tolist()
+                htr = bt.horner(all_h[i : i + 1])[:, tt.TR]
+                assert res.map_table(order) == lift(htr, a)[0].tolist()
                 builder_checks += 1
-    rep.extras = {"builder_crosschecks": builder_checks,
-                  "identity_failures": identity_failures}
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return {"builder_crosschecks": builder_checks,
+            "identity_failures": identity_failures}
 
 
-def sweep_kernel_binomials(max_order: Optional[int] = None, seed: int = DEFAULT_SEED) -> SweepReport:
+@_sweep("lemma3.4", 4096)
+def sweep_kernel_binomials(rep: SweepReport, max_order: int, rng) -> dict:
     """x^(p^k) - c*x on ker(tr): criterion verdict vs exhaustive check.
 
     Case1/Case2 predictions must be confirmed exactly; NoCaseApplies rows
     carry no prediction and are tallied as skipped (their exhaustive
     outcome is still recorded in extras).
     """
-    max_order = 4096 if max_order is None else max_order
-    rep = SweepReport("lemma3.4")
-    t0 = time.perf_counter()
     no_case_true = no_case_false = 0
     for tower in tower_grid(max_order):
         tt = tower_tables(tower)
         p, q, n = tower.p, tower.q, tower.n
         kernel = tt.KERNEL
         ks = [k for k in range(1, tower.full_degree) if math.gcd(k, n) == 1]
-        neg_row = None
-        if p != 2:
-            neg_row = tt.scale_row(tower.base._cneg(1))
+        minus = tt.scale_row(tower.base._cneg(1))
         for k in ks:
             frob = tt.pow_map(kernel, p**k)
             for c in range(q):
-                cy = tt.scale_row(c)[kernel]
-                img = frob ^ cy if p == 2 else tt.add(frob, neg_row[cy])
+                img = tt.add(frob, minus[tt.scale_row(c)[kernel]])
                 if not (tt.TR[img] == 0).all():
                     rep.note(False, False, {"q": q, "n": n, "k": k, "c": c,
                                             "why": "image escaped the kernel"})
@@ -583,18 +519,5 @@ def sweep_kernel_binomials(max_order: Optional[int] = None, seed: int = DEFAULT_
                 rep.note(verdict.predicted == bool(actual), bool(actual),
                          {"q": q, "n": n, "k": k, "c": c,
                           "case": verdict.case_applied})
-    rep.extras = {"no_case_exhaustive_true": no_case_true,
-                  "no_case_exhaustive_false": no_case_false}
-    rep.elapsed = time.perf_counter() - t0
-    return rep
-
-
-REGISTRY = {
-    "thm2.2": sweep_norm_lift,
-    "cor2.3": sweep_monomial_norm,
-    "cor2.5": sweep_quadratic_monomials,
-    "thm3.2": sweep_trace_simple,
-    "thm3.3": sweep_trace_general,
-    "thm3.7": sweep_trace_binomial,
-    "lemma3.4": sweep_kernel_binomials,
-}
+    return {"no_case_exhaustive_true": no_case_true,
+            "no_case_exhaustive_false": no_case_false}

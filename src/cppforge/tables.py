@@ -27,7 +27,7 @@ _ROW_BLOCK = 512  # row chunk for order x order pair scans
 class BaseTables:
     """Dense q x q operation tables for a base field."""
 
-    __slots__ = ("field", "q", "p", "ADD", "MUL", "NEG", "INV")
+    __slots__ = ("field", "q", "p", "ADD", "MUL")
 
     def __init__(self, field: FieldDesc):
         q = field.q
@@ -47,10 +47,6 @@ class BaseTables:
         mul[0, :] = 0
         mul[:, 0] = 0
         self.MUL = mul
-        inv = np.zeros(q, dtype=np.int32)
-        inv[1:] = exp[(-log[1:]) % (q - 1)]
-        self.INV = inv
-        self.NEG = np.array([field._cneg(a) for a in range(q)], dtype=np.int32)
 
     def pow_all(self, e: int) -> np.ndarray:
         """x^e for every x, with 0^0 = 1 to match the scalar rule."""
@@ -68,12 +64,12 @@ class BaseTables:
                 b = self.MUL[b, b]
         return out
 
-    def horner(self, codes, xs: Optional[np.ndarray] = None) -> np.ndarray:
-        if xs is None:
-            xs = np.arange(self.q, dtype=np.int32)
-        acc = np.zeros(len(xs), dtype=np.int32)
-        for c in reversed(list(codes)):
-            acc = self.ADD[self.MUL[acc, xs], int(c)]
+    def horner(self, coeffs: np.ndarray) -> np.ndarray:
+        """Row i's polynomial at every x; coeffs[i, j] is its x^j coefficient."""
+        xs = np.arange(self.q, dtype=np.int32)[None, :]
+        acc = np.zeros((len(coeffs), self.q), dtype=np.int32)
+        for j in range(coeffs.shape[1] - 1, -1, -1):
+            acc = self.ADD[self.MUL[acc, xs], coeffs[:, j][:, None]]
         return acc
 
     def add_to_x(self, tab: np.ndarray) -> np.ndarray:
@@ -97,7 +93,6 @@ class TowerTables:
         "TR",
         "NOR",
         "KERNEL",
-        "_digit_shift",
         "_scale_rows",
         "_half_add",
     )
@@ -125,11 +120,18 @@ class TowerTables:
         mexp = np.zeros(4 * m + 1, dtype=np.int32)
         mexp[: 2 * m - 1] = self.EXP[np.arange(2 * m - 1) % m]
         self.MEXP = mexp
-        if self.p == 2:
-            self._digit_shift = None
-        else:
-            k = np.arange(self.n, dtype=np.int64)
-            self._digit_shift = (self.q ** k).astype(np.int64)
+        # digit addition never carries, so codes split at lo = q^ceil(n/2)
+        # into a low and a high half, and one lo x lo table of the low
+        # digits, built digit by digit from base.ADD, adds both halves
+        self._half_add = None
+        if self.p != 2:
+            lo = self.q ** ((self.n + 1) // 2)
+            codes = np.arange(lo, dtype=np.int64)
+            half = np.zeros((lo, lo), dtype=np.int32)
+            for sh in (self.q**k for k in range((self.n + 1) // 2)):
+                d = (codes // sh) % self.q
+                half += sh * self.base.ADD[d[:, None], d[None, :]]
+            self._half_add = half
         xs = np.arange(order, dtype=np.int64)
         tr = xs.copy()
         t = xs
@@ -147,34 +149,21 @@ class TowerTables:
         if len(self.KERNEL) != self.q ** (self.n - 1):
             raise AssertionError("trace kernel has the wrong size")
         self._scale_rows = {}
-        self._half_add = None
 
     # -- arithmetic on index arrays -------------------------------------
 
     def add(self, a: np.ndarray, b) -> np.ndarray:
         if self.p == 2:
             return a ^ b
-        sh = self._digit_shift
-        da = (a[..., None] // sh) % self.q
-        db = (np.asarray(b)[..., None] // sh) % self.q
-        return (self.base.ADD[da, db] * sh).sum(axis=-1)
+        half = self._half_add
+        lo = len(half)
+        return half[a % lo, b % lo] + lo * half[a // lo, b // lo]
+
+    _add = add  # add_to_x's path: a tracer that wraps add times it once
 
     def add_to_x(self, tab: np.ndarray) -> np.ndarray:
-        """tab[..., x] + x rowwise, the shifted map behind CPP checks.
-
-        Char 2 reduces to XOR. For odd p, digit addition never carries, so
-        codes split at lo = q^ceil(n/2) into a low and a high half, and one
-        lo x lo addition table of the low digits serves both halves.
-        """
-        xs = np.arange(self.order, dtype=tab.dtype)
-        if self.p == 2:
-            return tab ^ xs
-        lo = self.q ** ((self.n + 1) // 2)
-        if self._half_add is None:
-            codes = np.arange(lo, dtype=np.int64)
-            self._half_add = self.add(codes[:, None], codes[None, :]).astype(np.int32)
-        half = self._half_add
-        return half[tab % lo, xs % lo] + lo * half[tab // lo, xs // lo]
+        """tab[..., x] + x rowwise, the shifted map behind CPP checks."""
+        return self._add(tab, np.arange(self.order, dtype=tab.dtype))
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.MEXP[self.LOG[a] + self.LOG[b]]

@@ -5,6 +5,7 @@ test goes through `python -m cppforge` to cover the module entry point.
 """
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -255,6 +256,26 @@ def test_grid_reports_timing_without_reproducible(capsys):
     rep = json.loads(out)
     assert code == 0
     assert "elapsed_seconds" in rep and "timestamp" in rep
+
+
+# sha256 of `cppforge grid <token> --max-order 64 --reproducible`; any change
+# to a sweep's grid, rng stream, tallies or report layout moves these
+GRID_DIGESTS_64 = {
+    "thm2.2": "2068a5da8668eec6784bf0c3f57c43d5aa85582f98a53e1504d9e597dc90cc51",
+    "cor2.3": "6d044c6093ee22238225eaa0e046ce88a277f6f63cfd45140fa24edf5fc71ee7",
+    "cor2.5": "1a6495eb8da1199f314743504868c3fb2c8285ab52985229e6d1c826797e649a",
+    "thm3.2": "f9609cdc3eee5449684f307f66e76a366ce029a22cc0e5ad479d7510e2961875",
+    "thm3.3": "f34ae7352fd6d58eded30522f672f7756f4643d8a0f04faa1247fb21c26f7081",
+    "thm3.7": "90c6e3e09a0e0500d8736ecedbbf99953e50885934b3028989354fcedc5b3240",
+    "lemma3.4": "d2bf36b38f713032088f50264d710709eb8dcabada8d8a2d25be55c794fc18d9",
+}
+
+
+@pytest.mark.parametrize("token", list(GRID_DIGESTS_64))
+def test_grid_reproducible_output_is_pinned(capsys, token):
+    code, out, _ = run(capsys, "grid", token, "--max-order", "64", "--reproducible")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GRID_DIGESTS_64[token]
 
 
 def test_grid_rejects_unknown_token(capsys):

@@ -9,6 +9,7 @@ deliberate, ledgered decision.
 
 import math
 
+import numpy as np
 import pytest
 
 from cppforge import REGISTRY, SweepReport, norm_lift_pairs, tower_grid
@@ -67,6 +68,16 @@ def test_sweep_report_bookkeeping():
     assert rep.counterexamples == [{"why": "x"}]
     j = rep.to_json()
     assert j["token"] == "demo" and j["cases"] == 3 and j["agreements"] == 2
+    # a batch tallies exactly as its rows noted one by one
+    ok = np.array([True, False, True])
+    outcome = np.array([True, True, False])
+    scalar, batched = SweepReport("demo"), SweepReport("demo")
+    for i in range(len(ok)):
+        scalar.note(bool(ok[i]), bool(outcome[i]), {"row": i})
+    batched.note(ok, outcome, lambda i: {"row": i})
+    assert batched.to_json() == scalar.to_json()
+    assert batched.counterexamples == [{"row": 1}]
+    assert (batched.cases, batched.agreements, batched.true_outcomes) == (3, 2, 2)
 
 
 def test_norm_lift_sweep_small_scale():
