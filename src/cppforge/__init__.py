@@ -77,6 +77,26 @@ from .grids import REGISTRY, SweepReport, norm_lift_pairs, tower_grid
 
 __version__ = "0.1.0"
 
+
+def clear_caches() -> None:
+    """Empty every per-process cache of the package.
+
+    That is the canonical moduli, the shared exp/log lists, the numpy
+    tables, the kernel verdicts, the sweep towers and the CLI parser. No
+    result depends on them: later calls rebuild what they need.
+    """
+    import sys
+
+    from . import fields, grids, maps, tables
+
+    for cache in (fields._MODULUS_CACHE, fields._LOG_CACHE, tables._BASE_CACHE,
+                  tables._TOWER_CACHE, maps._KERNEL_VERDICTS, grids._TOWERS):
+        cache.clear()
+    cli = sys.modules.get(__name__ + ".cli")
+    if cli is not None:  # the parser exists only once the CLI is imported
+        cli._build_parser.cache_clear()
+
+
 __all__ = [
     "BadTableLength",
     "CppforgeError",
@@ -137,5 +157,6 @@ __all__ = [
     "SweepReport",
     "norm_lift_pairs",
     "tower_grid",
+    "clear_caches",
     "__version__",
 ]

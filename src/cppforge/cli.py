@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import functools
 import io
 import json
 import os
@@ -368,7 +369,9 @@ def _add_field(sp, with_tower: bool):
         sp.add_argument("--tmod", help="tower modulus coefficients (base codes)")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The one parser of this process; parse_args leaves it unchanged."""
     parser = _Parser(
         prog="cppforge",
         description="Complete permutation polynomials: construct over F_(q^n) "

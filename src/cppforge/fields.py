@@ -11,7 +11,12 @@ are what the CLI prints and what value tables store.
 One class, FieldDesc, models every level: degree d above a subfield, with
 the prime field as the base case. Its convolution over the subfield
 (_mul_vec) defines multiplication; levels of order up to _LOG_TABLE_MAX
-cache exp/log lists derived from it, which tables.py also reuses.
+use exp/log lists derived from it, which tables.py also reuses. The lists
+are built lazily, on a level's first multiply, and shared per field: one
+module cache keyed by descriptor() serves every instance of the same
+field, so a field rebuilt per call (as the CLI does) builds them once per
+process. The cache is bounded by _LOG_CACHE_CELLS and evicts its oldest
+entry first.
 
 Moduli, when not supplied, are chosen canonically: candidate coefficient
 tuples are scanned in ascending code order (constant coefficient varying
@@ -38,6 +43,11 @@ MAX_FIELD_ORDER = 1 << 20
 
 # Levels at or below this order get exp/log tables on first multiply.
 _LOG_TABLE_MAX = 1 << 16
+
+# descriptor() -> (exp, log), shared by every instance of a field; the summed
+# order of the cached fields stays <= _LOG_CACHE_CELLS, oldest evicted first
+_LOG_CACHE: dict[str, tuple[list[int], list[int]]] = {}
+_LOG_CACHE_CELLS = 1 << 18
 
 
 def _is_prime(p: int) -> bool:
@@ -271,26 +281,42 @@ class FieldDesc:
         """(exp, log) with exp[j] = g^j for the smallest-code generator g,
         log[exp[j]] = j and log[0] = -1.
 
-        Built from the convolution on first use, never by the constructor;
+        Built from the convolution on first use, never by the constructor,
+        and shared through the module cache: an equal field (same
+        descriptor()) built later reuses the same lists. The cache holds at
+        most _LOG_CACHE_CELLS codes in all and drops its oldest field first.
         None when the order exceeds _LOG_TABLE_MAX.
         """
         if self._exp is None:
             if self.order > _LOG_TABLE_MAX:
                 return None
-            m = self.order - 1
-            g = self._vec(self._find_generator())
-            exp = [0] * m
-            log = [-1] * self.order
-            acc = self._vec(1)
-            for j in range(m):
-                c = self._codeof(acc)
-                exp[j] = c
-                log[c] = j
-                acc = self._mul_vec(acc, g)
-            if self._codeof(acc) != 1:
-                raise AssertionError("generator order mismatch while building tables")
-            self._exp, self._log = exp, log
+            key = self.descriptor()
+            tabs = _LOG_CACHE.get(key)
+            if tabs is None:
+                tabs = self._build_log_tables()
+                # make room, oldest first; instances keep the lists they hold
+                used = sum(len(log) for _, log in _LOG_CACHE.values())
+                while _LOG_CACHE and used + self.order > _LOG_CACHE_CELLS:
+                    used -= len(_LOG_CACHE.pop(next(iter(_LOG_CACHE)))[1])
+                _LOG_CACHE[key] = tabs
+            self._exp, self._log = tabs
         return self._exp, self._log
+
+    def _build_log_tables(self) -> tuple[list[int], list[int]]:
+        """The powers of the generator by the convolution, and their logs."""
+        m = self.order - 1
+        g = self._vec(self._find_generator())
+        exp = [0] * m
+        log = [-1] * self.order
+        acc = self._vec(1)
+        for j in range(m):
+            c = self._codeof(acc)
+            exp[j] = c
+            log[c] = j
+            acc = self._mul_vec(acc, g)
+        if self._codeof(acc) != 1:
+            raise AssertionError("generator order mismatch while building tables")
+        return exp, log
 
     # -- code arithmetic -------------------------------------------------
     #

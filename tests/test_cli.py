@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from cppforge import cli, clear_caches
 from cppforge.cli import main
 
 
@@ -294,6 +295,30 @@ def test_reproducible_output_is_byte_stable(capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    verify = ("verify", "--p", "2", "--r", "2", "--n", "3", "--poly", "[0,2]",
+              "--lam", "trace", "--h", "[0,2]", "--reproducible")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--p", "two"])
+    assert exc.value.code == 4
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    code, _, err = run(capsys, "construct", "cppeg", "--e", "1", "--t", "4",
+                       "--k", "4", "--alpha", "3")
+    assert code == 2 and "1 <= k < t" in err
+    first = run(capsys, *verify)
+    assert first[0] == 0 and json.loads(first[1])["fiber"]["lambda"] == "trace"
+    assert run(capsys, *verify) == first
+    assert cli._build_parser() is parser
+    clear_caches()
+    assert cli._build_parser() is not parser
+    assert run(capsys, *verify) == first
 
 
 def test_timestamp_present_by_default(capsys):

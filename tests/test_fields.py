@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cppforge import (
+    FieldDesc,
     FieldElement,
     Poly,
     embed_poly,
@@ -28,6 +29,7 @@ from cppforge.errors import (
     NotPrime,
     OutOfRange,
 )
+from cppforge import fields
 from cppforge.grids import tower_grid
 
 
@@ -296,3 +298,88 @@ def test_multiplicative_generator_is_smallest_code_on_every_kind_of_level(f2, f3
         if f.order > 2:
             exp, log = f.log_tables()
             assert exp[1] == want and log[want] == 1
+
+
+# --- one set of exp/log lists per field, per process ------------------------
+
+
+@pytest.fixture
+def log_cache(monkeypatch):
+    """An empty shared log-table cache for one test; the real one returns after."""
+    cache = {}
+    monkeypatch.setattr(fields, "_LOG_CACHE", cache)
+    return cache
+
+
+def _cells(cache):
+    return sum(len(log) for _, log in cache.values())
+
+
+def test_equal_fields_built_apart_share_one_exp_list(log_cache):
+    a = make_tower(make_prime_field(2), 12)
+    b = make_tower(make_prime_field(2), 12)
+    assert a is not b and a == b
+    assert a.log_tables()[0] is b.log_tables()[0]
+    assert list(log_cache) == [a.descriptor()]
+
+
+def test_a_second_instance_builds_nothing(log_cache, monkeypatch):
+    def build():
+        return make_tower(make_extension(make_prime_field(2), 3), 2)
+
+    first = build()
+    want = (first._cmul(3, 50), first._cinv(7), first._cpow(6, 9))
+    assert len(log_cache) == 2  # F_64/F_8 and its base F_8
+
+    def no_generator(self):
+        raise AssertionError(f"exp/log lists of {self!r} rebuilt")
+
+    monkeypatch.setattr(FieldDesc, "_find_generator", no_generator)
+    second = build()
+    assert (second._cmul(3, 50), second._cinv(7), second._cpow(6, 9)) == want
+    assert second.base._cmul(3, 5) == first.base._cmul(3, 5)
+
+
+def test_flat_and_tower_f8_keep_separate_entries(log_cache, f2):
+    flat, tower = make_extension(f2, 3), make_tower(f2, 3)
+    assert flat.log_tables()[0] is not tower.log_tables()[0]
+    assert set(log_cache) == {flat.descriptor(), tower.descriptor()}
+    # one modulus, one encoding: equal lists, kept apart like the fields
+    assert flat.log_tables() == tower.log_tables()
+
+
+def test_each_modulus_of_f16_gets_its_own_tables(log_cache, f2, f4):
+    pairs = [
+        (make_extension(f2, 4), make_extension(f2, 4, [1, 0, 0, 1, 1])),
+        (make_tower(f4, 2), make_tower(f4, 2, [3, 1, 1])),
+    ]
+    codes = range(16)
+    for canon, other in pairs:
+        assert canon.modulus != other.modulus
+        assert canon.log_tables() != other.log_tables()
+        for f in (canon, other):
+            _check_ops_against_convolution(
+                f, itertools.product(codes, codes), itertools.product(codes, (0, 1, 2, 14, 19))
+            )
+    keys = {f.descriptor() for pair in pairs for f in pair}
+    assert len(keys) == 4 and keys <= set(log_cache)
+
+
+def test_log_cache_keeps_its_cell_bound_and_evicts_oldest_first(log_cache, monkeypatch, f2):
+    monkeypatch.setattr(fields, "_LOG_CACHE_CELLS", 100)
+    towers = [make_tower(f2, n) for n in (2, 3, 4, 5, 6)]  # 124 cells in all
+    for tw in towers:
+        tw.log_tables()
+        assert _cells(log_cache) <= 100
+    # F_64/F_2 pushed out F_4, F_8 and F_16, oldest first
+    assert list(log_cache) == [tw.descriptor() for tw in towers[3:]]
+    rng = random.Random(100)
+    # an evicted field still computes with the lists it holds, and a new
+    # instance of it builds them again
+    for tw in towers[:3] + [make_tower(f2, 2)]:
+        n = tw.order
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(50)]
+        powers = [(rng.randrange(n), rng.randrange(3 * n)) for _ in range(10)]
+        _check_ops_against_convolution(tw, pairs, powers)
+        assert _cells(log_cache) <= 100
+    assert list(log_cache)[-1] == towers[0].descriptor()

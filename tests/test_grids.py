@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from cppforge import REGISTRY, SweepReport, norm_lift_pairs, tower_grid
+from cppforge import REGISTRY, SweepReport, clear_caches, norm_lift_pairs, tower_grid
+from cppforge import fields, grids, maps, tables
 from cppforge.grids import (
     DEFAULT_SEED,
     sweep_kernel_binomials,
@@ -135,6 +136,25 @@ def test_sweeps_are_deterministic_modulo_timing():
     a.pop("elapsed_seconds")
     b.pop("elapsed_seconds")
     assert a == b
+
+
+def test_clear_caches_changes_no_report():
+    # the module caches only save work: every sweep reports the same after
+    # they are emptied, timing aside
+    def reports():
+        out = {}
+        for token, sweep in REGISTRY.items():
+            out[token] = sweep(max_order=64).to_json()
+            del out[token]["elapsed_seconds"]
+        return out
+
+    first = reports()
+    clear_caches()
+    caches = (fields._MODULUS_CACHE, fields._LOG_CACHE, tables._BASE_CACHE,
+              tables._TOWER_CACHE, maps._KERNEL_VERDICTS, grids._TOWERS)
+    assert not any(caches)
+    assert reports() == first
+    assert all(caches)
 
 
 def test_seed_changes_random_draws_but_not_cleanliness():
