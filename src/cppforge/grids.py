@@ -9,6 +9,16 @@ the equivalence bookkeeping is wrong, and the tests fail loudly on it.
 The heavy sweeps run on the numpy tables; each one also replays a seeded
 sample of its cases through the scalar builders so the fast path and the
 reference path vouch for each other.
+
+The norm and trace lifts cost only what their verdicts need, and both
+shortcuts are exact for any table contents, so they take no theorem on
+trust. A row whose first _PREFIX lifted values repeat is not a
+permutation, so it is not a CPP either; only the rows that survive that
+prefix (and the rows a later check reads in full) are lifted in full. The
+thm2.2 commuting square at a row and x depends only on x and c = h(nor x),
+so one order x q table per tower (TowerTables.norm_square_table) decides
+it: a row's square fails exactly when the row takes the value c at nor x
+for some failing cell (x, c), and sound tables have no failing cell.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from .tables import base_tables, bijective_rows, cpp_rows, tower_tables
 DEFAULT_SEED = 20260819
 H_DEGREE = 2  # every nonzero h of degree <= H_DEGREE is swept exhaustively
 _ROW_CELLS = 1 << 21  # rows x order cells per batched block
+_PREFIX = 256  # lifted columns that must be distinct before a full lift
 
 _TOWERS: dict[tuple[int, int, int], TowerDesc] = {}
 
@@ -169,13 +180,33 @@ def _distinct_pairs(lam_scaled: np.ndarray, tabs: np.ndarray, order: int) -> np.
 
 
 def _lift_rows(tt, hcols: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """Rowwise x * hcols[., sel[x]] without materializing the wide gather.
+    """Rowwise x * hcols[., sel[x]] for x < len(sel), without materializing
+    the wide gather.
 
     hcols holds base-field values (one row per h), sel maps each tower
-    element to its base column (the norm or trace table).
+    element to its base column (the norm or trace table); a prefix of sel
+    lifts that many leading columns.
     """
-    logs = tt.LOG[hcols][:, sel] + tt.LOG[None, :]
+    logs = tt.LOG[hcols][:, sel] + tt.LOG[None, : len(sel)]
     return tt.MEXP[logs]
+
+
+def _lift_verdicts(tt, hv: np.ndarray, sel: np.ndarray, keep: Optional[np.ndarray] = None):
+    """(perm, cpp) per row of x -> x * hv[., sel[x]], and the full lifts of
+    the rows in the bool mask keep (None without keep).
+
+    A row whose first _PREFIX lifted values repeat is not a permutation, so
+    not a CPP: only the rows whose prefix is distinct, and the kept rows,
+    are lifted in full, and only the former go through cpp_rows.
+    """
+    head = np.sort(_lift_rows(tt, hv, sel[:_PREFIX]), axis=1)
+    alive = (head[:, 1:] != head[:, :-1]).all(axis=1)
+    full = alive if keep is None else alive | keep
+    lifted = _lift_rows(tt, hv[full], sel)
+    perm = np.zeros(len(hv), dtype=bool)
+    cpp = perm.copy()
+    perm[alive], cpp[alive] = cpp_rows(tt, lifted[alive[full]])
+    return perm, cpp, None if keep is None else lifted[keep[full]]
 
 
 def _h_blocks(bt, h_rows: np.ndarray, order: int, sub: Optional[np.ndarray] = None):
@@ -217,6 +248,14 @@ def sweep_norm_lift(rep: SweepReport, max_order: int, rng, random_h: int = 100) 
     H_DEGREE, plus seeded random h of degree < q. The fiber-criterion
     verdict (lambda = nor, induced map v -> v*h(v)^n) is folded into the
     same pass and must agree with the direct permutation check.
+
+    Both shortcuts give every row the verdict a full check would, whatever
+    the tables hold. A row is lifted in full only if its first _PREFIX
+    lifted values are distinct (a repeat proves it is no permutation) or
+    the pair scan reads it (its induced map bijects). The square at x,
+    nor(x*c) == nor(x)*c^n with c = h(nor x), is one cell of the tower's
+    norm_square_table: a row's square fails exactly when hv[row, nor x] is
+    c for one of the table's failing cells (x, c).
     """
     fiber_agree = 0
     fiber_cases = 0
@@ -229,22 +268,23 @@ def sweep_norm_lift(rep: SweepReport, max_order: int, rng, random_h: int = 100) 
         xs_b = np.arange(q, dtype=np.int32)
         pow_n = bt.pow_all(n)  # x -> x^n: substitution index and induced-map power
         lam_scaled = (tt.NOR.astype(np.int64) * order).astype(np.int32)
+        # failing cells (x, c) of the square table; none on sound tables
+        bad_x, bad_c = np.nonzero(~tt.norm_square_table())
+        bad_col = tt.NOR[bad_x]
         all_h = _all_h_coeffs(q, H_DEGREE)
         rand_h = _random_h_coeffs(q, random_h, rng)
         sample_idx = set(rng.integers(0, len(all_h), size=8).tolist())
         verdicts = []  # (witness, lift) CPP verdicts of the all_h rows
         for block in (all_h, rand_h):
             for coeffs, hv, wit_cpp in _h_blocks(bt, block, order, pow_n):
-                lifted = _lift_rows(tt, hv, tt.NOR)
-                perm, lift_cpp = cpp_rows(tt, lifted)
                 # fiber criterion with induced v -> v*h(v)^n; the pair scan
                 # only decides the conclusion when the induced map bijects
-                h_ind = bt.MUL[xs_b[None, :], pow_n[hv]]
-                square_ok = (tt.NOR[lifted] == h_ind[:, tt.NOR]).all(axis=1)
-                h_bij = bijective_rows(h_ind)
+                h_bij = bijective_rows(bt.MUL[xs_b[None, :], pow_n[hv]])
+                perm, lift_cpp, lifted = _lift_verdicts(tt, hv, tt.NOR, h_bij)
+                square_ok = (hv[:, bad_col] != bad_c).all(axis=1)
                 conclusion = h_bij.copy()
                 if h_bij.any():
-                    conclusion[h_bij] = _distinct_pairs(lam_scaled, lifted[h_bij], order)
+                    conclusion[h_bij] = _distinct_pairs(lam_scaled, lifted, order)
                 fiber_cases += len(coeffs)
                 fiber_ok = (conclusion == perm) & square_ok
                 fiber_agree += int(fiber_ok.sum())
@@ -369,7 +409,7 @@ def sweep_trace_simple(rep: SweepReport, max_order: int, rng) -> dict:
         sample_idx = set(rng.integers(0, len(all_h), size=4).tolist())
         verdicts = []  # (witness, lift) CPP verdicts per row
         for coeffs, hv, wit_cpp in _h_blocks(bt, all_h, order):
-            _, lift_cpp = cpp_rows(tt, _lift_rows(tt, hv, tt.TR))
+            _, lift_cpp, _ = _lift_verdicts(tt, hv, tt.TR)
             rep.note(wit_cpp == lift_cpp, lift_cpp,
                      lambda i: {"q": q, "n": tower.n, "h": coeffs[i].tolist()})
             verdicts.append((wit_cpp, lift_cpp))

@@ -211,6 +211,15 @@ class TowerTables:
                 return False
         return True
 
+    def norm_square_table(self) -> np.ndarray:
+        """S[x, c] = (nor(x*c) == nor(x) * c^n) for every tower x and base c:
+        norm multiplicativity with one factor in the base, whose norm is
+        c^n. x*c takes the lift's log path and the right side the base
+        tables, so a corrupted cell shows; built afresh on each call."""
+        lhs = self.NOR[self.MEXP[self.LOG[:, None] + self.LOG[None, : self.q]]]
+        rhs = self.base.MUL[self.NOR[:, None], self.base.pow_all(self.n)[None, :]]
+        return lhs == rhs
+
 
 # -- the batched verdict ---------------------------------------------------
 

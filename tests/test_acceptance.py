@@ -57,6 +57,8 @@ def test_c1_norm_lift_equivalence_full_grid(capsys, thm22_full):
         and rep.cases == 305888
         and rep.agreements == rep.cases
         and len(rep.extras["pairs"]) == 27
+        and rep.extras["fiber_cases"] == rep.extras["fiber_agreements"] == 305888
+        and rep.extras["builder_crosschecks"] == 180
         and rep.elapsed < 60.0
     )
     _report(
@@ -66,6 +68,9 @@ def test_c1_norm_lift_equivalence_full_grid(capsys, thm22_full):
     assert rep.clean, rep.counterexamples[:3]
     assert rep.cases == 305888 and rep.agreements == 305888
     assert len(rep.extras["pairs"]) == 27
+    assert rep.extras["fiber_cases"] == 305888
+    assert rep.extras["fiber_agreements"] == 305888
+    assert rep.extras["builder_crosschecks"] == 180
     assert rep.elapsed < 60.0
 
 

@@ -165,3 +165,77 @@ def test_seed_changes_random_draws_but_not_cleanliness():
     # same exhaustive portion, possibly different random tails; case counts
     # stay equal because the draw count per pair is fixed
     assert rep.cases == other.cases
+
+
+def _report_json(rep):
+    out = rep.to_json()
+    del out["elapsed_seconds"]
+    return out
+
+
+def test_prefix_width_changes_no_verdict(monkeypatch):
+    # the prefix only decides which rows are lifted in full: a repeat in it
+    # is a proof of non-permutation, so every width gives the same reports.
+    # Width 1 rejects nothing, so every row takes the full path; at 1024
+    # some towers are wider than the default prefix.
+    full_rows = {}
+    real_cpp_rows = grids.cpp_rows
+
+    def counting_cpp_rows(t, tabs):
+        if isinstance(t, tables.TowerTables):
+            full_rows[width] += len(tabs)
+        return real_cpp_rows(t, tabs)
+
+    monkeypatch.setattr(grids, "cpp_rows", counting_cpp_rows)
+    reports = {}
+    for width in (1, 2, 16, grids._PREFIX):
+        full_rows[width] = 0
+        monkeypatch.setattr(grids, "_PREFIX", width)
+        norm = sweep_norm_lift(max_order=1024, random_h=20)
+        norm_rows = full_rows[width]
+        reports[width] = (_report_json(norm),
+                          _report_json(sweep_trace_simple(max_order=256)))
+        if width == 1:
+            assert norm_rows == norm.cases
+        else:
+            assert norm_rows < norm.cases
+    first = reports[1]
+    assert first[0]["extras"]["fiber_agreements"] == first[0]["cases"] == 39440
+    assert all(r == first for r in reports.values())
+    assert full_rows[grids._PREFIX] < full_rows[16] < full_rows[2] < full_rows[1]
+
+
+def _f1024_over_f4():
+    return next(t for t in tower_grid(1024) if (t.q, t.n) == (4, 5))
+
+
+@pytest.mark.parametrize("name, cell, value, permuting, rejected", [
+    # NOR[700] = 3 -> 2 (past the prefix): h = 2 gives 2x, a permutation of
+    # F_1024; h = x gives x*nor(x), rejected by the prefix. 50 fiber
+    # counterexamples, 39390 of 39440 agreements
+    ("NOR", 700, 2, [2, 0, 0], [0, 1, 0]),
+    # MEXP[100] = 473 -> 472: h = 1 gives the identity; h = x + 3 is
+    # rejected by the prefix. 22 fiber counterexamples, 39418 agreements
+    ("MEXP", 100, 472, [1, 0, 0], [3, 1, 0]),
+])
+def test_a_corrupted_table_still_shows(name, cell, value, permuting, rejected):
+    # the early rejection and the square table must not hide a bad cell:
+    # corrupt one cell of the cached F_1024/F_4 tables and the fiber
+    # verdict must fail on a permuting row and on a prefix-rejected one
+    tower = _f1024_over_f4()
+    tt = tables.tower_tables(tower)
+    bt = tables.base_tables(tower.base)
+    lift = {tuple(h): grids._lift_rows(tt, bt.horner(np.array([h])), tt.NOR)
+            for h in (permuting, rejected)}
+    assert tables.bijective_rows(lift[tuple(permuting)])[0]
+    head = np.sort(lift[tuple(rejected)][0, : grids._PREFIX])
+    assert (np.diff(head) == 0).any()
+    try:
+        getattr(tt, name)[cell] = value
+        rep = sweep_norm_lift(max_order=1024, random_h=20)
+        assert rep.extras["fiber_agreements"] < rep.extras["fiber_cases"]
+        bad = [c["h"] for c in rep.counterexamples
+               if c.get("why") == "fiber verdict" and (c["q"], c["n"]) == (4, 5)]
+        assert permuting in bad and rejected in bad
+    finally:
+        clear_caches()

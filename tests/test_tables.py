@@ -153,6 +153,21 @@ def test_tower_structural_checks_hold(tt):
     assert tt.check_norm_multiplicative()
 
 
+def test_norm_square_table_matches_scalar_norm(tt):
+    tw = tt.tower
+    square = tt.norm_square_table()
+    assert square.shape == (tt.order, tt.q)
+    for x in tw.elements():
+        for c in tw.base.elements():
+            want = rel_norm(x * tw.embed(c)) == rel_norm(x) * c**tw.n
+            assert square[x.code, c.code] == want
+    assert square.all()
+    # built afresh from the tables it is asked on, so a bad cell shows
+    bad = TowerTables(tw, tt.base)
+    bad.NOR[1] = (bad.NOR[1] + 1) % tt.q
+    assert not bad.norm_square_table()[1].all()
+
+
 def test_tower_add_to_x_and_cpp_status(tt):
     xs = np.arange(tt.order, dtype=np.int32)
     assert np.array_equal(tt.add_to_x(np.zeros(tt.order, dtype=np.int32)), xs)
