@@ -73,9 +73,20 @@ from .search import (
     lagrange_interpolate,
     to_h_form,
 )
-from .grids import REGISTRY, SweepReport, norm_lift_pairs, tower_grid
 
 __version__ = "0.1.0"
+
+# the sweeps run on numpy; loading them on first use keeps numpy out of
+# processes that never sweep, such as a one-shot CLI verify
+_FROM_GRIDS = ("REGISTRY", "SweepReport", "norm_lift_pairs", "tower_grid")
+
+
+def __getattr__(name: str):
+    if name in _FROM_GRIDS:
+        from . import grids
+
+        return getattr(grids, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def clear_caches() -> None:
@@ -83,17 +94,22 @@ def clear_caches() -> None:
 
     That is the canonical moduli, the shared exp/log lists, the numpy
     tables, the kernel verdicts, the sweep towers and the CLI parser. No
-    result depends on them: later calls rebuild what they need.
+    result depends on them: later calls rebuild what they need. A module
+    that is not loaded yet has nothing cached, so none is imported here.
     """
     import sys
 
-    from . import fields, grids, maps, tables
+    from . import fields, maps
 
-    for cache in (fields._MODULUS_CACHE, fields._LOG_CACHE, tables._BASE_CACHE,
-                  tables._TOWER_CACHE, maps._KERNEL_VERDICTS, grids._TOWERS):
+    caches = [fields._MODULUS_CACHE, fields._LOG_CACHE, maps._KERNEL_VERDICTS]
+    tables, grids, cli = (sys.modules.get(f"{__name__}.{m}") for m in ("tables", "grids", "cli"))
+    if tables is not None:
+        caches += [tables._BASE_CACHE, tables._TOWER_CACHE]
+    if grids is not None:
+        caches.append(grids._TOWERS)
+    for cache in caches:
         cache.clear()
-    cli = sys.modules.get(__name__ + ".cli")
-    if cli is not None:  # the parser exists only once the CLI is imported
+    if cli is not None:
         cli._build_parser.cache_clear()
 
 

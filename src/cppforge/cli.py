@@ -37,7 +37,6 @@ from .errors import (
     SearchCapExceeded,
 )
 from .fields import FieldDesc, Poly, TowerDesc, make_extension, make_prime_field, make_tower
-from .grids import REGISTRY
 from .lifts import (
     cppeg_construct,
     monomial_cpp_check,
@@ -65,6 +64,10 @@ CONSTRUCTIONS = (
     "cppeg",
     "monomial",
 )
+
+# grids.REGISTRY's tokens in its order; a test pins the two together, so
+# that the parser is built without importing the sweeps and numpy
+GRID_TOKENS = ("thm2.2", "cor2.3", "cor2.5", "thm3.2", "thm3.3", "thm3.7", "lemma3.4")
 
 
 class _CliInputError(Exception):
@@ -328,6 +331,8 @@ def cmd_kernel_check(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    from .grids import REGISTRY  # numpy loads only for a sweep
+
     rep = REGISTRY[args.token](max_order=args.max_order)
     report = {"command": "grid", **rep.to_json()}
     if args.reproducible:
@@ -435,8 +440,8 @@ def _build_parser() -> _Parser:
         description="Exhaustive agreement sweep; any counterexample is reported "
         "verbatim and the exit code is 3.",
     )
-    sp.add_argument("token", choices=tuple(REGISTRY), metavar="token",
-                    help="one of: " + ", ".join(REGISTRY))
+    sp.add_argument("token", choices=GRID_TOKENS, metavar="token",
+                    help="one of: " + ", ".join(GRID_TOKENS))
     sp.add_argument("--max-order", type=int, dest="max_order",
                     help="cap on the tower order q^n (default per sweep)")
     _add_common(sp)

@@ -14,7 +14,11 @@ The norm and trace lifts cost only what their verdicts need, and both
 shortcuts are exact for any table contents, so they take no theorem on
 trust. A row whose first _PREFIX lifted values repeat is not a
 permutation, so it is not a CPP either; only the rows that survive that
-prefix (and the rows a later check reads in full) are lifted in full. The
+prefix (and the rows a later check reads in full) are lifted in full.
+Codes below q are the embedded F_q, so with _PREFIX = 64 the prefix of
+F_4096/F_64, the tower with most rows, is one copy of the base field: it
+rejects as many rows there as a 256-wide prefix did, from a quarter of
+the lifted columns. Any width keeps the verdicts exact. The
 thm2.2 commuting square at a row and x depends only on x and c = h(nor x),
 so one order x q table per tower (TowerTables.norm_square_table) decides
 it: a row's square fails exactly when the row takes the value c at nor x
@@ -53,7 +57,9 @@ from .tables import base_tables, bijective_rows, cpp_rows, tower_tables
 DEFAULT_SEED = 20260819
 H_DEGREE = 2  # every nonzero h of degree <= H_DEGREE is swept exhaustively
 _ROW_CELLS = 1 << 21  # rows x order cells per batched block
-_PREFIX = 256  # lifted columns that must be distinct before a full lift
+# lifted columns that must be distinct before a full lift; 64 = q of
+# F_4096/F_64, whose first q codes are the embedded base field
+_PREFIX = 64
 
 _TOWERS: dict[tuple[int, int, int], TowerDesc] = {}
 
@@ -212,12 +218,11 @@ def _lift_verdicts(tt, hv: np.ndarray, sel: np.ndarray, keep: Optional[np.ndarra
 def _h_blocks(bt, h_rows: np.ndarray, order: int, sub: Optional[np.ndarray] = None):
     """Blocks of h rows, each with its values on the base and the witness
     verdict per row: is x*h(sub[x]) (x*h(x) without sub) a CPP of the base?"""
-    xs = np.arange(bt.q, dtype=np.int32)[None, :]
     step = max(1, _ROW_CELLS // order)
     for lo in range(0, len(h_rows), step):
         coeffs = h_rows[lo : lo + step]
         hv = bt.horner(coeffs)
-        yield coeffs, hv, cpp_rows(bt, bt.MUL[xs, hv if sub is None else hv[:, sub]])[1]
+        yield coeffs, hv, cpp_rows(bt, bt.mul_by_x(hv if sub is None else hv[:, sub]))[1]
 
 
 def _all_h_coeffs(q: int, max_degree: int) -> np.ndarray:
@@ -265,7 +270,6 @@ def sweep_norm_lift(rep: SweepReport, max_order: int, rng, random_h: int = 100) 
         q, n, order = tower.q, tower.n, tower.order
         bt = base_tables(tower.base)
         tt = tower_tables(tower)
-        xs_b = np.arange(q, dtype=np.int32)
         pow_n = bt.pow_all(n)  # x -> x^n: substitution index and induced-map power
         lam_scaled = (tt.NOR.astype(np.int64) * order).astype(np.int32)
         # failing cells (x, c) of the square table; none on sound tables
@@ -279,7 +283,7 @@ def sweep_norm_lift(rep: SweepReport, max_order: int, rng, random_h: int = 100) 
             for coeffs, hv, wit_cpp in _h_blocks(bt, block, order, pow_n):
                 # fiber criterion with induced v -> v*h(v)^n; the pair scan
                 # only decides the conclusion when the induced map bijects
-                h_bij = bijective_rows(bt.MUL[xs_b[None, :], pow_n[hv]])
+                h_bij = bijective_rows(bt.mul_by_x(pow_n[hv]))
                 perm, lift_cpp, lifted = _lift_verdicts(tt, hv, tt.NOR, h_bij)
                 square_ok = (hv[:, bad_col] != bad_c).all(axis=1)
                 conclusion = h_bij.copy()

@@ -7,6 +7,13 @@ source of truth: EXP/LOG are the scalar exp/log lists of each level
 (FieldDesc.log_tables), every other table is built from them or from the
 scalar ops, and test_tables.py pins each table to the scalar ops. Bulk
 code exists for speed only.
+
+The base-table kernels (BaseTables.horner, add_to_x, mul_by_x and
+bijective_rows) look each cell up through one flat index into the raveled
+table, ADD.ravel()[a*q + b] for ADD[a, b], which costs a fraction of a
+2-D fancy index. A 2-D index raised IndexError on a code past the end of
+its row; a flat one would land silently in the next row, so each kernel
+range-checks its caller's input and raises IndexError itself.
 """
 
 from __future__ import annotations
@@ -66,15 +73,29 @@ class BaseTables:
 
     def horner(self, coeffs: np.ndarray) -> np.ndarray:
         """Row i's polynomial at every x; coeffs[i, j] is its x^j coefficient."""
-        xs = np.arange(self.q, dtype=np.int32)[None, :]
-        acc = np.zeros((len(coeffs), self.q), dtype=np.int32)
-        for j in range(coeffs.shape[1] - 1, -1, -1):
-            acc = self.ADD[self.MUL[acc, xs], coeffs[:, j][:, None]]
+        q = self.q
+        _check_range(coeffs, q, "coefficient")
+        add, mul = self.ADD.ravel(), self.MUL.ravel()
+        xs = np.arange(q, dtype=np.int32)
+        # start from the top coefficient (a fresh array, not a broadcast view)
+        acc = np.zeros((len(coeffs), q), dtype=np.int32)
+        acc[:] = coeffs[:, -1:]
+        for j in range(coeffs.shape[1] - 2, -1, -1):
+            acc = add.take(mul.take(acc * q + xs) * q + coeffs[:, j : j + 1])
         return acc
 
     def add_to_x(self, tab: np.ndarray) -> np.ndarray:
         """tab[..., x] + x rowwise, the shifted map behind CPP checks."""
-        return self.ADD[tab, np.arange(self.q, dtype=np.int32)]
+        return self._at_x(self.ADD, tab)
+
+    def mul_by_x(self, tab: np.ndarray) -> np.ndarray:
+        """tab[..., x] * x rowwise, the witness map x*h(x) of a value table."""
+        return self._at_x(self.MUL, tab)
+
+    def _at_x(self, table: np.ndarray, tab: np.ndarray) -> np.ndarray:
+        _check_range(tab, self.q, "field code")
+        # an int32 factor keeps a narrow tab dtype from overflowing a*q
+        return table.ravel().take(tab * np.int32(self.q) + np.arange(self.q, dtype=np.int32))
 
 
 class TowerTables:
@@ -228,10 +249,18 @@ def bijective_rows(tabs: np.ndarray) -> np.ndarray:
     """Per row of a 2-D batch of value tables, each over a field of order
     tabs.shape[-1]: is it a bijection?  The batched twin of the scalar
     reference permcheck.table_verdict, which the sweeps replay against."""
-    rows = np.arange(tabs.shape[0])[:, None]
-    hit = np.zeros(tabs.shape, dtype=bool)
-    hit[rows, tabs] = True
+    k, w = tabs.shape
+    _check_range(tabs, w, "table value")
+    hit = np.zeros((k, w), dtype=bool)
+    hit.ravel()[tabs + np.arange(0, k * w, w)[:, None]] = True
     return hit.all(axis=1)
+
+
+def _check_range(a: np.ndarray, bound: int, what: str) -> None:
+    """Raise IndexError unless 0 <= a < bound: a flat index past the end of
+    a row would land silently in the next one."""
+    if a.size and (a.min() < 0 or a.max() >= bound):
+        raise IndexError(f"{what} out of range [0, {bound})")
 
 
 def cpp_rows(t, tabs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

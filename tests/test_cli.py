@@ -1,7 +1,8 @@
 """CLI behavior: reports, formats, exit codes, determinism.
 
 Most cases drive main(argv) in-process and read the captured streams; one
-test goes through `python -m cppforge` to cover the module entry point.
+test goes through `python -m cppforge` to cover the module entry point, and
+one checks in a fresh interpreter that a non-grid call leaves numpy unloaded.
 """
 
 import csv
@@ -368,3 +369,28 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 3
     assert "3 complete mappings" in proc.stderr
+
+
+def test_grid_tokens_are_the_sweep_registry():
+    # the parser takes its choices from cli.GRID_TOKENS so that it never
+    # imports the sweeps; they must be the registry's tokens, in its order
+    from cppforge import REGISTRY
+
+    assert cli.GRID_TOKENS == tuple(REGISTRY)
+
+
+def test_one_shot_cli_call_does_not_import_numpy():
+    # only `grid` runs on the numpy tables; a verify call, and emptying
+    # the caches after it, must leave numpy and the sweeps unloaded
+    code = (
+        "import sys\n"
+        "import cppforge\n"
+        "from cppforge import cli\n"
+        "rc = cli.main(['verify', '--p', '2', '--r', '2', '--poly', '[0,2]', '--reproducible'])\n"
+        "cppforge.clear_caches()\n"
+        "loaded = [m for m in ('numpy', 'cppforge.grids', 'cppforge.tables') if m in sys.modules]\n"
+        "print(rc, loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"

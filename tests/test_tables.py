@@ -88,6 +88,57 @@ def test_base_bijection_and_cpp_status(bt):
     assert cpp[0] == (f.p != 2)
 
 
+def test_base_horner_of_constants_is_a_fresh_array(bt):
+    # the start row is the top coefficient; it must not leak a read-only
+    # broadcast view when there is no lower coefficient to fold in
+    consts = np.array([[0], [1], [bt.q - 1]], dtype=np.int32)
+    vals = bt.horner(consts)
+    assert vals.shape == (3, bt.q) and vals.dtype == np.int32
+    assert vals.flags.writeable and vals.flags.c_contiguous
+    assert np.array_equal(vals, np.broadcast_to(consts, (3, bt.q)))
+
+
+# the kernels look tables up through one flat index, so an out-of-range code
+# would land silently in a neighbouring row; each input is range-checked
+
+@pytest.mark.parametrize("tabs", [
+    [[0, 1, 2, 4], [1, 2, 3, 3]],  # unchecked, 4 marks cell 0 of row 1
+    [[0, 1, 2, 2], [-1, 0, 1, 2]],  # unchecked, -1 marks cell 3 of row 0
+])
+def test_bijective_rows_refuses_out_of_range_values(tabs):
+    # either spill would make the other row look bijective
+    with pytest.raises(IndexError):
+        bijective_rows(np.array(tabs, dtype=np.int32))
+
+
+@pytest.mark.parametrize("coeffs", [[1, 0], [0, 1, 0]])
+def test_base_horner_refuses_out_of_range_coefficients(bt, coeffs):
+    for bad in (bt.q, -1):
+        # one coefficient is bad; unchecked, it would index the next row
+        row = [bad if c else 0 for c in coeffs]
+        with pytest.raises(IndexError):
+            bt.horner(np.array([row], dtype=np.int32))
+
+
+def test_base_shifted_maps_refuse_out_of_range_codes(bt):
+    tab = np.zeros((2, bt.q), dtype=np.int32)
+    for bad in (bt.q, -1):
+        tab[1, 1] = bad
+        with pytest.raises(IndexError):
+            bt.add_to_x(tab)
+        with pytest.raises(IndexError):
+            bt.mul_by_x(tab)
+
+
+def test_base_mul_by_x_matches_scalar(bt):
+    f = bt.field
+    tabs = np.random.default_rng(23).integers(0, f.order, size=(3, f.order), dtype=np.int32)
+    got = bt.mul_by_x(tabs)
+    for i in range(3):
+        for x in range(f.order):
+            assert got[i, x] == f._cmul(int(tabs[i, x]), x)
+
+
 @pytest.fixture(scope="module", params=[(2, 2, 3), (3, 1, 3), (5, 1, 2), (2, 3, 2)])
 def tt(request):
     p, r, n = request.param
