@@ -331,6 +331,8 @@ def cmd_kernel_check(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    if args.max_order is not None and args.max_order < 0:
+        raise _CliInputError(f"grid --max-order must be >= 0, got {args.max_order}")
     from .grids import REGISTRY  # numpy loads only for a sweep
 
     rep = REGISTRY[args.token](max_order=args.max_order)

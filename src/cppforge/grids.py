@@ -10,19 +10,22 @@ The heavy sweeps run on the numpy tables; each one also replays a seeded
 sample of its cases through the scalar builders so the fast path and the
 reference path vouch for each other.
 
-The norm and trace lifts cost only what their verdicts need, and both
-shortcuts are exact for any table contents, so they take no theorem on
-trust. A row whose first _PREFIX lifted values repeat is not a
-permutation, so it is not a CPP either; only the rows that survive that
-prefix (and the rows a later check reads in full) are lifted in full.
-Codes below q are the embedded F_q, so with _PREFIX = 64 the prefix of
-F_4096/F_64, the tower with most rows, is one copy of the base field: it
-rejects as many rows there as a 256-wide prefix did, from a quarter of
-the lifted columns. Any width keeps the verdicts exact. The
-thm2.2 commuting square at a row and x depends only on x and c = h(nor x),
-so one order x q table per tower (TowerTables.norm_square_table) decides
-it: a row's square fails exactly when the row takes the value c at nor x
-for some failing cell (x, c), and sound tables have no failing cell.
+The norm and trace lifts cost only what their verdicts need, and every
+shortcut is exact for any table contents, so none takes a theorem on
+trust. A row whose lifted values repeat is not a permutation, so it is not
+a CPP either. The trace lift (thm3.2) lifts the first _PREFIX columns of
+every row and the rest only for the rows whose prefix is distinct. The
+norm lift (thm2.2) reads no prefix: codes below q are the embedded F_q,
+where nor(x) = x^n, so the lift's first q columns are the witness map
+x*h(x^n) that the witness pass has already checked, and x -> x^n carries
+the witness onto the fiber criterion's induced map v*h(v)^n. Two checks
+of q x q cells per tower confirm both facts on the tables themselves; a
+tower that passes lifts in full only the rows whose witness permutes, and
+takes the induced-map verdicts from the witness. The thm2.2 commuting
+square at a row and x depends only on x and c = h(nor x), so one order x q
+table per tower (TowerTables.norm_square_table) decides it: a row's square
+fails exactly when the row takes the value c at nor x for some failing
+cell (x, c), and sound tables have no failing cell.
 """
 
 from __future__ import annotations
@@ -57,8 +60,9 @@ from .tables import base_tables, bijective_rows, cpp_rows, tower_tables
 DEFAULT_SEED = 20260819
 H_DEGREE = 2  # every nonzero h of degree <= H_DEGREE is swept exhaustively
 _ROW_CELLS = 1 << 21  # rows x order cells per batched block
-# lifted columns that must be distinct before a full lift; 64 = q of
-# F_4096/F_64, whose first q codes are the embedded base field
+# lifted columns of a trace lift (thm3.2) that must be distinct before it
+# is lifted in full; 256 rejects more rows but reads four times the
+# columns of every row, and ran no faster than 64
 _PREFIX = 64
 
 _TOWERS: dict[tuple[int, int, int], TowerDesc] = {}
@@ -197,32 +201,29 @@ def _lift_rows(tt, hcols: np.ndarray, sel: np.ndarray) -> np.ndarray:
     return tt.MEXP[logs]
 
 
-def _lift_verdicts(tt, hv: np.ndarray, sel: np.ndarray, keep: Optional[np.ndarray] = None):
-    """(perm, cpp) per row of x -> x * hv[., sel[x]], and the full lifts of
-    the rows in the bool mask keep (None without keep).
+def _lift_verdicts(tt, hv: np.ndarray, sel: np.ndarray):
+    """(perm, cpp) per row of x -> x * hv[., sel[x]].
 
     A row whose first _PREFIX lifted values repeat is not a permutation, so
-    not a CPP: only the rows whose prefix is distinct, and the kept rows,
-    are lifted in full, and only the former go through cpp_rows.
+    not a CPP: only the rows whose prefix is distinct are lifted in full.
     """
     head = np.sort(_lift_rows(tt, hv, sel[:_PREFIX]), axis=1)
     alive = (head[:, 1:] != head[:, :-1]).all(axis=1)
-    full = alive if keep is None else alive | keep
-    lifted = _lift_rows(tt, hv[full], sel)
     perm = np.zeros(len(hv), dtype=bool)
     cpp = perm.copy()
-    perm[alive], cpp[alive] = cpp_rows(tt, lifted[alive[full]])
-    return perm, cpp, None if keep is None else lifted[keep[full]]
+    perm[alive], cpp[alive] = cpp_rows(tt, _lift_rows(tt, hv[alive], sel))
+    return perm, cpp
 
 
 def _h_blocks(bt, h_rows: np.ndarray, order: int, sub: Optional[np.ndarray] = None):
     """Blocks of h rows, each with its values on the base and the witness
-    verdict per row: is x*h(sub[x]) (x*h(x) without sub) a CPP of the base?"""
+    verdicts (perm, cpp) per row: does x*h(sub[x]) (x*h(x) without sub)
+    permute the base, and is it a CPP of the base?"""
     step = max(1, _ROW_CELLS // order)
     for lo in range(0, len(h_rows), step):
         coeffs = h_rows[lo : lo + step]
         hv = bt.horner(coeffs)
-        yield coeffs, hv, cpp_rows(bt, bt.mul_by_x(hv if sub is None else hv[:, sub]))[1]
+        yield (coeffs, hv, *cpp_rows(bt, bt.mul_by_x(hv if sub is None else hv[:, sub])))
 
 
 def _all_h_coeffs(q: int, max_degree: int) -> np.ndarray:
@@ -254,13 +255,20 @@ def sweep_norm_lift(rep: SweepReport, max_order: int, rng, random_h: int = 100) 
     verdict (lambda = nor, induced map v -> v*h(v)^n) is folded into the
     same pass and must agree with the direct permutation check.
 
-    Both shortcuts give every row the verdict a full check would, whatever
-    the tables hold. A row is lifted in full only if its first _PREFIX
-    lifted values are distinct (a repeat proves it is no permutation) or
-    the pair scan reads it (its induced map bijects). The square at x,
-    nor(x*c) == nor(x)*c^n with c = h(nor x), is one cell of the tower's
-    norm_square_table: a row's square fails exactly when hv[row, nor x] is
-    c for one of the table's failing cells (x, c).
+    The lift and the fiber criterion reuse the witness pass, and every row
+    gets the verdict a full check would, whatever the tables hold. Two
+    checks of q x q cells per tower decide what may be reused. sub_ok: NOR
+    agrees with x^n on the codes below q, and the tower's log/exp products
+    agree with the base MUL there; then the lift's first q columns are the
+    witness map, so a row whose witness does not permute is no permutation
+    and is not lifted. pow_ok: x -> x^n is a bijection that commutes with
+    MUL; then it carries the witness onto the induced map, and the induced
+    map bijects exactly when the witness permutes. A tower that fails a
+    check takes the direct route for it: every row lifted in full, or the
+    induced map checked on its own. The square at x, nor(x*c) == nor(x)*c^n
+    with c = h(nor x), is one cell of the tower's norm_square_table: a row's
+    square fails exactly when hv[row, nor x] is c for one of the table's
+    failing cells (x, c).
     """
     fiber_agree = 0
     fiber_cases = 0
@@ -275,20 +283,30 @@ def sweep_norm_lift(rep: SweepReport, max_order: int, rng, random_h: int = 100) 
         # failing cells (x, c) of the square table; none on sound tables
         bad_x, bad_c = np.nonzero(~tt.norm_square_table())
         bad_col = tt.NOR[bad_x]
+        # the lift's first q columns are the witness map
+        sub_ok = ((tt.NOR[:q] == pow_n).all()
+                  and (tt.MEXP[tt.LOG[:q, None] + tt.LOG[None, :q]] == bt.MUL).all())
+        # x -> x^n carries the witness onto the induced map
+        pow_ok = (bijective_rows(pow_n[None, :])[0]
+                  and (pow_n[bt.MUL] == bt.MUL[pow_n[:, None], pow_n[None, :]]).all())
         all_h = _all_h_coeffs(q, H_DEGREE)
         rand_h = _random_h_coeffs(q, random_h, rng)
         sample_idx = set(rng.integers(0, len(all_h), size=8).tolist())
         verdicts = []  # (witness, lift) CPP verdicts of the all_h rows
         for block in (all_h, rand_h):
-            for coeffs, hv, wit_cpp in _h_blocks(bt, block, order, pow_n):
+            for coeffs, hv, wit_perm, wit_cpp in _h_blocks(bt, block, order, pow_n):
                 # fiber criterion with induced v -> v*h(v)^n; the pair scan
                 # only decides the conclusion when the induced map bijects
-                h_bij = bijective_rows(bt.mul_by_x(pow_n[hv]))
-                perm, lift_cpp, lifted = _lift_verdicts(tt, hv, tt.NOR, h_bij)
+                h_bij = wit_perm if pow_ok else bijective_rows(bt.mul_by_x(pow_n[hv]))
+                full = wit_perm | h_bij if sub_ok else np.ones(len(hv), dtype=bool)
+                lifted = _lift_rows(tt, hv[full], tt.NOR)
+                perm = np.zeros(len(hv), dtype=bool)
+                lift_cpp = perm.copy()
+                perm[full], lift_cpp[full] = cpp_rows(tt, lifted)
                 square_ok = (hv[:, bad_col] != bad_c).all(axis=1)
                 conclusion = h_bij.copy()
                 if h_bij.any():
-                    conclusion[h_bij] = _distinct_pairs(lam_scaled, lifted, order)
+                    conclusion[h_bij] = _distinct_pairs(lam_scaled, lifted[h_bij[full]], order)
                 fiber_cases += len(coeffs)
                 fiber_ok = (conclusion == perm) & square_ok
                 fiber_agree += int(fiber_ok.sum())
@@ -412,8 +430,8 @@ def sweep_trace_simple(rep: SweepReport, max_order: int, rng) -> dict:
             continue
         sample_idx = set(rng.integers(0, len(all_h), size=4).tolist())
         verdicts = []  # (witness, lift) CPP verdicts per row
-        for coeffs, hv, wit_cpp in _h_blocks(bt, all_h, order):
-            _, lift_cpp, _ = _lift_verdicts(tt, hv, tt.TR)
+        for coeffs, hv, _, wit_cpp in _h_blocks(bt, all_h, order):
+            _, lift_cpp = _lift_verdicts(tt, hv, tt.TR)
             rep.note(wit_cpp == lift_cpp, lift_cpp,
                      lambda i: {"q": q, "n": tower.n, "h": coeffs[i].tolist()})
             verdicts.append((wit_cpp, lift_cpp))
@@ -496,7 +514,7 @@ def sweep_trace_binomial(rep: SweepReport, max_order: int, rng) -> dict:
         all_h = _all_h_coeffs(q, H_DEGREE)
         # h values on the trace and witness verdicts depend on neither k nor a
         blocks = [(coeffs, hv[:, tt.TR], wit_cpp)
-                  for coeffs, hv, wit_cpp in _h_blocks(bt, all_h, order)]
+                  for coeffs, hv, _, wit_cpp in _h_blocks(bt, all_h, order)]
         for k in ks:
             avec = tt.pow_all(p**k - 1)
             adiff = tt.add(avec[tt.TR], minus[avec])  # A(tr x) - A(x)

@@ -56,6 +56,7 @@ def test_c1_norm_lift_equivalence_full_grid(capsys, thm22_full):
         rep.clean
         and rep.cases == 305888
         and rep.agreements == rep.cases
+        and (rep.true_outcomes, rep.false_outcomes) == (382, 305506)
         and len(rep.extras["pairs"]) == 27
         and rep.extras["fiber_cases"] == rep.extras["fiber_agreements"] == 305888
         and rep.extras["builder_crosschecks"] == 180
@@ -67,6 +68,7 @@ def test_c1_norm_lift_equivalence_full_grid(capsys, thm22_full):
     )
     assert rep.clean, rep.counterexamples[:3]
     assert rep.cases == 305888 and rep.agreements == 305888
+    assert rep.true_outcomes == 382 and rep.false_outcomes == 305506
     assert len(rep.extras["pairs"]) == 27
     assert rep.extras["fiber_cases"] == 305888
     assert rep.extras["fiber_agreements"] == 305888

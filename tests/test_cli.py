@@ -280,6 +280,26 @@ def test_grid_reproducible_output_is_pinned(capsys, token):
     assert hashlib.sha256(out.encode()).hexdigest() == GRID_DIGESTS_64[token]
 
 
+# sha256 of `cppforge grid thm2.2 --max-order 1024 --reproducible`: every
+# admissible tower up to order 1024, F_1024/F_4 and F_1024/F_32 among them
+THM22_DIGEST_1024 = "9ce0487393770e3fe633f1e0edbef8b4bd15778650eccb0df3f75c63cdcd10d9"
+
+
+def test_grid_norm_lift_at_1024_is_pinned(capsys):
+    code, out, _ = run(capsys, "grid", "thm2.2", "--max-order", "1024", "--reproducible")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == THM22_DIGEST_1024
+
+
+@pytest.mark.parametrize("token", ["thm2.2", "cor2.5"])
+def test_grid_rejects_negative_max_order(capsys, token):
+    code, out, err = run(capsys, "grid", token, "--max-order", "-5")
+    assert code == cli.EXIT_PARSE == 4
+    assert out == ""
+    assert err.startswith("cppforge: ") and "--max-order" in err
+    assert "Traceback" not in err
+
+
 def test_grid_rejects_unknown_token(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["grid", "thm9.9"])

@@ -7,6 +7,8 @@ enumeration, or the rng stream changed, and each of those is a bug or a
 deliberate, ledgered decision.
 """
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -174,34 +176,35 @@ def _report_json(rep):
 
 
 def test_prefix_width_changes_no_verdict(monkeypatch):
-    # the prefix only decides which rows are lifted in full: a repeat in it
-    # is a proof of non-permutation, so every width gives the same reports.
-    # Width 1 rejects nothing, so every row takes the full path; at 1024
-    # some towers are wider than the default prefix. 256, the default until
-    # the prefix was narrowed to 64, stays under test.
+    # the prefix only decides which thm3.2 rows are lifted in full: a repeat
+    # in it is a proof of non-permutation, so every width gives the same
+    # reports. Width 1 rejects nothing, so every row takes the full path;
+    # 64 and 256, the two widths the prefix has had, stay under test.
+    # thm2.2 reads no prefix: at every width it lifts in full exactly the
+    # rows whose witness permutes
     full_rows = {}
+    witness_rows = {}
     real_cpp_rows = grids.cpp_rows
 
     def counting_cpp_rows(t, tabs):
+        perm, cpp = real_cpp_rows(t, tabs)
         if isinstance(t, tables.TowerTables):
             full_rows[width] += len(tabs)
-        return real_cpp_rows(t, tabs)
+        else:
+            witness_rows[width] += int(perm.sum())
+        return perm, cpp
 
     monkeypatch.setattr(grids, "cpp_rows", counting_cpp_rows)
     reports = {}
     widths = (1, 2, 16, 64, 256)
     assert grids._PREFIX in widths
     for width in widths:
-        full_rows[width] = 0
+        full_rows[width] = witness_rows[width] = 0
         monkeypatch.setattr(grids, "_PREFIX", width)
         norm = sweep_norm_lift(max_order=1024, random_h=20)
-        norm_rows = full_rows[width]
+        assert full_rows[width] == witness_rows[width] == 1415
         reports[width] = (_report_json(norm),
                           _report_json(sweep_trace_simple(max_order=256)))
-        if width == 1:
-            assert norm_rows == norm.cases
-        else:
-            assert norm_rows < norm.cases
     first = reports[1]
     assert first[0]["extras"]["fiber_agreements"] == first[0]["cases"] == 39440
     assert all(r == first for r in reports.values())
@@ -213,33 +216,71 @@ def _f1024_over_f4():
     return next(t for t in tower_grid(1024) if (t.q, t.n) == (4, 5))
 
 
+# each corruption's report as the sweep gave it before thm2.2 reused its
+# witness pass: fiber agreements, the sha256 of to_json() minus
+# elapsed_seconds, and whether F_1024/F_4 still passes the reuse checks
+_CORRUPTED_REPORTS = {
+    ("NOR", 700): (39390, "1f8b368019d6b6b718b857cdf71be6b3c00672ec07ca7452aa1fa21f79d5de4b", True),
+    ("MEXP", 100): (39418, "3658774ad27e6a4423307615761b95640edef1abd0ffb6cab13f3245a9604b45", True),
+    ("NOR", 2): (39388, "8d14a9f9388bf3b4138ed2c7cd7e02fbc46dc6c63c012bab541d34d9db236a64", False),
+    ("MEXP", 0): (39420, "f458e77a6723afe294371fe9df40f7dc4362a69cc79b67cb66f4feb2893d98c6", False),
+    ("MUL", (3, 0)): (39370, "37cfaca83e45b8e4d25f8a3c77e44431fcb5dac854295b92afac6ba7ad9c4941", False),
+}
+
+
 @pytest.mark.parametrize("name, cell, value, permuting, rejected", [
-    # NOR[700] = 3 -> 2 (past the prefix): h = 2 gives 2x, a permutation of
-    # F_1024; h = x gives x*nor(x), rejected by the prefix. 50 fiber
-    # counterexamples, 39390 of 39440 agreements
+    # NOR[700] = 3 -> 2 (past the embedded F_4): h = 2 gives 2x, a
+    # permutation of F_1024; h = x gives x*nor(x), whose witness repeats a
+    # value. 50 fiber counterexamples, 39390 of 39440 agreements
     ("NOR", 700, 2, [2, 0, 0], [0, 1, 0]),
-    # MEXP[100] = 473 -> 472: h = 1 gives the identity; h = x + 3 is
-    # rejected by the prefix. 22 fiber counterexamples, 39418 agreements
+    # MEXP[100] = 473 -> 472: h = 1 gives the identity; the witness of
+    # h = x + 3 repeats a value. 22 fiber counterexamples, 39418 agreements
     ("MEXP", 100, 472, [1, 0, 0], [3, 1, 0]),
+    # NOR[2] = 3 -> 1 breaks nor(x) = x^5 on the embedded F_4
+    ("NOR", 2, 1, [2, 0, 0], [3, 1, 0]),
+    # MEXP[0] = 1 -> 2 breaks the log-path product 1*1 = 1
+    ("MEXP", 0, 2, [1, 0, 0], [0, 1, 0]),
+    # base MUL[3, 0] = 0 -> 3: x -> x^5 no longer commutes with MUL either,
+    # so the induced maps are checked on their own
+    ("MUL", (3, 0), 3, [2, 0, 0], [3, 1, 0]),
 ])
-def test_a_corrupted_table_still_shows(name, cell, value, permuting, rejected):
-    # the early rejection and the square table must not hide a bad cell:
-    # corrupt one cell of the cached F_1024/F_4 tables and the fiber
-    # verdict must fail on a permuting row and on a prefix-rejected one
+def test_a_corrupted_table_still_shows(monkeypatch, name, cell, value, permuting, rejected):
+    # the witness reuse and the square table must not hide a bad cell:
+    # corrupt one cell of the cached F_1024/F_4 tables or of their base
+    # tables, and the report must be the one recorded above. Its fiber
+    # verdict fails on a permuting row and on a row that is never lifted
+    # in full, because its first q lifted values (its witness) repeat. A
+    # bad cell in the embedded F_4 or in the base tables fails the tower's
+    # reuse checks, and then every row of the tower is lifted in full
+    fiber_agreements, digest, reused = _CORRUPTED_REPORTS[name, cell]
     tower = _f1024_over_f4()
     tt = tables.tower_tables(tower)
     bt = tables.base_tables(tower.base)
     lift = {tuple(h): grids._lift_rows(tt, bt.horner(np.array([h])), tt.NOR)
             for h in (permuting, rejected)}
     assert tables.bijective_rows(lift[tuple(permuting)])[0]
-    head = np.sort(lift[tuple(rejected)][0, : grids._PREFIX])
+    head = np.sort(lift[tuple(rejected)][0, : tower.q])
     assert (np.diff(head) == 0).any()
+    lifted = []
+    real_cpp_rows = grids.cpp_rows
+
+    def counting_cpp_rows(t, tabs):
+        if t is tt:
+            lifted.append(len(tabs))
+        return real_cpp_rows(t, tabs)
+
+    monkeypatch.setattr(grids, "cpp_rows", counting_cpp_rows)
+    table = bt.MUL if name == "MUL" else getattr(tt, name)
     try:
-        getattr(tt, name)[cell] = value
+        table[cell] = value
         rep = sweep_norm_lift(max_order=1024, random_h=20)
-        assert rep.extras["fiber_agreements"] < rep.extras["fiber_cases"]
-        bad = [c["h"] for c in rep.counterexamples
-               if c.get("why") == "fiber verdict" and (c["q"], c["n"]) == (4, 5)]
-        assert permuting in bad and rejected in bad
     finally:
         clear_caches()
+    out = _report_json(rep)
+    assert out["extras"]["fiber_agreements"] == fiber_agreements
+    assert hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest() == digest
+    bad = [c["h"] for c in rep.counterexamples
+           if c.get("why") == "fiber verdict" and (c["q"], c["n"]) == (4, 5)]
+    assert permuting in bad and rejected in bad
+    rows = 4**3 - 1 + 20  # every nonzero h of degree <= 2, and 20 random h
+    assert (sum(lifted) < rows) if reused else (sum(lifted) == rows)
