@@ -7,6 +7,7 @@ prediction with ground truth over every parameter choice that fits.
 """
 
 from .errors import (
+    BadInput,
     BadTableLength,
     CppforgeError,
     DivisionByZero,
@@ -60,7 +61,6 @@ from .lifts import (
     cppeg_construct,
     general_trace_map,
     monomial_cpp_check,
-    norm_form_permutes,
     norm_lift,
     trace_lift_binomial,
     trace_lift_general,
@@ -114,6 +114,7 @@ def clear_caches() -> None:
 
 
 __all__ = [
+    "BadInput",
     "BadTableLength",
     "CppforgeError",
     "DivisionByZero",
@@ -159,7 +160,6 @@ __all__ = [
     "cppeg_construct",
     "general_trace_map",
     "monomial_cpp_check",
-    "norm_form_permutes",
     "norm_lift",
     "trace_lift_binomial",
     "trace_lift_general",

@@ -26,6 +26,7 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from .errors import (
+    BadInput,
     BadTableLength,
     FieldMismatch,
     HypothesisFails,
@@ -70,10 +71,6 @@ CONSTRUCTIONS = (
 GRID_TOKENS = ("thm2.2", "cor2.3", "cor2.5", "thm3.2", "thm3.3", "thm3.7", "lemma3.4")
 
 
-class _CliInputError(Exception):
-    """Unusable command-line input (missing or malformed values)."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # argparse defaults to exit code 2, which this tool reserves for
@@ -91,13 +88,13 @@ def _int_list(text: str, flag: str) -> list[int]:
     try:
         val = ast.literal_eval(text)
     except (ValueError, SyntaxError):
-        raise _CliInputError(f"{flag}: cannot parse {text!r} as a coefficient list")
+        raise BadInput(f"{flag}: cannot parse {text!r} as a coefficient list")
     if isinstance(val, int) and not isinstance(val, bool):
         val = [val]
     if not isinstance(val, (list, tuple)) or not all(
         isinstance(v, int) and not isinstance(v, bool) for v in val
     ):
-        raise _CliInputError(f"{flag}: expected a list of integer codes like [0,2,1]")
+        raise BadInput(f"{flag}: expected a list of integer codes like [0,2,1]")
     return [int(v) for v in val]
 
 
@@ -105,7 +102,7 @@ def _pair_list(text: str, flag: str) -> list[tuple[int, int]]:
     try:
         val = ast.literal_eval(text)
     except (ValueError, SyntaxError):
-        raise _CliInputError(f"{flag}: cannot parse {text!r} as [[index,coeff],...]")
+        raise BadInput(f"{flag}: cannot parse {text!r} as [[index,coeff],...]")
     ok = isinstance(val, (list, tuple)) and all(
         isinstance(pair, (list, tuple))
         and len(pair) == 2
@@ -113,32 +110,32 @@ def _pair_list(text: str, flag: str) -> list[tuple[int, int]]:
         for pair in val
     )
     if not ok:
-        raise _CliInputError(f"{flag}: expected index/coefficient pairs like [[0,1],[2,3]]")
+        raise BadInput(f"{flag}: expected index/coefficient pairs like [[0,1],[2,3]]")
     return [(int(i), int(c)) for i, c in val]
 
 
 def _require(args, flag: str):
     val = getattr(args, flag.lstrip("-"))
     if val is None:
-        raise _CliInputError(f"{args.command} {getattr(args, 'construction', '')} needs {flag}".replace("  ", " "))
+        raise BadInput(f"{args.command} {getattr(args, 'construction', '')} needs {flag}".replace("  ", " "))
     return val
 
 
 def _base_from(args) -> FieldDesc:
     if args.p is None:
-        raise _CliInputError("this command needs --p")
+        raise BadInput("this command needs --p")
     base = make_prime_field(args.p)
     mod = _int_list(args.mod, "--mod") if args.mod else None
-    if args.r > 1:
+    if args.r != 1:
         base = make_extension(base, args.r, mod)
     elif mod is not None:
-        raise _CliInputError("--mod only applies with --r >= 2")
+        raise BadInput("--mod only applies with --r >= 2")
     return base
 
 
 def _tower_from(args) -> TowerDesc:
     if args.n is None:
-        raise _CliInputError("this command needs --n")
+        raise BadInput("this command needs --n")
     base = _base_from(args)
     tmod = _int_list(args.tmod, "--tmod") if args.tmod else None
     return make_tower(base, args.n, tmod)
@@ -152,7 +149,7 @@ def _cap(args) -> Optional[int]:
         try:
             return int(env)
         except ValueError:
-            raise _CliInputError(f"{CAP_ENV}={env!r} is not an integer")
+            raise BadInput(f"{CAP_ENV}={env!r} is not an integer")
     return None
 
 
@@ -226,7 +223,7 @@ def _emit(args, report: dict):
 
 
 def cmd_verify(args) -> int:
-    tower = _tower_from(args) if args.n else None
+    tower = _tower_from(args) if args.n is not None else None
     home = tower if tower is not None else _base_from(args)
     f = Poly(home, _int_list(_require(args, "--poly"), "--poly"))
     cap = _cap(args)
@@ -241,7 +238,7 @@ def cmd_verify(args) -> int:
     }
     if args.lam:
         if tower is None:
-            raise _CliInputError("--lam needs a tower (give --n)")
+            raise BadInput("--lam needs a tower (give --n)")
         h = Poly(tower.base, _int_list(_require(args, "--h"), "--h"))
         fiber = fiber_criterion_verify(f, h, args.lam, tower, cap)
         report["fiber"] = fiber.to_json()
@@ -332,7 +329,7 @@ def cmd_kernel_check(args) -> int:
 
 def cmd_grid(args) -> int:
     if args.max_order is not None and args.max_order < 0:
-        raise _CliInputError(f"grid --max-order must be >= 0, got {args.max_order}")
+        raise BadInput(f"grid --max-order must be >= 0, got {args.max_order}")
     from .grids import REGISTRY  # numpy loads only for a sweep
 
     rep = REGISTRY[args.token](max_order=args.max_order)
@@ -455,10 +452,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except _CliInputError as exc:
-        print(f"cppforge: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NotPrime, NotIrreducible, OutOfRange, FieldMismatch, BadTableLength) as exc:
+    except (BadInput, NotPrime, NotIrreducible, OutOfRange, FieldMismatch, BadTableLength) as exc:
         print(f"cppforge: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (PreconditionViolated, HypothesisFails, SearchCapExceeded, OrderCapExceeded) as exc:

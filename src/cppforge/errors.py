@@ -5,6 +5,11 @@ class CppforgeError(Exception):
     """Base class for all package-specific errors."""
 
 
+class BadInput(CppforgeError, ValueError):
+    """Unusable input: a malformed value, such as a degree, a modulus or a
+    p-polynomial, that no construction could run on."""
+
+
 class NotPrime(CppforgeError, ValueError):
     def __init__(self, p):
         super().__init__(f"{p} is not prime")

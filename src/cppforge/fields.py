@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
+    BadInput,
     DivisionByZero,
     FieldMismatch,
     NotIrreducible,
@@ -131,17 +132,6 @@ class FieldElement:
 
     def inv(self):
         return FieldElement(self.home, self.home._cinv(self.code))
-
-    def frobenius(self, i: int):
-        """x raised to the p^i, by repeated p-th powering."""
-        if i < 0:
-            raise ValueError("frobenius index must be non-negative")
-        home = self.home
-        i %= home.full_degree
-        c = self.code
-        for _ in range(i):
-            c = home._cpow(c, home.p)
-        return FieldElement(home, c)
 
     def is_zero(self) -> bool:
         return self.code == 0
@@ -398,11 +388,6 @@ class FieldDesc:
             raise OutOfRange(code, self.order)
         return FieldElement(self, code)
 
-    def encode(self, x: FieldElement) -> int:
-        if not isinstance(x, FieldElement) or x.home != self:
-            raise FieldMismatch(f"{x!r} does not live in {self!r}")
-        return x.code
-
     def _coeff_code(self, c) -> int:
         # flat fields reduce coefficient digits mod p rather than rejecting them
         return int(c) % self.p
@@ -572,6 +557,7 @@ def _pgcd(home, a, b):
 
 
 def _peval(home: FieldDesc, cs: Sequence[int], x: int) -> int:
+    """Horner: the code of sum(cs[i] * x^i) in home, for codes cs and x."""
     acc = 0
     for c in reversed(cs):
         acc = home._cadd(home._cmul(acc, x), c)
@@ -645,9 +631,9 @@ def make_prime_field(p: int) -> FieldDesc:
 def _normalize_modulus(home: FieldDesc, degree: int, modulus) -> tuple[int, ...]:
     cs = [_code_in(home, c, "modulus coefficients") for c in modulus]
     if len(cs) != degree + 1:
-        raise ValueError(f"modulus must have {degree + 1} coefficients, got {len(cs)}")
+        raise BadInput(f"modulus must have {degree + 1} coefficients, got {len(cs)}")
     if cs[-1] != 1:
-        raise ValueError("modulus must be monic")
+        raise BadInput("modulus must be monic")
     if not _poly_is_irreducible(home, cs):
         raise NotIrreducible(cs, repr(home))
     return tuple(cs)
@@ -663,7 +649,7 @@ def make_extension(base: FieldDesc, degree: int, modulus=None):
     if type(base) is not FieldDesc:  # towers are not bases
         raise FieldMismatch("make_extension needs a FieldDesc base")
     if not isinstance(degree, int) or degree < 1:
-        raise ValueError("extension degree must be a positive integer")
+        raise BadInput("extension degree must be a positive integer")
     if base.r > 1:
         return make_tower(base, degree, modulus)
     if base.p**degree > MAX_FIELD_ORDER:
@@ -682,7 +668,7 @@ def make_tower(base: FieldDesc, n: int, modulus=None) -> TowerDesc:
     if type(base) is not FieldDesc:  # towers are not bases
         raise FieldMismatch("towers are built over a FieldDesc base")
     if not isinstance(n, int) or n < 1:
-        raise ValueError("tower degree must be a positive integer")
+        raise BadInput("tower degree must be a positive integer")
     if base.q**n > MAX_FIELD_ORDER:
         raise OrderCapExceeded(base.q**n, MAX_FIELD_ORDER, "field construction")
     if modulus is None:
@@ -690,10 +676,6 @@ def make_tower(base: FieldDesc, n: int, modulus=None) -> TowerDesc:
     else:
         mod = _normalize_modulus(base, n, modulus)
     return TowerDesc(base, n, mod)
-
-
-def embed(x: FieldElement, tower: TowerDesc) -> FieldElement:
-    return tower.embed(x)
 
 
 # ---------------------------------------------------------------------------
@@ -744,14 +726,6 @@ class Poly:
     @classmethod
     def zero(cls, home) -> "Poly":
         return cls._raw(home, [])
-
-    @classmethod
-    def x(cls, home) -> "Poly":
-        return cls._raw(home, [0, 1])
-
-    @classmethod
-    def constant(cls, home, c) -> "Poly":
-        return cls(home, [c])
 
     @classmethod
     def monomial(cls, home, degree: int, coeff=None) -> "Poly":

@@ -17,7 +17,7 @@ orders of magnitude larger than the map they induce.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .errors import (
     FieldMismatch,
@@ -30,6 +30,7 @@ from .fields import (
     FieldElement,
     Poly,
     TowerDesc,
+    _code_in,
     embed_poly,
     make_extension,
     make_prime_field,
@@ -41,6 +42,7 @@ from .maps import (
     ppoly_permutes_kernel,
     ppoly_quotient,
     ppoly_quotient_eval,
+    require_norm_coprime,
     trace_code,
     trace_kernel,
 )
@@ -49,35 +51,17 @@ from .permcheck import (
     eval_poly,
     is_complete_permutation,
     table_is_cpp,
-    table_verdict,
+    value_table,
 )
 
 # dense coefficient-count guard for lazy polynomial expansion
 EXPANSION_COEFF_CAP = 1 << 16
 
 
-def _n_inverse(q: int, n: int) -> int:
-    """A positive n' with n*n' = 1 mod (q-1); for q = 2 any n' works, use 1."""
-    if q == 2:
-        return 1
-    return pow(n, -1, q - 1)
-
-
 def _base_poly(h, tower: TowerDesc, what: str = "h") -> Poly:
     if not isinstance(h, Poly) or h.home != tower.base:
         raise FieldMismatch(f"{what} must be a Poly over the base field {tower.base!r}")
     return h
-
-
-def _base_code(a, tower: TowerDesc, what: str) -> int:
-    if isinstance(a, FieldElement):
-        if a.home != tower.base:
-            raise FieldMismatch(f"{what} must live in the base field {tower.base!r}")
-        return a.code
-    a = int(a)
-    if not 0 <= a < tower.q:
-        raise FieldMismatch(f"{what} code {a} outside the base field")
-    return a
 
 
 def _trace_poly(tower: TowerDesc) -> Poly:
@@ -190,44 +174,6 @@ class LiftResult:
 # ---------------------------------------------------------------------------
 
 
-def norm_form_permutes(exp_r: int, h: Poly, tower: TowerDesc) -> bool:
-    """Does x^exp_r * h(nor(x)) permute the tower?  Decided on the base field.
-
-    True iff gcd(exp_r, (q^n-1)/(q-1)) = 1 and x^(exp_r * n') * h(x)
-    permutes F_q, where n' inverts n mod (q-1). The equivalent base-field
-    form x^exp_r * h(x^n) is evaluated as well and the two verdicts are
-    asserted to coincide, which keeps the exponent bookkeeping honest.
-    """
-    h = _base_poly(h, tower)
-    if h.is_zero():
-        raise PreconditionViolated("h != 0", "the zero polynomial has no norm form")
-    if exp_r < 1:
-        raise PreconditionViolated("exp_r >= 1", f"got {exp_r}")
-    q, n = tower.q, tower.n
-    g = math.gcd(n, q - 1)
-    if g != 1:
-        raise PreconditionViolated("gcd(n, q-1) = 1", f"gcd({n}, {q - 1}) = {g}")
-    n_inv = _n_inverse(q, n)
-    base = tower.base
-    e_a = exp_r * n_inv
-    tab_a = []
-    tab_b = []
-    for xc in range(q):
-        hx = eval_poly(h, FieldElement(base, xc)).code
-        tab_a.append(base._cmul(base._cpow(xc, e_a), hx))
-        hxn = eval_poly(h, FieldElement(base, base._cpow(xc, n))).code
-        tab_b.append(base._cmul(base._cpow(xc, exp_r), hxn))
-    perm_a = table_verdict(q, tab_a).is_permutation
-    perm_b = table_verdict(q, tab_b).is_permutation
-    if perm_a != perm_b:
-        raise AssertionError(
-            f"the two base-field forms disagree (x^{e_a}*h(x): {perm_a}, "
-            f"x^{exp_r}*h(x^{n}): {perm_b})"
-        )
-    cond1 = math.gcd(exp_r, norm_exponent(tower)) == 1
-    return cond1 and perm_a
-
-
 def norm_lift(h: Poly, tower: TowerDesc) -> LiftResult:
     """Lift h to x*h(nor(x)) on the tower; witness is x*h(x^n) on the base.
 
@@ -235,15 +181,12 @@ def norm_lift(h: Poly, tower: TowerDesc) -> LiftResult:
     predicted_cpp is the witness's exhaustive status.
     """
     h = _base_poly(h, tower)
-    q, n = tower.q, tower.n
-    g = math.gcd(n, q - 1)
-    if g != 1:
-        raise PreconditionViolated("gcd(n, q-1) = 1", f"gcd({n}, {q - 1}) = {g}")
-    base = tower.base
+    n = tower.n
+    require_norm_coprime(tower.q, n)
     npow = norm_exponent(tower)
     witness = h.substitute_monomial(n).shift(1)
     predicted = is_complete_permutation(witness).both
-    htab = [eval_poly(h, FieldElement(base, v)).code for v in range(q)]
+    htab = value_table(h)
 
     def f(xc: int) -> int:
         nor = tower._cpow(xc, npow)  # lands in the embedded base field
@@ -270,10 +213,8 @@ def monomial_cpp_check(alpha, s: int, tower: TowerDesc) -> LiftResult:
     if not isinstance(s, int) or s < 0:
         raise PreconditionViolated("s >= 0", f"got {s!r}")
     q, n = tower.q, tower.n
-    g = math.gcd(n, q - 1)
-    if g != 1:
-        raise PreconditionViolated("gcd(n, q-1) = 1", f"gcd({n}, {q - 1}) = {g}")
-    a_code = _base_code(alpha, tower, "alpha")
+    require_norm_coprime(q, n)
+    a_code = _code_in(tower.base, alpha, "alpha")
     if a_code == 0:
         raise PreconditionViolated("alpha != 0")
     base = tower.base
@@ -309,9 +250,9 @@ def cppeg_construct(e: int, t: int, k: int, alpha) -> LiftResult:
 
     With r = 2^e the monomial alpha*x^(1+(r^k-1)(q+1)q/2) is a CPP of
     F_{q^2} whenever 1 <= k < t, gcd(k, t) != 1 if e = 1, and alpha avoids
-    the (r^k-1)-th powers of F_q*. The witness is the monomial the
-    reduction hands back, alpha*x^(1+2s); as a map on F_q it collapses to
-    alpha*x^(r^k) (recorded in extras).
+    the (r^k-1)-th powers of F_q*. This is monomial_cpp_check on F_{q^2}
+    with s = (r^k-1)q/2: the witness is alpha*x^(1+2s), which as a map on
+    F_q collapses to alpha*x^(r^k) (recorded in extras).
     """
     if not (isinstance(e, int) and isinstance(t, int) and isinstance(k, int)):
         raise PreconditionViolated("integer parameters", f"e={e!r} t={t!r} k={k!r}")
@@ -344,26 +285,13 @@ def cppeg_construct(e: int, t: int, k: int, alpha) -> LiftResult:
         )
     tower = make_tower(base, 2)
     s = m * q // 2
-    npow = q + 1
-    l_exp = 1 + s * npow
-    w_exp = 1 + 2 * s
-    _guard_expansion(w_exp + 1)
-    witness = Poly.monomial(base, w_exp, a_code)
-    wtab = [base._cmul(a_code, base._cpow(xc, w_exp)) for xc in range(q)]
-    predicted = table_is_cpp(base, wtab)
-    if predicted is not True:
+    # n = 2 and q is even, so the monomial builder's gcd(2, q-1) = 1 holds
+    inner = monomial_cpp_check(a_code, s, tower)
+    if inner.predicted_cpp is not True:
         raise AssertionError(
             f"unconditional construction produced a non-CPP witness at "
             f"e={e} t={t} k={k} alpha={a_code}"
         )
-
-    def f(xc: int) -> int:
-        return tower._cmul(a_code, tower._cpow(xc, l_exp))
-
-    def expand() -> Poly:
-        _guard_expansion(l_exp + 1)
-        return Poly.monomial(tower, l_exp, a_code)
-
     return LiftResult(
         construction="cppeg",
         tower=tower,
@@ -373,17 +301,17 @@ def cppeg_construct(e: int, t: int, k: int, alpha) -> LiftResult:
             "t": t,
             "k": k,
             "alpha": a_code,
-            "exponent": l_exp,
+            "exponent": inner.params["exponent"],
         },
         preconditions=[
             ("1 <= k < t", True),
             ("gcd(k, t) != 1 when e = 1", True),
             ("alpha not in (F_q)^(r^k - 1)", True),
         ],
-        subfield_witness=witness,
-        predicted_cpp=predicted,
-        map_code=f,
-        expand=expand,
+        subfield_witness=inner.subfield_witness,
+        predicted_cpp=inner.predicted_cpp,
+        map_code=inner._map_code,
+        expand=inner._expand,
         extras={"witness_map_exponent": rr**k, "s": s},
     )
 
@@ -406,7 +334,7 @@ def trace_lift_simple(h: Poly, tower: TowerDesc) -> LiftResult:
     witness = h.shift(1)
     predicted = is_complete_permutation(witness).both
     q = tower.q
-    htab = [eval_poly(h, FieldElement(base, v)).code for v in range(q)]
+    htab = value_table(h)
 
     def f(xc: int) -> int:
         return tower._cmul(xc, htab[trace_code(tower, xc)])
@@ -437,12 +365,10 @@ def general_trace_map(h: Poly, L: PPoly, a, tower: TowerDesc) -> Callable[[int],
     h = _base_poly(h, tower)
     if L.tower != tower:
         raise FieldMismatch("L belongs to a different tower")
-    a_code = _base_code(a, tower, "a")
-    base = tower.base
-    q = tower.q
-    htab = [eval_poly(h, FieldElement(base, v)).code for v in range(q)]
+    a_code = _code_in(tower.base, a, "a")
+    htab = value_table(h)
     # A(t) for t in the embedded base field: embed(t) has code t
-    atab = [ppoly_quotient_eval(L, FieldElement(tower, t)).code for t in range(q)]
+    atab = [ppoly_quotient_eval(L, FieldElement(tower, t)).code for t in range(tower.q)]
 
     def f(xc: int) -> int:
         t = trace_code(tower, xc)
@@ -461,7 +387,7 @@ def _proof_identity_holds(
     if tower.order > cap:
         return None
     base = tower.base
-    htab = [eval_poly(h, FieldElement(base, v)).code for v in range(tower.q)]
+    htab = value_table(h)
     for xc in range(tower.order):
         t = trace_code(tower, xc)
         if trace_code(tower, f(xc)) != base._cmul(t, htab[t]):
@@ -480,7 +406,7 @@ def trace_lift_general(h: Poly, L: PPoly, a, tower: TowerDesc) -> LiftResult:
     h = _base_poly(h, tower)
     if L.tower != tower:
         raise FieldMismatch("L belongs to a different tower")
-    a_code = _base_code(a, tower, "a")
+    a_code = _code_in(tower.base, a, "a")
     if a_code == 0:
         raise PreconditionViolated("a != 0", "the hypothesis divides by a")
     base = tower.base
@@ -563,7 +489,7 @@ def trace_lift_binomial(h: Poly, k: int, a, tower: TowerDesc) -> LiftResult:
         raise PreconditionViolated(
             "gcd(n, p^gcd(k, r) - 1) = 1", f"gcd({n}, {d}) = {g2}"
         )
-    a_code = _base_code(a, tower, "a")
+    a_code = _code_in(tower.base, a, "a")
     if a_code == 0:
         raise PreconditionViolated("a != 0")
     # x^(p^k) and x^(p^(k mod rn)) are the same map on the tower

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import FieldMismatch, MapEscapesKernel, PreconditionViolated
-from .fields import FieldElement, Poly, TowerDesc
+from .errors import BadInput, FieldMismatch, MapEscapesKernel, PreconditionViolated
+from .fields import FieldElement, Poly, TowerDesc, _code_in
 
 _CoeffMap = Union[Mapping[int, Union[int, FieldElement]], Iterable[tuple]]
 
@@ -63,6 +63,13 @@ def norm_exponent(tower: TowerDesc) -> int:
     return (tower.order - 1) // (tower.q - 1)
 
 
+def require_norm_coprime(q: int, n: int) -> None:
+    """Refuse unless gcd(n, q-1) = 1, which makes x -> x^n permute F_q."""
+    g = math.gcd(n, q - 1)
+    if g != 1:
+        raise PreconditionViolated("gcd(n, q-1) = 1", f"gcd({n}, {q - 1}) = {g}")
+
+
 def rel_norm(x: FieldElement) -> FieldElement:
     """Relative norm nor(x) = x^((q^n-1)/(q-1)), in the base field."""
     tower = _require_tower(x)
@@ -105,23 +112,14 @@ class PPoly:
         for i, a in items:
             i = int(i)
             if not 0 <= i < tower.full_degree:
-                raise ValueError(
-                    f"exponent index {i} outside 0..{tower.full_degree - 1}"
-                )
-            if isinstance(a, FieldElement):
-                if a.home != tower.base:
-                    raise FieldMismatch("PPoly coefficients must live in the base field")
-                code = a.code
-            else:
-                code = int(a)
-                if not 0 <= code < tower.q:
-                    raise ValueError(f"coefficient code {code} outside the base field")
+                raise BadInput(f"exponent index {i} outside 0..{tower.full_degree - 1}")
+            code = _code_in(tower.base, a, "PPoly coefficients")
             if code:
                 norm[i] = code
             elif i in norm:
                 del norm[i]
         if not norm:
-            raise ValueError("the zero p-polynomial is not allowed")
+            raise BadInput("the zero p-polynomial is not allowed")
         self.tower = tower
         self.coeffs = tuple(sorted(norm.items()))
 
@@ -300,14 +298,7 @@ def binomial_kernel_criterion(
     Requires gcd(k, n) = 1 and k >= 1.
     """
     base = tower.base
-    if isinstance(c, FieldElement):
-        if c.home != base:
-            raise FieldMismatch("c must live in the base field")
-        c_code = c.code
-    else:
-        c_code = int(c)
-        if not 0 <= c_code < tower.q:
-            raise ValueError(f"c code {c_code} outside the base field")
+    c_code = _code_in(base, c, "c")
     if k < 1:
         raise PreconditionViolated("k >= 1", f"got k = {k}")
     n = tower.n

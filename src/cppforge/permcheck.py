@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import BadTableLength, FieldMismatch, OrderCapExceeded, OutOfRange
-from .fields import FieldDesc, FieldElement, Poly, TowerDesc
+from .fields import FieldDesc, FieldElement, Poly, TowerDesc, _peval
 from .maps import check_in_base, norm_exponent, trace_code
 
 DEFAULT_EXHAUSTIVE_CAP = 1 << 16
@@ -75,11 +75,7 @@ def eval_poly(f: Poly, x: FieldElement) -> FieldElement:
         x = home.embed(x)
     if not isinstance(x, FieldElement) or x.home != home:
         raise FieldMismatch(f"{x!r} does not live in {home!r}")
-    acc = 0
-    xc = x.code
-    for c in reversed(f.coeffs):
-        acc = home._cadd(home._cmul(acc, xc), c)
-    return FieldElement(home, acc)
+    return FieldElement(home, _peval(home, f.coeffs, x.code))
 
 
 def _cap_check(order: int, cap: Optional[int]):
@@ -92,16 +88,7 @@ def value_table(f: Poly, cap: Optional[int] = None) -> list[int]:
     """Codes of f over the whole home field, indexed by input code."""
     home = f.home
     _cap_check(home.order, cap)
-    coeffs = f.coeffs
-    if not coeffs:
-        return [0] * home.order
-    out = []
-    for xc in range(home.order):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = home._cadd(home._cmul(acc, xc), c)
-        out.append(acc)
-    return out
+    return [_peval(home, f.coeffs, xc) for xc in range(home.order)]
 
 
 def table_verdict(order: int, table: Sequence[int]) -> PermVerdict:

@@ -15,7 +15,6 @@ inverse of n mod (q-1), then proves the rewrite by exhaustive comparison.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -26,6 +25,7 @@ from .errors import (
     SearchCapExceeded,
 )
 from .fields import FieldDesc, Poly
+from .maps import require_norm_coprime
 from .permcheck import eval_poly
 
 SEARCH_CAP_Q = 11
@@ -168,9 +168,7 @@ def to_h_form(f: Poly, n: int) -> Poly:
     q = home.order
     if f.coefficient(0).code != 0:
         raise PreconditionViolated("f(0) = 0", f"constant term is {f.coefficient(0).code}")
-    g = math.gcd(n, q - 1)
-    if g != 1:
-        raise PreconditionViolated("gcd(n, q-1) = 1", f"gcd({n}, {q - 1}) = {g}")
+    require_norm_coprime(q, n)
     n_inv = pow(n, -1, q - 1) if q > 2 else 0
     hcodes = [0] * max(q - 1, 1)
     for m, c in enumerate(f.coeffs):

@@ -28,7 +28,6 @@ from .maps import norm_exponent
 
 BULK_BASE_CAP = 1 << 10
 BULK_TOWER_CAP = 1 << 16
-_ROW_BLOCK = 512  # row chunk for order x order pair scans
 
 
 class BaseTables:
@@ -207,30 +206,6 @@ class TowerTables:
             row = self.mul(np.full(self.order, b, dtype=np.int64), xs)
             self._scale_rows[b] = row
         return row
-
-    # -- whole-field pair scans (chunked to bound memory) ----------------
-
-    def check_trace_additive(self) -> bool:
-        xs = np.arange(self.order, dtype=np.int64)
-        for lo in range(0, self.order, _ROW_BLOCK):
-            rows = xs[lo : lo + _ROW_BLOCK, None]
-            sums = self.add(rows, xs[None, :])
-            want = self.base.ADD[self.TR[rows], self.TR[xs[None, :]]]
-            if not (self.TR[sums] == want).all():
-                return False
-        return True
-
-    def check_norm_multiplicative(self) -> bool:
-        m = self.order - 1
-        nor_by_log = self.NOR[self.EXP]
-        for lo in range(0, m, _ROW_BLOCK):
-            li = np.arange(lo, min(lo + _ROW_BLOCK, m), dtype=np.int64)[:, None]
-            lj = np.arange(m, dtype=np.int64)[None, :]
-            lhs = nor_by_log[(li + lj) % m]
-            want = self.base.MUL[nor_by_log[li], nor_by_log[lj]]
-            if not (lhs == want).all():
-                return False
-        return True
 
     def norm_square_table(self) -> np.ndarray:
         """S[x, c] = (nor(x*c) == nor(x) * c^n) for every tower x and base c:

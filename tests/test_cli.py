@@ -165,6 +165,34 @@ def test_construct_bad_l_pairs(capsys):
     assert code == 4 and "index/coefficient pairs" in err
 
 
+# sha256 of `cppforge construct <call> --reproducible`; any change to a
+# builder's params, preconditions, witness, lifted polynomial or verdicts
+# moves these (cppeg runs monomial_cpp_check underneath)
+CONSTRUCT_DIGESTS = {
+    "cppeg --e 1 --t 4 --k 2 --alpha 3":
+        "c3f8da2c0865b15cf3b5f462dcf3c296bf595b386f66298ff29124219e6bb430",
+    "cppeg --e 2 --t 2 --k 1 --alpha 2":
+        "b9a9f233170d3eb7d9d5bb387415fec15bd47bb1033f5b055b8cd0d16b193afb",
+    "cppeg --e 1 --t 6 --k 3 --alpha 3":
+        "d48e2895fdb07ec2a37a243256a92418ea41df2a49b74b71c295101d6b9ffe09",
+    "cppeg --e 3 --t 2 --k 1 --alpha 3":
+        "d6f6f21637e244348d8bfd1d253e1bbf823c4a34c07b9d25f17f3ad2d1b64081",
+    "monomial --p 2 --r 2 --n 2 --alpha 2 --s 1":
+        "6bc63cb55a7c426bfc687e7170559bf75cf6ea9b58ec06e116e293a4a5d8f530",
+    "norm-lift --p 2 --r 2 --n 2 --h [2]":
+        "0ad045cb901b3150ef122d6a448ae51f1869f9d1f758aba2f2ede259d25ef766",
+    "trace-general --p 2 --r 2 --n 3 --h [1,1] --L [[1,1]] --a 1":
+        "f9e9bb710a4c24b9d7dfc5ada6c41a4f536aeb7662914591ffd75cd59ebab075",
+}
+
+
+@pytest.mark.parametrize("call", list(CONSTRUCT_DIGESTS))
+def test_construct_reproducible_output_is_pinned(capsys, call):
+    code, out, _ = run(capsys, "construct", *call.split(), "--reproducible")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_DIGESTS[call]
+
+
 # --- search ---------------------------------------------------------------
 
 
@@ -379,6 +407,27 @@ def test_missing_subcommand_exits_4(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 4
+
+
+@pytest.mark.parametrize("call", [
+    "construct norm-lift --p 2 --r 2 --n 0 --h [1]",
+    "verify --p 2 --n -1 --poly [0,1]",
+    "verify --p 2 --n 0 --poly [0,1]",
+    "verify --p 2 --r -1 --poly [0,1]",
+    "verify --p 2 --r 0 --poly [0,1]",
+    "kernel-check --p 2 --r 2 --n 3 --k 1 --c 9",
+    "construct trace-general --p 2 --r 2 --n 3 --h [2,1] --L [[0,9]]",
+    "construct trace-general --p 2 --r 2 --n 3 --h [2,1] --L [[99,1]]",
+    "construct trace-general --p 2 --r 2 --n 3 --h [2,1] --L [[0,0]]",
+    "verify --p 2 --r 2 --mod [1,1] --poly [0,1]",
+    "verify --p 2 --r 2 --mod [1,1,0] --poly [0,1]",
+    "verify --p 2 --r 2 --n 2 --tmod [1,1] --poly [0,1]",
+])
+def test_malformed_input_exits_4_with_a_message(capsys, call):
+    code, out, err = run(capsys, *call.split())
+    assert code == 4
+    assert err.startswith("cppforge: ") and "Traceback" not in err
+    assert out == ""
 
 
 def test_module_entry_point():

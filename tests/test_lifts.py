@@ -23,7 +23,6 @@ from cppforge.errors import (
     OrderCapExceeded,
     PreconditionViolated,
 )
-from cppforge.lifts import norm_form_permutes
 from cppforge.permcheck import eval_poly
 
 
@@ -81,13 +80,6 @@ def test_norm_lift_prediction_matches_verification_over_all_small_h(f4, t42):
         h = Poly(f4, [code % 4, code // 4])
         res = norm_lift(h, t42)
         assert res.verified_cpp() == res.predicted_cpp
-
-
-def test_norm_form_permutes_handles_non_unit_exponents(f4, t42):
-    h = Poly(f4, [2])
-    # norm exponent is 5; exp_r = 5 shares a factor with it
-    assert norm_form_permutes(1, h, t42) is True
-    assert norm_form_permutes(5, h, t42) is False
 
 
 def test_monomial_cpp_check(f4, t42):

@@ -37,6 +37,7 @@ from cppforge.tables import (
     cpp_rows,
     tower_tables,
 )
+from table_invariants import norm_multiplicative, trace_additive
 
 
 @pytest.fixture(scope="module", params=[(2, 3), (3, 2), (5, 1), (2, 4)])
@@ -200,8 +201,8 @@ def test_tower_trace_norm_kernel_match_scalar(tt):
 
 
 def test_tower_structural_checks_hold(tt):
-    assert tt.check_trace_additive()
-    assert tt.check_norm_multiplicative()
+    assert trace_additive(tt)
+    assert norm_multiplicative(tt)
 
 
 def test_norm_square_table_matches_scalar_norm(tt):
