@@ -15,17 +15,20 @@ shortcut is exact for any table contents, so none takes a theorem on
 trust. A row whose lifted values repeat is not a permutation, so it is not
 a CPP either. The trace lift (thm3.2) lifts the first _PREFIX columns of
 every row and the rest only for the rows whose prefix is distinct. The
-norm lift (thm2.2) reads no prefix: codes below q are the embedded F_q,
+norm lift (thm2.2) lifts no prefix: codes below q are the embedded F_q,
 where nor(x) = x^n, so the lift's first q columns are the witness map
 x*h(x^n) that the witness pass has already checked, and x -> x^n carries
 the witness onto the fiber criterion's induced map v*h(v)^n. Two checks
 of q x q cells per tower confirm both facts on the tables themselves; a
 tower that passes lifts in full only the rows whose witness permutes, and
-takes the induced-map verdicts from the witness. The thm2.2 commuting
-square at a row and x depends only on x and c = h(nor x), so one order x q
-table per tower (TowerTables.norm_square_table) decides it: a row's square
-fails exactly when the row takes the value c at nor x for some failing
-cell (x, c), and sound tables have no failing cell.
+takes the induced-map verdicts from the witness. Its witness pass then
+has a prefix of its own: h is evaluated at x^n for the first
+_WITNESS_PREFIX x only, and in full only for the rows whose witness is
+distinct there. The thm2.2 commuting square at a row and x depends only
+on x and c = h(nor x), so one order x q table per tower
+(TowerTables.norm_square_table) decides it: a row's square fails exactly
+when the row takes the value c at nor x for some failing cell (x, c), and
+sound tables have no failing cell.
 """
 
 from __future__ import annotations
@@ -60,10 +63,19 @@ from .tables import base_tables, bijective_rows, cpp_rows, tower_tables
 DEFAULT_SEED = 20260819
 H_DEGREE = 2  # every nonzero h of degree <= H_DEGREE is swept exhaustively
 _ROW_CELLS = 1 << 21  # rows x order cells per batched block
+# rows x q cells per thm2.2 witness block: 2048 rows of F_64 ran the
+# witness pass fastest of 512..16384, and 2^21 cells raised the sweep's
+# peak RSS by 13 MB
+_WITNESS_CELLS = 1 << 17
 # lifted columns of a trace lift (thm3.2) that must be distinct before it
 # is lifted in full; 256 rejects more rows but reads four times the
 # columns of every row, and ran no faster than 64
 _PREFIX = 64
+# witness columns of a norm lift (thm2.2) that must be distinct before h is
+# evaluated in full (at most q are read). On F_4096/F_64, 32 leaves exactly
+# the 126 rows whose witness permutes, 24 leaves 1701 and 16 leaves 34146;
+# the three ran within noise of each other, and 64 ran 0.1 s slower
+_WITNESS_PREFIX = 32
 
 _TOWERS: dict[tuple[int, int, int], TowerDesc] = {}
 
@@ -201,29 +213,77 @@ def _lift_rows(tt, hcols: np.ndarray, sel: np.ndarray) -> np.ndarray:
     return tt.MEXP[logs]
 
 
+def _distinct_rows(tabs: np.ndarray) -> np.ndarray:
+    """Per row: are its values distinct? A row of leading columns of a map
+    that repeats a value is a proof that the map is no permutation."""
+    keys = np.sort(tabs, axis=1)
+    return (keys[:, 1:] != keys[:, :-1]).all(axis=1)
+
+
 def _lift_verdicts(tt, hv: np.ndarray, sel: np.ndarray):
     """(perm, cpp) per row of x -> x * hv[., sel[x]].
 
     A row whose first _PREFIX lifted values repeat is not a permutation, so
     not a CPP: only the rows whose prefix is distinct are lifted in full.
     """
-    head = np.sort(_lift_rows(tt, hv, sel[:_PREFIX]), axis=1)
-    alive = (head[:, 1:] != head[:, :-1]).all(axis=1)
+    alive = _distinct_rows(_lift_rows(tt, hv, sel[:_PREFIX]))
     perm = np.zeros(len(hv), dtype=bool)
     cpp = perm.copy()
     perm[alive], cpp[alive] = cpp_rows(tt, _lift_rows(tt, hv[alive], sel))
     return perm, cpp
 
 
-def _h_blocks(bt, h_rows: np.ndarray, order: int, sub: Optional[np.ndarray] = None):
+def _h_blocks(bt, h_rows: np.ndarray, order: int):
     """Blocks of h rows, each with its values on the base and the witness
-    verdicts (perm, cpp) per row: does x*h(sub[x]) (x*h(x) without sub)
-    permute the base, and is it a CPP of the base?"""
+    verdicts (perm, cpp) per row: does x*h(x) permute the base, and is it a
+    CPP of the base?"""
     step = max(1, _ROW_CELLS // order)
     for lo in range(0, len(h_rows), step):
         coeffs = h_rows[lo : lo + step]
         hv = bt.horner(coeffs)
-        yield (coeffs, hv, *cpp_rows(bt, bt.mul_by_x(hv if sub is None else hv[:, sub])))
+        yield (coeffs, hv, *cpp_rows(bt, bt.mul_by_x(hv)))
+
+
+def _witness_blocks(bt, h_rows: np.ndarray, pow_n: np.ndarray, width: int):
+    """thm2.2's witness pass: blocks of h rows, each with a mask alive, h's
+    values on the base for the alive rows, and the verdicts (perm, cpp) per
+    row of the witness x*h(x^n).
+
+    With a width, h is first evaluated at the points x^n of the witness's
+    first width columns only; a row whose witness repeats a value there
+    neither permutes nor is a CPP, and only the other rows are alive and
+    evaluated in full. Width 0 keeps every row alive. Blocks are sized by
+    the base-width cells they touch.
+    """
+    step = max(1, _WITNESS_CELLS // bt.q)
+    for lo in range(0, len(h_rows), step):
+        coeffs = h_rows[lo : lo + step]
+        alive = np.ones(len(coeffs), dtype=bool)
+        if width:
+            alive = _distinct_rows(bt.mul_by_x(bt.horner(coeffs, pow_n[:width])))
+        hv = bt.horner(coeffs[alive])
+        perm = np.zeros(len(coeffs), dtype=bool)
+        cpp = perm.copy()
+        perm[alive], cpp[alive] = cpp_rows(bt, bt.mul_by_x(hv[:, pow_n]))
+        yield coeffs, alive, hv, perm, cpp
+
+
+def _norm_lift_verdicts(tt, hv: np.ndarray, scan: np.ndarray, lam_scaled: np.ndarray):
+    """(perm, cpp, pairs) per row of the norm lift x -> x * hv[., nor x],
+    lifted _ROW_CELLS cells at a time; pairs is the fiber criterion's
+    injectivity of x -> (nor x, lift(x)), scanned on the rows in scan only
+    and False elsewhere."""
+    perm = np.zeros(len(hv), dtype=bool)
+    cpp, pairs = perm.copy(), perm.copy()
+    step = max(1, _ROW_CELLS // tt.order)
+    for lo in range(0, len(hv), step):
+        rows = slice(lo, lo + step)
+        lifted = _lift_rows(tt, hv[rows], tt.NOR)
+        perm[rows], cpp[rows] = cpp_rows(tt, lifted)
+        hit = lo + np.flatnonzero(scan[rows])
+        if len(hit):
+            pairs[hit] = _distinct_pairs(lam_scaled, lifted[hit - lo], tt.order)
+    return perm, cpp, pairs
 
 
 def _all_h_coeffs(q: int, max_degree: int) -> np.ndarray:
@@ -265,10 +325,14 @@ def sweep_norm_lift(rep: SweepReport, max_order: int, rng, random_h: int = 100) 
     MUL; then it carries the witness onto the induced map, and the induced
     map bijects exactly when the witness permutes. A tower that fails a
     check takes the direct route for it: every row lifted in full, or the
-    induced map checked on its own. The square at x, nor(x*c) == nor(x)*c^n
-    with c = h(nor x), is one cell of the tower's norm_square_table: a row's
-    square fails exactly when hv[row, nor x] is c for one of the table's
-    failing cells (x, c).
+    induced map checked on its own. A tower that passes both needs h in
+    full only for the rows whose witness permutes, so its witness pass
+    reads a prefix first: h at x^n for the first _WITNESS_PREFIX x (every x
+    when q is no wider), and a row whose witness repeats a value there is
+    never evaluated in full. The square at x, nor(x*c) == nor(x)*c^n with
+    c = h(nor x), is one cell of the tower's norm_square_table: a row's
+    square fails exactly when h(nor x) is c for one of the table's failing
+    cells (x, c), so h is evaluated at those points only.
     """
     fiber_agree = 0
     fiber_cases = 0
@@ -289,24 +353,26 @@ def sweep_norm_lift(rep: SweepReport, max_order: int, rng, random_h: int = 100) 
         # x -> x^n carries the witness onto the induced map
         pow_ok = (bijective_rows(pow_n[None, :])[0]
                   and (pow_n[bt.MUL] == bt.MUL[pow_n[:, None], pow_n[None, :]]).all())
+        # with both, a row needs h in full only when its witness permutes,
+        # and the witness prefix rejects most of the others
+        width = min(_WITNESS_PREFIX, q) if sub_ok and pow_ok else 0
         all_h = _all_h_coeffs(q, H_DEGREE)
         rand_h = _random_h_coeffs(q, random_h, rng)
         sample_idx = set(rng.integers(0, len(all_h), size=8).tolist())
         verdicts = []  # (witness, lift) CPP verdicts of the all_h rows
         for block in (all_h, rand_h):
-            for coeffs, hv, wit_perm, wit_cpp in _h_blocks(bt, block, order, pow_n):
+            for coeffs, alive, hv, wit_perm, wit_cpp in _witness_blocks(bt, block, pow_n, width):
                 # fiber criterion with induced v -> v*h(v)^n; the pair scan
-                # only decides the conclusion when the induced map bijects
+                # only decides the conclusion when the induced map bijects.
+                # hv holds the alive rows: every row without a width, and
+                # with one every row of full = wit_perm
                 h_bij = wit_perm if pow_ok else bijective_rows(bt.mul_by_x(pow_n[hv]))
-                full = wit_perm | h_bij if sub_ok else np.ones(len(hv), dtype=bool)
-                lifted = _lift_rows(tt, hv[full], tt.NOR)
-                perm = np.zeros(len(hv), dtype=bool)
-                lift_cpp = perm.copy()
-                perm[full], lift_cpp[full] = cpp_rows(tt, lifted)
-                square_ok = (hv[:, bad_col] != bad_c).all(axis=1)
-                conclusion = h_bij.copy()
-                if h_bij.any():
-                    conclusion[h_bij] = _distinct_pairs(lam_scaled, lifted[h_bij[full]], order)
+                full = wit_perm | h_bij if sub_ok else np.ones(len(coeffs), dtype=bool)
+                perm = np.zeros(len(coeffs), dtype=bool)
+                lift_cpp, conclusion = perm.copy(), perm.copy()
+                perm[full], lift_cpp[full], conclusion[full] = _norm_lift_verdicts(
+                    tt, hv[full[alive]], h_bij[full], lam_scaled)
+                square_ok = (bt.horner(coeffs, bad_col) != bad_c).all(axis=1)
                 fiber_cases += len(coeffs)
                 fiber_ok = (conclusion == perm) & square_ok
                 fiber_agree += int(fiber_ok.sum())

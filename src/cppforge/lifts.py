@@ -48,6 +48,7 @@ from .maps import (
 )
 from .permcheck import (
     DEFAULT_EXHAUSTIVE_CAP,
+    _cap_check,
     eval_poly,
     is_complete_permutation,
     table_is_cpp,
@@ -223,6 +224,7 @@ def monomial_cpp_check(alpha, s: int, tower: TowerDesc) -> LiftResult:
     l_exp = 1 + s * npow
     _guard_expansion(w_exp + 1)
     witness = Poly.monomial(base, w_exp, a_code)
+    _cap_check(q, None)  # the witness table spans the whole base field
     wtab = [base._cmul(a_code, base._cpow(xc, w_exp)) for xc in range(q)]
     predicted = table_is_cpp(base, wtab)
 

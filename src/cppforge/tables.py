@@ -13,7 +13,8 @@ bijective_rows) look each cell up through one flat index into the raveled
 table, ADD.ravel()[a*q + b] for ADD[a, b], which costs a fraction of a
 2-D fancy index. A 2-D index raised IndexError on a code past the end of
 its row; a flat one would land silently in the next row, so each kernel
-range-checks its caller's input and raises IndexError itself.
+range-checks its caller's input (codes, Horner's points, and the width of
+a table handed to add_to_x or mul_by_x) and raises IndexError itself.
 """
 
 from __future__ import annotations
@@ -70,14 +71,19 @@ class BaseTables:
                 b = self.MUL[b, b]
         return out
 
-    def horner(self, coeffs: np.ndarray) -> np.ndarray:
-        """Row i's polynomial at every x; coeffs[i, j] is its x^j coefficient."""
+    def horner(self, coeffs: np.ndarray, points: Optional[np.ndarray] = None) -> np.ndarray:
+        """Row i's polynomial at every x, or at each of the given points in
+        their order; coeffs[i, j] is its x^j coefficient."""
         q = self.q
         _check_range(coeffs, q, "coefficient")
         add, mul = self.ADD.ravel(), self.MUL.ravel()
-        xs = np.arange(q, dtype=np.int32)
+        if points is None:
+            xs = np.arange(q, dtype=np.int32)
+        else:
+            _check_range(points, q, "point")
+            xs = np.asarray(points, dtype=np.int32)
         # start from the top coefficient (a fresh array, not a broadcast view)
-        acc = np.zeros((len(coeffs), q), dtype=np.int32)
+        acc = np.zeros((len(coeffs), len(xs)), dtype=np.int32)
         acc[:] = coeffs[:, -1:]
         for j in range(coeffs.shape[1] - 2, -1, -1):
             acc = add.take(mul.take(acc * q + xs) * q + coeffs[:, j : j + 1])
@@ -88,13 +94,17 @@ class BaseTables:
         return self._at_x(self.ADD, tab)
 
     def mul_by_x(self, tab: np.ndarray) -> np.ndarray:
-        """tab[..., x] * x rowwise, the witness map x*h(x) of a value table."""
+        """tab[..., x] * x rowwise, the witness map x*h(x) of a value table;
+        a table of the first k columns gives the map's first k columns."""
         return self._at_x(self.MUL, tab)
 
     def _at_x(self, table: np.ndarray, tab: np.ndarray) -> np.ndarray:
         _check_range(tab, self.q, "field code")
+        width = tab.shape[-1]
+        if width > self.q:
+            raise IndexError(f"{width} columns for a field of order {self.q}")
         # an int32 factor keeps a narrow tab dtype from overflowing a*q
-        return table.ravel().take(tab * np.int32(self.q) + np.arange(self.q, dtype=np.int32))
+        return table.ravel().take(tab * np.int32(self.q) + np.arange(width, dtype=np.int32))
 
 
 class TowerTables:

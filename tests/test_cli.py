@@ -159,6 +159,16 @@ def test_construct_monomial(capsys):
     assert rep["predicted_cpp"] == rep["verified_cpp"]
 
 
+def test_construct_monomial_refuses_a_base_past_the_exhaustive_cap(capsys):
+    # as construct norm-lift does: one message and exit 2, at once, where a
+    # scan of the 2^20 witness values would run for minutes
+    code, out, err = run(capsys, "construct", "monomial", "--p", "2", "--r", "20",
+                         "--n", "1", "--alpha", "2", "--s", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("cppforge: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err and "65536" in err
+
+
 def test_construct_bad_l_pairs(capsys):
     code, _, err = run(capsys, "construct", "trace-general", "--p", "2", "--r", "2",
                        "--n", "3", "--h", "[1,1]", "--a", "1", "--L", "[[1]]")

@@ -180,8 +180,8 @@ def test_prefix_width_changes_no_verdict(monkeypatch):
     # in it is a proof of non-permutation, so every width gives the same
     # reports. Width 1 rejects nothing, so every row takes the full path;
     # 64 and 256, the two widths the prefix has had, stay under test.
-    # thm2.2 reads no prefix: at every width it lifts in full exactly the
-    # rows whose witness permutes
+    # thm2.2 does not read _PREFIX: at every width it lifts in full exactly
+    # the rows whose witness permutes
     full_rows = {}
     witness_rows = {}
     real_cpp_rows = grids.cpp_rows
@@ -212,19 +212,66 @@ def test_prefix_width_changes_no_verdict(monkeypatch):
     assert full_rows[256] <= full_rows[64] < full_rows[16] < full_rows[2] < full_rows[1]
 
 
+def test_witness_prefix_width_changes_no_verdict(monkeypatch):
+    # the witness prefix only decides which thm2.2 rows have h evaluated in
+    # full: a repeat in it is a proof that the witness does not permute, so
+    # every width gives the same report. Width 1 rejects nothing; at 32, the
+    # widest base at max_order 1024, and wider, the prefix is the whole
+    # witness and only the rows whose witness permutes are evaluated in full
+    full_rows = {}
+    witness_rows = {}
+    real_horner = tables.BaseTables.horner
+    real_cpp_rows = grids.cpp_rows
+
+    def counting_horner(self, coeffs, points=None):
+        if points is None:
+            full_rows[width] += len(coeffs)
+        return real_horner(self, coeffs, points)
+
+    def counting_cpp_rows(t, tabs):
+        perm, cpp = real_cpp_rows(t, tabs)
+        if isinstance(t, tables.BaseTables):
+            witness_rows[width] += int(perm.sum())
+        return perm, cpp
+
+    monkeypatch.setattr(tables.BaseTables, "horner", counting_horner)
+    monkeypatch.setattr(grids, "cpp_rows", counting_cpp_rows)
+    reports = {}
+    widths = (1, 2, 16, 32, 64)
+    assert grids._WITNESS_PREFIX in widths
+    for width in widths:
+        full_rows[width] = witness_rows[width] = 0
+        monkeypatch.setattr(grids, "_WITNESS_PREFIX", width)
+        reports[width] = _report_json(sweep_norm_lift(max_order=1024, random_h=20))
+        assert witness_rows[width] == 1415
+    first = reports[1]
+    assert first["extras"]["fiber_agreements"] == first["cases"] == 39440
+    assert all(r == first for r in reports.values())
+    # full_rows also counts the scalar replays' single-row Horner calls,
+    # the same at every width
+    counts = [full_rows[w] for w in widths]
+    assert counts == sorted(counts, reverse=True)
+    assert full_rows[16] < first["cases"] <= full_rows[1]
+    assert full_rows[64] == full_rows[32]
+
+
 def _f1024_over_f4():
     return next(t for t in tower_grid(1024) if (t.q, t.n) == (4, 5))
 
 
-# each corruption's report as the sweep gave it before thm2.2 reused its
-# witness pass: fiber agreements, the sha256 of to_json() minus
-# elapsed_seconds, and whether F_1024/F_4 still passes the reuse checks
+# each corruption's report as the sweep gave it before the shortcut that
+# the case guards (the first five before thm2.2 reused its witness pass, the
+# two ADD cells before its witness prefix): fiber agreements, the sha256 of
+# to_json() minus elapsed_seconds, and whether F_1024/F_4 still passes the
+# reuse checks
 _CORRUPTED_REPORTS = {
     ("NOR", 700): (39390, "1f8b368019d6b6b718b857cdf71be6b3c00672ec07ca7452aa1fa21f79d5de4b", True),
     ("MEXP", 100): (39418, "3658774ad27e6a4423307615761b95640edef1abd0ffb6cab13f3245a9604b45", True),
     ("NOR", 2): (39388, "8d14a9f9388bf3b4138ed2c7cd7e02fbc46dc6c63c012bab541d34d9db236a64", False),
     ("MEXP", 0): (39420, "f458e77a6723afe294371fe9df40f7dc4362a69cc79b67cb66f4feb2893d98c6", False),
     ("MUL", (3, 0)): (39370, "37cfaca83e45b8e4d25f8a3c77e44431fcb5dac854295b92afac6ba7ad9c4941", False),
+    ("ADD", (2, 3)): (39440, "f8766678156c97790c52dcb6fe24922b09d724e70d9b47978222e20fbf36d814", True),
+    ("ADD", (3, 3)): (39440, "cf81869c3bbfae37d4d64c7316ba9544f7c97c776b6b131981cd1b9336b807f0", True),
 }
 
 
@@ -243,24 +290,33 @@ _CORRUPTED_REPORTS = {
     # base MUL[3, 0] = 0 -> 3: x -> x^5 no longer commutes with MUL either,
     # so the induced maps are checked on their own
     ("MUL", (3, 0), 3, [2, 0, 0], [3, 1, 0]),
+    # base ADD[2, 3] = 1 -> 3 and ADD[3, 3] = 0 -> 2: the reuse checks never
+    # read ADD, so every F_4 tower runs the witness prefix on the bad table.
+    # Witness and lift read the same bad h values, so every fiber verdict
+    # agrees; the first still shows as 17 witness/lift disagreements, the
+    # second only in the tallies
+    ("ADD", (2, 3), 3, None, None),
+    ("ADD", (3, 3), 2, None, None),
 ])
 def test_a_corrupted_table_still_shows(monkeypatch, name, cell, value, permuting, rejected):
-    # the witness reuse and the square table must not hide a bad cell:
-    # corrupt one cell of the cached F_1024/F_4 tables or of their base
-    # tables, and the report must be the one recorded above. Its fiber
-    # verdict fails on a permuting row and on a row that is never lifted
-    # in full, because its first q lifted values (its witness) repeat. A
-    # bad cell in the embedded F_4 or in the base tables fails the tower's
-    # reuse checks, and then every row of the tower is lifted in full
+    # the witness reuse, the witness prefix and the square table must not
+    # hide a bad cell: corrupt one cell of the cached F_1024/F_4 tables or
+    # of their base tables, and the report must be the one recorded above.
+    # Where a case names two rows, its fiber verdict fails on a permuting
+    # row and on a row that is never lifted in full, because its first q
+    # lifted values (its witness) repeat. A bad cell in the embedded F_4 or
+    # in the base MUL fails the tower's reuse checks, and then every row of
+    # the tower is lifted in full
     fiber_agreements, digest, reused = _CORRUPTED_REPORTS[name, cell]
     tower = _f1024_over_f4()
     tt = tables.tower_tables(tower)
     bt = tables.base_tables(tower.base)
-    lift = {tuple(h): grids._lift_rows(tt, bt.horner(np.array([h])), tt.NOR)
-            for h in (permuting, rejected)}
-    assert tables.bijective_rows(lift[tuple(permuting)])[0]
-    head = np.sort(lift[tuple(rejected)][0, : tower.q])
-    assert (np.diff(head) == 0).any()
+    if permuting is not None:
+        lift = {tuple(h): grids._lift_rows(tt, bt.horner(np.array([h])), tt.NOR)
+                for h in (permuting, rejected)}
+        assert tables.bijective_rows(lift[tuple(permuting)])[0]
+        head = np.sort(lift[tuple(rejected)][0, : tower.q])
+        assert (np.diff(head) == 0).any()
     lifted = []
     real_cpp_rows = grids.cpp_rows
 
@@ -270,7 +326,7 @@ def test_a_corrupted_table_still_shows(monkeypatch, name, cell, value, permuting
         return real_cpp_rows(t, tabs)
 
     monkeypatch.setattr(grids, "cpp_rows", counting_cpp_rows)
-    table = bt.MUL if name == "MUL" else getattr(tt, name)
+    table = getattr(bt if name in ("ADD", "MUL") else tt, name)
     try:
         table[cell] = value
         rep = sweep_norm_lift(max_order=1024, random_h=20)
@@ -279,8 +335,9 @@ def test_a_corrupted_table_still_shows(monkeypatch, name, cell, value, permuting
     out = _report_json(rep)
     assert out["extras"]["fiber_agreements"] == fiber_agreements
     assert hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest() == digest
-    bad = [c["h"] for c in rep.counterexamples
-           if c.get("why") == "fiber verdict" and (c["q"], c["n"]) == (4, 5)]
-    assert permuting in bad and rejected in bad
+    if permuting is not None:
+        bad = [c["h"] for c in rep.counterexamples
+               if c.get("why") == "fiber verdict" and (c["q"], c["n"]) == (4, 5)]
+        assert permuting in bad and rejected in bad
     rows = 4**3 - 1 + 20  # every nonzero h of degree <= 2, and 20 random h
     assert (sum(lifted) < rows) if reused else (sum(lifted) == rows)

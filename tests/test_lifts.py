@@ -95,6 +95,14 @@ def test_monomial_check_rejects_alpha_zero(t42):
         monomial_cpp_check(0, 1, t42)
 
 
+def test_monomial_check_refuses_a_base_past_the_exhaustive_cap():
+    # the witness table spans the whole base field, so F_(2^20) is refused
+    # before any of its 2^20 values is computed
+    tower = make_tower(make_extension(make_prime_field(2), 20), 1)
+    with pytest.raises(OrderCapExceeded):
+        monomial_cpp_check(2, 1, tower)
+
+
 # --- unconditional monomial family -------------------------------------
 
 

@@ -129,6 +129,43 @@ def test_base_shifted_maps_refuse_out_of_range_codes(bt):
             bt.add_to_x(tab)
         with pytest.raises(IndexError):
             bt.mul_by_x(tab)
+    # a column x = q has no place in a row: unchecked, 0*q + q reads row 1
+    wide = np.zeros((2, bt.q + 1), dtype=np.int32)
+    with pytest.raises(IndexError):
+        bt.add_to_x(wide)
+    with pytest.raises(IndexError):
+        bt.mul_by_x(wide)
+
+
+@pytest.fixture(scope="module", params=[(2, 2), (3, 2), (2, 6)], ids=["F4", "F9", "F64"])
+def bt_small(request):
+    p, r = request.param
+    return base_tables(make_extension(make_prime_field(p), r))
+
+
+def test_base_horner_at_points_matches_the_full_columns(bt_small):
+    q = bt_small.q
+    rng = np.random.default_rng(11)
+    coeffs = rng.integers(0, q, size=(5, 4)).astype(np.int32)
+    full = bt_small.horner(coeffs)
+    point_sets = [
+        np.arange(q), rng.permutation(q), rng.integers(0, q, size=2 * q),  # repeats
+        bt_small.pow_all(2)[: min(32, q)], np.array([q - 1, 0]), np.zeros(0, dtype=np.int32),
+    ]
+    for points in point_sets:
+        got = bt_small.horner(coeffs, points)
+        assert got.shape == (5, len(points)) and got.dtype == np.int32
+        assert np.array_equal(got, full[:, points])
+
+
+def test_base_horner_refuses_out_of_range_points(bt_small):
+    q = bt_small.q
+    # the top coefficient is 1, so unchecked, q would read MUL[2, 0] and
+    # -1 would read MUL[0, q-1]: each a code of another row of the table
+    coeffs = np.array([[0, 1], [1, 1]], dtype=np.int32)
+    for bad in (q, -1):
+        with pytest.raises(IndexError):
+            bt_small.horner(coeffs, np.array([0, bad], dtype=np.int32))
 
 
 def test_base_mul_by_x_matches_scalar(bt):
@@ -138,6 +175,9 @@ def test_base_mul_by_x_matches_scalar(bt):
     for i in range(3):
         for x in range(f.order):
             assert got[i, x] == f._cmul(int(tabs[i, x]), x)
+    # a table of the first k columns gives the map's first k columns
+    for width in (1, f.order // 2):
+        assert np.array_equal(bt.mul_by_x(tabs[:, :width]), got[:, :width])
 
 
 @pytest.fixture(scope="module", params=[(2, 2, 3), (3, 1, 3), (5, 1, 2), (2, 3, 2)])
