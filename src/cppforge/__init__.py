@@ -92,25 +92,23 @@ def __getattr__(name: str):
 def clear_caches() -> None:
     """Empty every per-process cache of the package.
 
-    That is the canonical moduli, the shared exp/log lists, the numpy
-    tables, the kernel verdicts, the sweep towers and the CLI parser. No
-    result depends on them: later calls rebuild what they need. A module
-    that is not loaded yet has nothing cached, so none is imported here.
+    That is the shared exp/log lists (fields._LOG_CACHE) and every
+    functools.lru_cache of a loaded module: the canonical moduli, the
+    numpy tables, the trace kernels, the kernel verdicts, the Lagrange
+    bases, the sweep towers and the CLI parser. No result depends on them:
+    later calls rebuild what they need. A module that is not loaded yet
+    has nothing cached, so none is imported here.
     """
     import sys
 
-    from . import fields, maps
+    from . import fields
 
-    caches = [fields._MODULUS_CACHE, fields._LOG_CACHE, maps._KERNEL_VERDICTS]
-    tables, grids, cli = (sys.modules.get(f"{__name__}.{m}") for m in ("tables", "grids", "cli"))
-    if tables is not None:
-        caches += [tables._BASE_CACHE, tables._TOWER_CACHE]
-    if grids is not None:
-        caches.append(grids._TOWERS)
-    for cache in caches:
-        cache.clear()
-    if cli is not None:
-        cli._build_parser.cache_clear()
+    fields._LOG_CACHE.clear()
+    for name, module in list(sys.modules.items()):
+        if name.startswith(f"{__name__}."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 __all__ = [

@@ -26,6 +26,7 @@ same field always agree.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -185,7 +186,6 @@ class FieldDesc:
         self._red_rows = self._make_red_rows() if degree > 1 else None
         self._exp = None
         self._log = None
-        self._lagrange_cache = None
         # the class is part of the key: flat F_8 and the tower F_8/F_2 differ;
         # the hash uses ints only, so it is the same in every process
         self._key = (type(self), p, sub, degree, modulus)
@@ -437,7 +437,6 @@ class TowerDesc(FieldDesc):
         self.n = n
         self.q = base.q
         self._set_level(base.p, base, n, tuple(int(c) for c in modulus))
-        self._kernel_cache = None
 
     def _coeff_code(self, c) -> int:
         return _code_in(self.base, c, "tower coefficients")
@@ -447,7 +446,7 @@ class TowerDesc(FieldDesc):
         if isinstance(x, FieldElement) and x.home == self:
             return x
         if not isinstance(x, FieldElement) or x.home != self.base:
-            raise FieldMismatch(f"{x!r} is not an element of the base field {self.base!r}")
+            raise FieldMismatch(f"{x!r} lives in neither {self!r} nor {self.base!r}")
         return FieldElement(self, x.code)
 
     def to_base(self, x: FieldElement) -> FieldElement:
@@ -587,19 +586,19 @@ def _poly_is_irreducible(home: FieldDesc, m: Sequence[int]) -> bool:
     return True
 
 
-_MODULUS_CACHE: dict[tuple[str, int], tuple[int, ...]] = {}
+# the seven default sweeps in one process ask for 57 distinct moduli
+_MODULUS_CACHE_SIZE = 128
 
 
+@functools.lru_cache(maxsize=_MODULUS_CACHE_SIZE)
 def _canonical_modulus(home: FieldDesc, degree: int) -> tuple[int, ...]:
     """First irreducible monic in ascending code order, c_0 fastest.
 
-    The scan is deterministic in (home, degree), so results are memoized;
-    repeated tower construction otherwise dominates workloads that build
-    the same field in a loop.
+    The scan is deterministic in (home, degree), so results are memoized
+    per equal field, up to _MODULUS_CACHE_SIZE of them; repeated tower
+    construction otherwise dominates workloads that build the same field
+    in a loop.
     """
-    key = (home.descriptor(), degree)
-    if key in _MODULUS_CACHE:
-        return _MODULUS_CACHE[key]
     order = home.order
     for k in range(order**degree):
         cs = []
@@ -609,7 +608,6 @@ def _canonical_modulus(home: FieldDesc, degree: int) -> tuple[int, ...]:
             cs.append(c)
         m = cs + [1]
         if _poly_is_irreducible(home, m):
-            _MODULUS_CACHE[key] = tuple(m)
             return tuple(m)
     raise AssertionError(f"no irreducible of degree {degree} found")
 

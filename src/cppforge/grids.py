@@ -33,6 +33,7 @@ sound tables have no failing cell.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field as dc_field
@@ -77,15 +78,14 @@ _PREFIX = 64
 # the three ran within noise of each other, and 64 ran 0.1 s slower
 _WITNESS_PREFIX = 32
 
-_TOWERS: dict[tuple[int, int, int], TowerDesc] = {}
+# the seven default sweeps in one process walk 57 distinct towers
+_TOWERS_SIZE = 64
 
 
+@functools.lru_cache(maxsize=_TOWERS_SIZE)
 def _tower(p: int, r: int, n: int) -> TowerDesc:
-    key = (p, r, n)
-    if key not in _TOWERS:
-        base = make_prime_field(p) if r == 1 else make_extension(make_prime_field(p), r)
-        _TOWERS[key] = make_tower(base, n)
-    return _TOWERS[key]
+    base = make_prime_field(p) if r == 1 else make_extension(make_prime_field(p), r)
+    return make_tower(base, n)
 
 
 def _primes_upto(m: int) -> list[int]:

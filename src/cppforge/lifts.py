@@ -44,7 +44,6 @@ from .maps import (
     ppoly_quotient_eval,
     require_norm_coprime,
     trace_code,
-    trace_kernel,
 )
 from .permcheck import (
     DEFAULT_EXHAUSTIVE_CAP,
@@ -131,16 +130,10 @@ class LiftResult:
         return self._lifted
 
     def evaluate(self, x: FieldElement) -> FieldElement:
-        if isinstance(x, FieldElement) and x.home == self.tower.base:
-            x = self.tower.embed(x)
-        if not isinstance(x, FieldElement) or x.home != self.tower:
-            raise FieldMismatch(f"{x!r} does not live in {self.tower!r}")
-        return FieldElement(self.tower, self._map_code(x.code))
+        return FieldElement(self.tower, self._map_code(self.tower.embed(x).code))
 
     def map_table(self, cap: Optional[int] = None) -> list[int]:
-        limit = DEFAULT_EXHAUSTIVE_CAP if cap is None else cap
-        if self.tower.order > limit:
-            raise OrderCapExceeded(self.tower.order, limit)
+        _cap_check(self.tower.order, cap)
         f = self._map_code
         return [f(xc) for xc in range(self.tower.order)]
 
@@ -414,7 +407,7 @@ def trace_lift_general(h: Poly, L: PPoly, a, tower: TowerDesc) -> LiftResult:
     base = tower.base
     q = tower.q
     a_inv = base._cinv(a_code)
-    kernel_trivial = len(trace_kernel(tower)) == 1
+    kernel_trivial = tower.n == 1  # ker(tr) has q^(n-1) elements
     verdict_cache: dict[int, bool] = {}
 
     def kernel_ok(theta: int) -> bool:

@@ -13,6 +13,7 @@ kernel, which is what the kernel-permutation criterion speaks about.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
@@ -76,22 +77,31 @@ def rel_norm(x: FieldElement) -> FieldElement:
     return _down(tower, tower._cpow(x.code, norm_exponent(tower)))
 
 
-def trace_kernel(tower: TowerDesc) -> tuple[FieldElement, ...]:
-    """All trace-zero elements in ascending code order (memoized per tower).
+# towers whose trace kernels are kept, each kernel of q^(n-1) elements. The
+# seven default sweeps in one process and the cli_session draw each ask for
+# 22 kernels; a bound below 20 rebuilds some of them in one or the other.
+_KERNEL_CACHE_SIZE = 24
+# (L, shift) verdicts kept; the seven default sweeps in one process ask for
+# 375 and the cli_session draw for 42
+_VERDICT_CACHE_SIZE = 1024
 
-    The kernel is an F_q-subspace of size exactly q^(n-1); that count is
-    asserted rather than assumed.
+
+@functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def trace_kernel(tower: TowerDesc) -> tuple[FieldElement, ...]:
+    """All trace-zero elements in ascending code order.
+
+    Memoized per equal tower, for the last _KERNEL_CACHE_SIZE towers asked
+    for. The kernel is an F_q-subspace of size exactly q^(n-1); that count
+    is asserted rather than assumed.
     """
-    if tower._kernel_cache is None:
-        tr = [trace_code(tower, xc) for xc in range(tower.order)]
-        check_in_base(tower, tr)
-        ker = tuple(FieldElement(tower, xc) for xc, t in enumerate(tr) if t == 0)
-        if len(ker) != tower.q ** (tower.n - 1):
-            raise AssertionError(
-                f"kernel size {len(ker)} != q^(n-1) = {tower.q ** (tower.n - 1)}"
-            )
-        tower._kernel_cache = ker
-    return tower._kernel_cache
+    tr = [trace_code(tower, xc) for xc in range(tower.order)]
+    check_in_base(tower, tr)
+    ker = tuple(FieldElement(tower, xc) for xc, t in enumerate(tr) if t == 0)
+    if len(ker) != tower.q ** (tower.n - 1):
+        raise AssertionError(
+            f"kernel size {len(ker)} != q^(n-1) = {tower.q ** (tower.n - 1)}"
+        )
+    return ker
 
 
 class PPoly:
@@ -174,10 +184,7 @@ class PPoly:
 def ppoly_eval(L: PPoly, x: FieldElement) -> FieldElement:
     """L(x), walking the Frobenius chain x, x^p, x^(p^2), ..."""
     tower = L.tower
-    if isinstance(x, FieldElement) and x.home == tower.base:
-        x = tower.embed(x)
-    if not isinstance(x, FieldElement) or x.home != tower:
-        raise FieldMismatch(f"{x!r} does not live in {tower!r}")
+    x = tower.embed(x)
     p = tower.p
     acc = 0
     cur = x.code
@@ -203,8 +210,7 @@ def ppoly_quotient(L: PPoly) -> Poly:
 def ppoly_quotient_eval(L: PPoly, x: FieldElement) -> FieldElement:
     """A(x) without expanding A: L(x)/x for x != 0, and A(0) = a_0."""
     tower = L.tower
-    if isinstance(x, FieldElement) and x.home == tower.base:
-        x = tower.embed(x)
+    x = tower.embed(x)
     if x.code == 0:
         return FieldElement(tower, L.coefficient(0).code)
     y = ppoly_eval(L, x)
@@ -230,10 +236,13 @@ def ppoly_permutes_kernel(
     theta = 0
     if shift is not None:
         theta = shift.code if isinstance(shift, FieldElement) else int(shift)
-    key = (L, theta)
-    cached = _KERNEL_VERDICTS.get(key)
-    if cached is not None:
-        return cached
+    return _permutes_kernel(L, theta)
+
+
+@functools.lru_cache(maxsize=_VERDICT_CACHE_SIZE)
+def _permutes_kernel(L: PPoly, theta: int) -> bool:
+    """ppoly_permutes_kernel on L's own tower with the shift code theta."""
+    tower = L.tower
     kernel = trace_kernel(tower)
     seen = set()
     for x in kernel:
@@ -243,13 +252,7 @@ def ppoly_permutes_kernel(
         if trace_code(tower, y) != 0:
             raise MapEscapesKernel(x.code, y)
         seen.add(y)
-    out = len(seen) == len(kernel)
-    if len(_KERNEL_VERDICTS) < 1 << 16:
-        _KERNEL_VERDICTS[key] = out
-    return out
-
-
-_KERNEL_VERDICTS: dict = {}
+    return len(seen) == len(kernel)
 
 
 @dataclass(frozen=True)

@@ -142,12 +142,18 @@ def _as_table(home, f, what: str) -> list[int]:
         if f.home != home:
             raise FieldMismatch(f"{what} polynomial lives over {f.home!r}, expected {home!r}")
         return value_table(f, cap=home.order)
-    tab = [int(v) for v in f]
-    if len(tab) != home.order:
-        raise BadTableLength(len(tab), home.order)
+    return _code_table(home.order, f)
+
+
+def _code_table(order: int, values) -> list[int]:
+    """values as a list of codes below order: BadTableLength unless there are
+    order of them, OutOfRange for a code outside the field."""
+    tab = [int(v) for v in values]
+    if len(tab) != order:
+        raise BadTableLength(len(tab), order)
     for v in tab:
-        if not 0 <= v < home.order:
-            raise OutOfRange(v, home.order)
+        if not 0 <= v < order:
+            raise OutOfRange(v, order)
     return tab
 
 

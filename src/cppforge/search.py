@@ -14,19 +14,18 @@ inverse of n mod (q-1), then proves the rewrite by exhaustive comparison.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .errors import (
-    BadTableLength,
-    OutOfRange,
     PreconditionViolated,
     ReconstructionMismatch,
     SearchCapExceeded,
 )
 from .fields import FieldDesc, Poly
 from .maps import require_norm_coprime
-from .permcheck import eval_poly
+from .permcheck import _code_table, eval_poly
 
 SEARCH_CAP_Q = 11
 BRUTE_CAP_Q = 9
@@ -48,37 +47,36 @@ class CompleteMapping:
         }
 
 
+# fields whose bases are kept; the cli_session draw interpolates over 6
+_LAGRANGE_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_LAGRANGE_CACHE_SIZE)
 def _lagrange_basis(home):
-    """Cached basis polynomials: basis[a] interpolates the indicator of a.
+    """Basis polynomials, memoized per equal field: basis[a] interpolates
+    the indicator of a.
 
     Over any finite field the master polynomial is x^q - x with constant
     derivative -1, so basis[a] = -(x^q - x)/(x - a), computed by synthetic
     division in O(q) per point.
     """
-    if home._lagrange_cache is None:
-        q = home.order
-        bases = []
-        for a in range(q):
-            cs = [0] * q
-            cs[q - 1] = 1
-            for i in range(q - 2, 0, -1):
-                cs[i] = home._cmul(cs[i + 1], a)
-            if q >= 2:
-                cs[0] = home._csub(home._cmul(cs[1], a), 1)
-            bases.append([home._cneg(c) for c in cs])
-        home._lagrange_cache = bases
-    return home._lagrange_cache
+    q = home.order
+    bases = []
+    for a in range(q):
+        cs = [0] * q
+        cs[q - 1] = 1
+        for i in range(q - 2, 0, -1):
+            cs[i] = home._cmul(cs[i + 1], a)
+        if q >= 2:
+            cs[0] = home._csub(home._cmul(cs[1], a), 1)
+        bases.append([home._cneg(c) for c in cs])
+    return bases
 
 
 def lagrange_interpolate(field, table) -> Poly:
     """The unique polynomial of degree < q hitting table[i] at decode(i)."""
     q = field.order
-    tab = [int(v) for v in table]
-    if len(tab) != q:
-        raise BadTableLength(len(tab), q)
-    for v in tab:
-        if not 0 <= v < q:
-            raise OutOfRange(v, q)
+    tab = _code_table(q, table)
     bases = _lagrange_basis(field)
     out = [0] * q
     for a, v in enumerate(tab):

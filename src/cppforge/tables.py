@@ -19,6 +19,7 @@ a table handed to add_to_x or mul_by_x) and raises IndexError itself.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -123,7 +124,6 @@ class TowerTables:
         "TR",
         "NOR",
         "KERNEL",
-        "_scale_rows",
         "_half_add",
     )
 
@@ -178,7 +178,6 @@ class TowerTables:
         self.KERNEL = np.flatnonzero(self.TR == 0).astype(np.int64)
         if len(self.KERNEL) != self.q ** (self.n - 1):
             raise AssertionError("trace kernel has the wrong size")
-        self._scale_rows = {}
 
     # -- arithmetic on index arrays -------------------------------------
 
@@ -209,13 +208,8 @@ class TowerTables:
         return self.pow_map(np.arange(self.order, dtype=np.int64), e)
 
     def scale_row(self, b: int) -> np.ndarray:
-        """embed(b) * x for every x; rows cached per base code b."""
-        row = self._scale_rows.get(b)
-        if row is None:
-            xs = np.arange(self.order, dtype=np.int64)
-            row = self.mul(np.full(self.order, b, dtype=np.int64), xs)
-            self._scale_rows[b] = row
-        return row
+        """embed(b) * x for every x."""
+        return self.MEXP[self.LOG[b] + self.LOG]
 
     def norm_square_table(self) -> np.ndarray:
         """S[x, c] = (nor(x*c) == nor(x) * c^n) for every tower x and base c:
@@ -258,19 +252,17 @@ def cpp_rows(t, tabs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perm, cpp
 
 
-_BASE_CACHE: dict[str, BaseTables] = {}
-_TOWER_CACHE: dict[str, TowerTables] = {}
+# distinct keys of the seven default sweeps in one process: 27 base fields
+# and 57 towers
+_BASE_TABLES_SIZE = 32
+_TOWER_TABLES_SIZE = 64
 
 
+@functools.lru_cache(maxsize=_BASE_TABLES_SIZE)
 def base_tables(field: FieldDesc) -> BaseTables:
-    key = field.descriptor()
-    if key not in _BASE_CACHE:
-        _BASE_CACHE[key] = BaseTables(field)
-    return _BASE_CACHE[key]
+    return BaseTables(field)
 
 
+@functools.lru_cache(maxsize=_TOWER_TABLES_SIZE)
 def tower_tables(tower: TowerDesc) -> TowerTables:
-    key = tower.descriptor()
-    if key not in _TOWER_CACHE:
-        _TOWER_CACHE[key] = TowerTables(tower, base_tables(tower.base))
-    return _TOWER_CACHE[key]
+    return TowerTables(tower, base_tables(tower.base))

@@ -10,12 +10,13 @@ deliberate, ledgered decision.
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from cppforge import REGISTRY, SweepReport, clear_caches, norm_lift_pairs, tower_grid
-from cppforge import fields, grids, maps, tables
+from cppforge import cli, fields, grids, maps, tables
 from cppforge.grids import (
     DEFAULT_SEED,
     sweep_kernel_binomials,
@@ -150,13 +151,31 @@ def test_clear_caches_changes_no_report():
             del out[token]["elapsed_seconds"]
         return out
 
+    def sizes():
+        memos = (fields._canonical_modulus, tables.base_tables, tables.tower_tables,
+                 maps.trace_kernel, maps._permutes_kernel, grids._tower)
+        return [len(fields._LOG_CACHE)] + [m.cache_info().currsize for m in memos]
+
     first = reports()
     clear_caches()
-    caches = (fields._MODULUS_CACHE, fields._LOG_CACHE, tables._BASE_CACHE,
-              tables._TOWER_CACHE, maps._KERNEL_VERDICTS, grids._TOWERS)
-    assert not any(caches)
+    assert not any(sizes())
     assert reports() == first
-    assert all(caches)
+    assert all(sizes())
+
+
+def test_every_cleared_cache_is_bounded():
+    # every memo clear_caches() empties, bar the one-entry CLI parser, keeps
+    # a fixed number of entries (fields._LOG_CACHE is bounded by cells)
+    sweep_trace_general(max_order=64)
+    memos = {value for name, module in sys.modules.items() if name.startswith("cppforge.")
+             for value in vars(module).values() if hasattr(value, "cache_clear")}
+    assert {m.__name__ for m in memos} == {"_canonical_modulus", "base_tables", "tower_tables",
+                                           "trace_kernel", "_permutes_kernel", "_lagrange_basis",
+                                           "_tower", "_build_parser"}
+    for memo in memos - {cli._build_parser}:
+        assert memo.cache_info().maxsize is not None, memo.__name__
+    clear_caches()
+    assert not any(m.cache_info().currsize for m in memos)
 
 
 def test_seed_changes_random_draws_but_not_cleanliness():

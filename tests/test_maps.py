@@ -202,3 +202,13 @@ def test_rel_trace_rejects_plain_field_elements():
     f = make_extension(make_prime_field(2), 2)
     with pytest.raises(FieldMismatch):
         rel_trace(FieldElement(f, 1))
+
+
+def test_ppoly_evaluators_refuse_foreign_arguments():
+    # zero of an unrelated field, and a bare int code, are not tower elements
+    L = PPoly.monomial(make_tower(make_prime_field(2), 3), 1)
+    foreign_zero = FieldElement(make_tower(make_prime_field(3), 2), 0)
+    for fn in (ppoly_eval, ppoly_quotient_eval):
+        for x in (foreign_zero, 0):
+            with pytest.raises(FieldMismatch):
+                fn(L, x)

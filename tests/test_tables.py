@@ -351,3 +351,23 @@ def test_table_caches_return_same_object():
     assert base_tables(f) is base_tables(make_extension(make_prime_field(3), 2))
     tw = make_tower(f, 2)
     assert tower_tables(tw) is tower_tables(make_tower(f, 2))
+    # the caches key on field equality, so equal towers built apart share
+    other = make_tower(make_extension(make_prime_field(3), 2), 2)
+    assert other is not tw and other == tw
+    assert tower_tables(other) is tower_tables(tw)
+    assert trace_kernel(other) is trace_kernel(tw)
+
+
+def test_tower_tables_cache_stays_at_its_bound():
+    # F_13 has 78 monic irreducible quadratics, each a distinct tower
+    f13 = make_prime_field(13)
+    towers = []
+    for b in range(13):
+        for c in range(13):
+            if all((x * x + b * x + c) % 13 for x in range(13)):
+                towers.append(make_tower(f13, 2, [c, b, 1]))
+    bound = tower_tables.cache_info().maxsize
+    assert len(set(towers)) == 78 > bound
+    for tw in towers:
+        assert tower_tables(tw).tower == tw
+    assert tower_tables.cache_info().currsize == bound
