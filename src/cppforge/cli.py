@@ -257,19 +257,21 @@ def cmd_construct(args) -> int:
         )
     elif kind == "monomial":
         tower = _tower_from(args)
-        res = monomial_cpp_check(_require(args, "--alpha"), _require(args, "--s"), tower)
+        res = monomial_cpp_check(_require(args, "--alpha"), _require(args, "--s"), tower, cap)
     else:
         tower = _tower_from(args)
         h = Poly(tower.base, _int_list(_require(args, "--h"), "--h"))
         if kind == "norm-lift":
-            res = norm_lift(h, tower)
+            res = norm_lift(h, tower, cap)
         elif kind == "trace-simple":
-            res = trace_lift_simple(h, tower)
+            res = trace_lift_simple(h, tower, cap)
         elif kind == "trace-general":
             L = PPoly(tower, _pair_list(_require(args, "--L"), "--L"))
-            res = trace_lift_general(h, L, _require(args, "--a"), tower)
+            res = trace_lift_general(h, L, _require(args, "--a"), tower, cap)
         else:
-            res = trace_lift_binomial(h, _require(args, "--k"), _require(args, "--a"), tower)
+            res = trace_lift_binomial(
+                h, _require(args, "--k"), _require(args, "--a"), tower, cap
+            )
     report = {"command": "construct", **res.to_json(cap)}
     _emit(args, report)
     pred, ver = report["predicted_cpp"], report["verified_cpp"]

@@ -11,12 +11,15 @@ are what the CLI prints and what value tables store.
 One class, FieldDesc, models every level: degree d above a subfield, with
 the prime field as the base case. Its convolution over the subfield
 (_mul_vec) defines multiplication; levels of order up to _LOG_TABLE_MAX
-use exp/log lists derived from it, which tables.py also reuses. The lists
-are built lazily, on a level's first multiply, and shared per field: one
-module cache keyed by descriptor() serves every instance of the same
-field, so a field rebuilt per call (as the CLI does) builds them once per
-process. The cache is bounded by _LOG_CACHE_CELLS and evicts its oldest
-entry first.
+use exp/log lists derived from it, which tables.py also reuses. The
+convolution fills two half-width tables of products by the generator, one
+for each half of a code's digits; each power of the generator is then one
+code addition of two entries (see _build_log_tables). The lists are built
+lazily, on a level's first multiply, and shared per field: one module
+cache keyed by descriptor() serves every instance of the same field, so a
+field rebuilt per call (as the CLI does) builds them once per process.
+The cache is bounded by _LOG_CACHE_CELLS and evicts its oldest entry
+first.
 
 Moduli, when not supplied, are chosen canonically: candidate coefficient
 tuples are scanned in ascending code order (constant coefficient varying
@@ -271,11 +274,13 @@ class FieldDesc:
         """(exp, log) with exp[j] = g^j for the smallest-code generator g,
         log[exp[j]] = j and log[0] = -1.
 
-        Built from the convolution on first use, never by the constructor,
-        and shared through the module cache: an equal field (same
-        descriptor()) built later reuses the same lists. The cache holds at
-        most _LOG_CACHE_CELLS codes in all and drops its oldest field first.
-        None when the order exceeds _LOG_TABLE_MAX.
+        Built from the convolution on first use, never by the constructor:
+        about 2*sqrt(order) convolutions fill two half-width product tables,
+        and each power follows by one code addition. Shared through the
+        module cache: an equal field (same descriptor()) built later reuses
+        the same lists. The cache holds at most _LOG_CACHE_CELLS codes in all
+        and drops its oldest field first. None when the order exceeds
+        _LOG_TABLE_MAX.
         """
         if self._exp is None:
             if self.order > _LOG_TABLE_MAX:
@@ -293,19 +298,35 @@ class FieldDesc:
         return self._exp, self._log
 
     def _build_log_tables(self) -> tuple[list[int], list[int]]:
-        """The powers of the generator by the convolution, and their logs."""
+        """The powers of the generator g, and their logs.
+
+        Digit addition never carries, so a code c splits at lo =
+        radix^ceil(d/2) into c % lo and (c // lo) * lo, and by the
+        distributive law c*g = (c % lo)*g + (c // lo * lo)*g. The two
+        half-width product tables, low[v] = v*g and high[v] = (v*lo)*g, are
+        built by the convolution (about 2*sqrt(order) products); each power
+        then costs one code addition.
+        """
         m = self.order - 1
         g = self._vec(self._find_generator())
+        lo = self._radix ** ((self._deg + 1) // 2)
+        low = [self._codeof(self._mul_vec(self._vec(v), g)) for v in range(lo)]
+        high = [
+            self._codeof(self._mul_vec(self._vec(v * lo), g)) for v in range(self.order // lo)
+        ]
+        add = self._cadd
         exp = [0] * m
         log = [-1] * self.order
-        acc = self._vec(1)
+        c = 1
         for j in range(m):
-            c = self._codeof(acc)
             exp[j] = c
             log[c] = j
-            acc = self._mul_vec(acc, g)
-        if self._codeof(acc) != 1:
+            c = add(low[c % lo], high[c // lo])
+        if c != 1:
             raise AssertionError("generator order mismatch while building tables")
+        # g^m = 1 holds for every nonzero g; only a generator reaches every code
+        if -1 in log[1:]:
+            raise AssertionError("generator does not reach every nonzero code")
         return exp, log
 
     # -- code arithmetic -------------------------------------------------

@@ -168,19 +168,19 @@ class LiftResult:
 # ---------------------------------------------------------------------------
 
 
-def norm_lift(h: Poly, tower: TowerDesc) -> LiftResult:
+def norm_lift(h: Poly, tower: TowerDesc, cap: Optional[int] = None) -> LiftResult:
     """Lift h to x*h(nor(x)) on the tower; witness is x*h(x^n) on the base.
 
     The two CPP statuses are equivalent whenever gcd(n, q-1) = 1;
-    predicted_cpp is the witness's exhaustive status.
+    predicted_cpp is the witness's exhaustive status, scanned under cap.
     """
     h = _base_poly(h, tower)
     n = tower.n
     require_norm_coprime(tower.q, n)
     npow = norm_exponent(tower)
     witness = h.substitute_monomial(n).shift(1)
-    predicted = is_complete_permutation(witness).both
-    htab = value_table(h)
+    predicted = is_complete_permutation(witness, cap).both
+    htab = value_table(h, cap)
 
     def f(xc: int) -> int:
         nor = tower._cpow(xc, npow)  # lands in the embedded base field
@@ -202,8 +202,11 @@ def norm_lift(h: Poly, tower: TowerDesc) -> LiftResult:
     )
 
 
-def monomial_cpp_check(alpha, s: int, tower: TowerDesc) -> LiftResult:
-    """The monomial alpha*x^(1+s*(q^n-1)/(q-1)) with witness alpha*x^(1+n*s)."""
+def monomial_cpp_check(alpha, s: int, tower: TowerDesc, cap: Optional[int] = None) -> LiftResult:
+    """The monomial alpha*x^(1+s*(q^n-1)/(q-1)) with witness alpha*x^(1+n*s).
+
+    The witness is scanned over the whole base field, under cap.
+    """
     if not isinstance(s, int) or s < 0:
         raise PreconditionViolated("s >= 0", f"got {s!r}")
     q, n = tower.q, tower.n
@@ -217,7 +220,7 @@ def monomial_cpp_check(alpha, s: int, tower: TowerDesc) -> LiftResult:
     l_exp = 1 + s * npow
     _guard_expansion(w_exp + 1)
     witness = Poly.monomial(base, w_exp, a_code)
-    _cap_check(q, None)  # the witness table spans the whole base field
+    _cap_check(q, cap)  # the witness table spans the whole base field
     wtab = [base._cmul(a_code, base._cpow(xc, w_exp)) for xc in range(q)]
     predicted = table_is_cpp(base, wtab)
 
@@ -316,8 +319,11 @@ def cppeg_construct(e: int, t: int, k: int, alpha) -> LiftResult:
 # ---------------------------------------------------------------------------
 
 
-def trace_lift_simple(h: Poly, tower: TowerDesc) -> LiftResult:
-    """Lift h to x*h(tr(x)); witness is x*h(x). Needs h(0) outside {0, -1}."""
+def trace_lift_simple(h: Poly, tower: TowerDesc, cap: Optional[int] = None) -> LiftResult:
+    """Lift h to x*h(tr(x)); witness is x*h(x), scanned under cap.
+
+    Needs h(0) outside {0, -1}.
+    """
     h = _base_poly(h, tower)
     base = tower.base
     h0 = h.coefficient(0).code
@@ -327,9 +333,9 @@ def trace_lift_simple(h: Poly, tower: TowerDesc) -> LiftResult:
             "h(0) not in {0, -1}", f"h(0) = {h0} (note -1 encodes as {minus_one})"
         )
     witness = h.shift(1)
-    predicted = is_complete_permutation(witness).both
+    predicted = is_complete_permutation(witness, cap).both
     q = tower.q
-    htab = value_table(h)
+    htab = value_table(h, cap)
 
     def f(xc: int) -> int:
         return tower._cmul(xc, htab[trace_code(tower, xc)])
@@ -350,7 +356,9 @@ def trace_lift_simple(h: Poly, tower: TowerDesc) -> LiftResult:
     )
 
 
-def general_trace_map(h: Poly, L: PPoly, a, tower: TowerDesc) -> Callable[[int], int]:
+def general_trace_map(
+    h: Poly, L: PPoly, a, tower: TowerDesc, cap: Optional[int] = None
+) -> Callable[[int], int]:
     """Pointwise x -> x*H(x) with H(x) = h(tr x) + a*A(tr x) - a*A(x).
 
     No hypothesis checking happens here; the proof identity
@@ -361,7 +369,7 @@ def general_trace_map(h: Poly, L: PPoly, a, tower: TowerDesc) -> Callable[[int],
     if L.tower != tower:
         raise FieldMismatch("L belongs to a different tower")
     a_code = _code_in(tower.base, a, "a")
-    htab = value_table(h)
+    htab = value_table(h, cap)
     # A(t) for t in the embedded base field: embed(t) has code t
     atab = [ppoly_quotient_eval(L, FieldElement(tower, t)).code for t in range(tower.q)]
 
@@ -376,13 +384,13 @@ def general_trace_map(h: Poly, L: PPoly, a, tower: TowerDesc) -> Callable[[int],
 
 
 def _proof_identity_holds(
-    h: Poly, tower: TowerDesc, f: Callable[[int], int], cap: int
+    h: Poly, tower: TowerDesc, f: Callable[[int], int], cap: Optional[int]
 ) -> Optional[bool]:
     """Check tr(f(x)) = tr(x)*h(tr(x)) over the whole tower (None above cap)."""
-    if tower.order > cap:
+    if tower.order > (DEFAULT_EXHAUSTIVE_CAP if cap is None else cap):
         return None
     base = tower.base
-    htab = value_table(h)
+    htab = value_table(h, cap)
     for xc in range(tower.order):
         t = trace_code(tower, xc)
         if trace_code(tower, f(xc)) != base._cmul(t, htab[t]):
@@ -390,13 +398,17 @@ def _proof_identity_holds(
     return True
 
 
-def trace_lift_general(h: Poly, L: PPoly, a, tower: TowerDesc) -> LiftResult:
+def trace_lift_general(
+    h: Poly, L: PPoly, a, tower: TowerDesc, cap: Optional[int] = None
+) -> LiftResult:
     """Lift via H(x) = h(tr x) + a*A(tr x) - a*A(x); witness is x*h(x).
 
     The kernel hypothesis is verified exhaustively before anything is
     built: for every b in F_q both maps L(x) - (h(b)/a + A(b))x and
     L(x) - ((h(b)+1)/a + A(b))x must permute ker(tr). The first failure
-    raises HypothesisFails naming b and which of the two maps broke.
+    raises HypothesisFails naming b and which of the two maps broke. The
+    witness scan on the base and the proof identity on the tower run under
+    cap.
     """
     h = _base_poly(h, tower)
     if L.tower != tower:
@@ -432,9 +444,9 @@ def trace_lift_general(h: Poly, L: PPoly, a, tower: TowerDesc) -> LiftResult:
             raise HypothesisFails(b, 1)
 
     witness = h.shift(1)
-    predicted = is_complete_permutation(witness).both
-    f = general_trace_map(h, L, a_code, tower)
-    identity = _proof_identity_holds(h, tower, f, DEFAULT_EXHAUSTIVE_CAP)
+    predicted = is_complete_permutation(witness, cap).both
+    f = general_trace_map(h, L, a_code, tower, cap)
+    identity = _proof_identity_holds(h, tower, f, cap)
 
     def expand() -> Poly:
         apoly = ppoly_quotient(L)
@@ -461,7 +473,9 @@ def trace_lift_general(h: Poly, L: PPoly, a, tower: TowerDesc) -> LiftResult:
     )
 
 
-def trace_lift_binomial(h: Poly, k: int, a, tower: TowerDesc) -> LiftResult:
+def trace_lift_binomial(
+    h: Poly, k: int, a, tower: TowerDesc, cap: Optional[int] = None
+) -> LiftResult:
     """The L = x^(p^k) specialization of the general trace lift.
 
     Arithmetic conditions gcd(k, n) = 1, p not dividing n, and
@@ -489,7 +503,7 @@ def trace_lift_binomial(h: Poly, k: int, a, tower: TowerDesc) -> LiftResult:
         raise PreconditionViolated("a != 0")
     # x^(p^k) and x^(p^(k mod rn)) are the same map on the tower
     L = PPoly.monomial(tower, k % tower.full_degree)
-    inner = trace_lift_general(h, L, a_code, tower)
+    inner = trace_lift_general(h, L, a_code, tower, cap)
     return LiftResult(
         construction="trace-binomial",
         tower=tower,

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from cppforge import cli, clear_caches
+from cppforge import cli, clear_caches, permcheck
 from cppforge.cli import main
 
 
@@ -167,6 +167,32 @@ def test_construct_monomial_refuses_a_base_past_the_exhaustive_cap(capsys):
     assert code == 2 and out == ""
     assert err.startswith("cppforge: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err and "65536" in err
+
+
+CAPPED_CONSTRUCTS = [
+    "norm-lift --p 2 --r 2 --n 2 --h [2]",
+    "monomial --p 2 --r 2 --n 2 --alpha 2 --s 1",
+    "trace-simple --p 2 --r 2 --n 3 --h [2]",
+    "trace-general --p 2 --r 2 --n 3 --h [1,1] --L [[1,1]] --a 1",
+    "trace-binomial --p 2 --r 2 --n 3 --h [2,1] --k 1 --a 1",
+]
+
+
+@pytest.mark.parametrize("call", CAPPED_CONSTRUCTS)
+def test_construct_cap_governs_the_base_field_scan(capsys, monkeypatch, call):
+    # with the default cap below the base field F_4, only the cap the user
+    # passes decides whether the witness scan runs
+    argv = ["construct", *call.split(), "--reproducible"]
+    want = run(capsys, *argv)
+    assert want[0] == 0
+    monkeypatch.setattr(permcheck, "DEFAULT_EXHAUSTIVE_CAP", 2)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "order 4 exceeds cap 2" in err
+    assert run(capsys, *argv, "--cap", "64") == want
+    code, out, err = run(capsys, *argv, "--cap", "3")
+    assert code == 2 and out == "" and "order 4 exceeds cap 3" in err
+    monkeypatch.setenv(cli.CAP_ENV, "64")
+    assert run(capsys, *argv) == want
 
 
 def test_construct_bad_l_pairs(capsys):

@@ -244,6 +244,91 @@ def test_log_tables_match_convolution_sampled_up_to_4096():
         _check_ops_against_convolution(tw, pairs, powers)
 
 
+def test_log_tables_match_convolution_sampled_on_the_largest_tabled_fields(log_cache, f2, f3):
+    # orders at _LOG_TABLE_MAX scale: F_65536 over F_2 and over F_256, F_59049/F_3
+    rng = random.Random(1 << 16)
+    for tw in (make_tower(f2, 16), make_tower(make_extension(f2, 8), 2), make_tower(f3, 10)):
+        n = tw.order
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(200)]
+        powers = [(rng.randrange(n), rng.randrange(3 * n)) for _ in range(20)]
+        _check_ops_against_convolution(tw, pairs, powers)
+
+
+# --- how the exp/log lists are built -----------------------------------------
+
+
+def _walk_by_convolution(f):
+    """The lists by one convolution per power of the generator."""
+    g = f._vec(f._find_generator())
+    exp, log = [], [-1] * f.order
+    acc = f._vec(1)
+    for j in range(f.order - 1):
+        c = f._codeof(acc)
+        exp.append(c)
+        log[c] = j
+        acc = f._mul_vec(acc, g)
+    assert f._codeof(acc) == 1
+    return exp, log
+
+
+def _last_irreducible(home, degree):
+    """The irreducible monic of the degree with the largest code: not canonical."""
+    for k in reversed(range(home.order**degree)):
+        cs = [k // home.order**i % home.order for i in range(degree)] + [1]
+        if fields._poly_is_irreducible(home, cs):
+            return cs
+    raise AssertionError("no irreducible found")
+
+
+def test_log_tables_equal_the_walk_by_convolution_on_every_level_up_to_4096():
+    levels = {f: None for tw in tower_grid(4096) for f in (tw.base, tw)}
+    assert len(levels) == 84
+    for f in levels:
+        assert f._build_log_tables() == _walk_by_convolution(f), f
+
+
+def test_log_tables_equal_the_walk_by_convolution_under_other_moduli(f2, f3):
+    f5 = make_prime_field(5)
+    levels = []
+    for base, degrees in ((f2, (4, 6)), (f3, (3, 5)), (f5, (2, 3))):
+        for d in degrees:
+            levels.append(make_extension(base, d, _last_irreducible(base, d)))
+            levels.append(make_tower(base, d, _last_irreducible(base, d)))
+    for base, n in ((make_extension(f2, 2), 3), (make_extension(f2, 4), 2),
+                    (make_extension(f3, 2), 2), (make_extension(f5, 2), 2)):
+        levels.append(make_tower(base, n, _last_irreducible(base, n)))
+    for f in levels:
+        assert f.modulus != fields._canonical_modulus(f._sub, f._deg), f
+        assert f._build_log_tables() == _walk_by_convolution(f), f
+
+
+def test_log_tables_take_two_half_width_tables_of_convolutions(log_cache, monkeypatch, f2):
+    tw = make_tower(f2, 12)
+    calls = []
+    mul_vec = FieldDesc._mul_vec
+
+    def counted(self, u, v):
+        if self is tw:
+            calls.append(1)
+        return mul_vec(self, u, v)
+
+    monkeypatch.setattr(FieldDesc, "_mul_vec", counted)
+    tw._find_generator()
+    search = len(calls)
+    calls.clear()
+    tw.log_tables()
+    # lo = 2^6: 64 low and 64 high products, where one per power took 4095
+    assert len(calls) <= 2 * 64 + search < 4095
+
+
+def test_a_generator_that_misses_codes_is_refused(monkeypatch, f2):
+    f16 = make_extension(f2, 4)
+    assert f16._cpow(6, 3) == 1  # 6 = y^2 + y has order 3, yet 6^15 = 1 too
+    monkeypatch.setattr(f16, "_find_generator", lambda: 6)
+    with pytest.raises(AssertionError, match="every nonzero code"):
+        f16._build_log_tables()
+
+
 def test_flat_and_tower_levels_stay_distinct(f2):
     flat = make_extension(f2, 3)
     tower = make_tower(f2, 3)
