@@ -59,7 +59,6 @@ from .permcheck import (
 from .lifts import (
     LiftResult,
     cppeg_construct,
-    general_trace_map,
     monomial_cpp_check,
     norm_lift,
     trace_lift_binomial,
@@ -156,7 +155,6 @@ __all__ = [
     "value_table",
     "LiftResult",
     "cppeg_construct",
-    "general_trace_map",
     "monomial_cpp_check",
     "norm_lift",
     "trace_lift_binomial",

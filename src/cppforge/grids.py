@@ -539,7 +539,7 @@ def sweep_trace_general(rep: SweepReport, max_order: int, rng) -> dict:
                 h = Poly(base, [int(c) for c in hc])
                 for a in a_list:
                     try:
-                        res = trace_lift_general(h, L, a, tower)
+                        res = trace_lift_general(h, L, a, tower, tower.order)
                     except HypothesisFails:
                         hypothesis_failures += 1
                         rep.skipped += 1
@@ -601,7 +601,7 @@ def sweep_trace_binomial(rep: SweepReport, max_order: int, rng) -> dict:
             for i in rng.integers(0, len(all_h), size=3):
                 h = Poly(tower.base, [int(c) for c in all_h[i]])
                 a = int(rng.integers(1, q))
-                res = trace_lift_binomial(h, k, a, tower)
+                res = trace_lift_binomial(h, k, a, tower, order)
                 ver = res.verified_cpp(order)
                 assert ver == res.predicted_cpp
                 assert res.extras["proof_identity_holds"] is True

@@ -38,6 +38,7 @@ from .fields import (
 )
 from .maps import (
     PPoly,
+    check_in_base,
     norm_exponent,
     ppoly_permutes_kernel,
     ppoly_quotient,
@@ -48,8 +49,6 @@ from .maps import (
 from .permcheck import (
     DEFAULT_EXHAUSTIVE_CAP,
     _cap_check,
-    eval_poly,
-    is_complete_permutation,
     table_is_cpp,
     value_table,
 )
@@ -159,6 +158,19 @@ class LiftResult:
             "verified_cpp": self.verified_cpp(cap),
         }
 
+    def relabel(
+        self,
+        construction: str,
+        params: dict,
+        preconditions: list[tuple[str, bool]],
+        extras: Optional[dict] = None,
+    ) -> "LiftResult":
+        """The same map and witness, reported as another construction."""
+        return LiftResult(
+            construction, self.tower, params, preconditions, self.subfield_witness,
+            self.predicted_cpp, self._map_code, self._expand, extras,
+        )
+
     def __repr__(self):
         return f"LiftResult({self.construction}, predicted={self.predicted_cpp})@{self.tower!r}"
 
@@ -179,7 +191,7 @@ def norm_lift(h: Poly, tower: TowerDesc, cap: Optional[int] = None) -> LiftResul
     require_norm_coprime(tower.q, n)
     npow = norm_exponent(tower)
     witness = h.substitute_monomial(n).shift(1)
-    predicted = is_complete_permutation(witness, cap).both
+    predicted = table_is_cpp(witness.home, value_table(witness, cap))
     htab = value_table(h, cap)
 
     def f(xc: int) -> int:
@@ -290,9 +302,8 @@ def cppeg_construct(e: int, t: int, k: int, alpha) -> LiftResult:
             f"unconditional construction produced a non-CPP witness at "
             f"e={e} t={t} k={k} alpha={a_code}"
         )
-    return LiftResult(
-        construction="cppeg",
-        tower=tower,
+    return inner.relabel(
+        "cppeg",
         params={
             "field": tower.descriptor(),
             "e": e,
@@ -306,10 +317,6 @@ def cppeg_construct(e: int, t: int, k: int, alpha) -> LiftResult:
             ("gcd(k, t) != 1 when e = 1", True),
             ("alpha not in (F_q)^(r^k - 1)", True),
         ],
-        subfield_witness=inner.subfield_witness,
-        predicted_cpp=inner.predicted_cpp,
-        map_code=inner._map_code,
-        expand=inner._expand,
         extras={"witness_map_exponent": rr**k, "s": s},
     )
 
@@ -333,7 +340,7 @@ def trace_lift_simple(h: Poly, tower: TowerDesc, cap: Optional[int] = None) -> L
             "h(0) not in {0, -1}", f"h(0) = {h0} (note -1 encodes as {minus_one})"
         )
     witness = h.shift(1)
-    predicted = is_complete_permutation(witness, cap).both
+    predicted = table_is_cpp(base, value_table(witness, cap))
     q = tower.q
     htab = value_table(h, cap)
 
@@ -356,41 +363,16 @@ def trace_lift_simple(h: Poly, tower: TowerDesc, cap: Optional[int] = None) -> L
     )
 
 
-def general_trace_map(
-    h: Poly, L: PPoly, a, tower: TowerDesc, cap: Optional[int] = None
-) -> Callable[[int], int]:
-    """Pointwise x -> x*H(x) with H(x) = h(tr x) + a*A(tr x) - a*A(x).
-
-    No hypothesis checking happens here; the proof identity
-    tr(x*H(x)) = tr(x)*h(tr(x)) holds for this map regardless of whether
-    the kernel hypothesis does, and tests exercise exactly that.
-    """
-    h = _base_poly(h, tower)
-    if L.tower != tower:
-        raise FieldMismatch("L belongs to a different tower")
-    a_code = _code_in(tower.base, a, "a")
-    htab = value_table(h, cap)
-    # A(t) for t in the embedded base field: embed(t) has code t
-    atab = [ppoly_quotient_eval(L, FieldElement(tower, t)).code for t in range(tower.q)]
-
-    def f(xc: int) -> int:
-        t = trace_code(tower, xc)
-        ax = ppoly_quotient_eval(L, FieldElement(tower, xc)).code
-        hh = tower._cadd(htab[t], tower._cmul(a_code, atab[t]))
-        hh = tower._csub(hh, tower._cmul(a_code, ax))
-        return tower._cmul(xc, hh)
-
-    return f
-
-
 def _proof_identity_holds(
-    h: Poly, tower: TowerDesc, f: Callable[[int], int], cap: Optional[int]
+    tower: TowerDesc, htab: list[int], f: Callable[[int], int], cap: Optional[int]
 ) -> Optional[bool]:
-    """Check tr(f(x)) = tr(x)*h(tr(x)) over the whole tower (None above cap)."""
+    """Check tr(f(x)) = tr(x)*h(tr(x)) over the whole tower (None above cap).
+
+    htab is h's value table on the base field.
+    """
     if tower.order > (DEFAULT_EXHAUSTIVE_CAP if cap is None else cap):
         return None
     base = tower.base
-    htab = value_table(h, cap)
     for xc in range(tower.order):
         t = trace_code(tower, xc)
         if trace_code(tower, f(xc)) != base._cmul(t, htab[t]):
@@ -407,8 +389,8 @@ def trace_lift_general(
     built: for every b in F_q both maps L(x) - (h(b)/a + A(b))x and
     L(x) - ((h(b)+1)/a + A(b))x must permute ker(tr). The first failure
     raises HypothesisFails naming b and which of the two maps broke. The
-    witness scan on the base and the proof identity on the tower run under
-    cap.
+    tables of h and of the witness on the base, and the proof identity on
+    the tower, are built under cap; h and A are evaluated on F_q once.
     """
     h = _base_poly(h, tower)
     if L.tower != tower:
@@ -417,36 +399,30 @@ def trace_lift_general(
     if a_code == 0:
         raise PreconditionViolated("a != 0", "the hypothesis divides by a")
     base = tower.base
-    q = tower.q
     a_inv = base._cinv(a_code)
-    kernel_trivial = tower.n == 1  # ker(tr) has q^(n-1) elements
-    verdict_cache: dict[int, bool] = {}
+    htab = value_table(h, cap)
+    # A(t) for t in the embedded base field: embed(t) has code t
+    atab = [ppoly_quotient_eval(L, FieldElement(tower, t)).code for t in range(tower.q)]
+    check_in_base(tower, atab)
 
-    def kernel_ok(theta: int) -> bool:
-        if theta not in verdict_cache:
-            sh = L.shifted(theta)
-            if sh is None:
-                verdict_cache[theta] = kernel_trivial
-            else:
-                verdict_cache[theta] = ppoly_permutes_kernel(sh)
-        return verdict_cache[theta]
-
-    for b in range(q):
-        hb = eval_poly(h, FieldElement(base, b)).code
-        ab = ppoly_quotient_eval(L, FieldElement(tower, b)).code
-        if ab >= q:
-            raise AssertionError("A(b) escaped the base field")
-        theta0 = base._cadd(base._cmul(hb, a_inv), ab)
-        if not kernel_ok(theta0):
-            raise HypothesisFails(b, 0)
-        theta1 = base._cadd(base._cmul(base._cadd(hb, 1), a_inv), ab)
-        if not kernel_ok(theta1):
-            raise HypothesisFails(b, 1)
+    for b, (hb, ab) in enumerate(zip(htab, atab)):
+        for which, num in enumerate((hb, base._cadd(hb, 1))):
+            sh = L.shifted(base._cadd(base._cmul(num, a_inv), ab))
+            # the zero map permutes ker(tr) only when it is trivial (n = 1)
+            if not (tower.n == 1 if sh is None else ppoly_permutes_kernel(sh)):
+                raise HypothesisFails(b, which)
 
     witness = h.shift(1)
-    predicted = is_complete_permutation(witness, cap).both
-    f = general_trace_map(h, L, a_code, tower, cap)
-    identity = _proof_identity_holds(h, tower, f, cap)
+    predicted = table_is_cpp(base, value_table(witness, cap))
+
+    def f(xc: int) -> int:
+        t = trace_code(tower, xc)
+        ax = ppoly_quotient_eval(L, FieldElement(tower, xc)).code
+        hh = tower._cadd(htab[t], tower._cmul(a_code, atab[t]))
+        hh = tower._csub(hh, tower._cmul(a_code, ax))
+        return tower._cmul(xc, hh)
+
+    identity = _proof_identity_holds(tower, htab, f, cap)
 
     def expand() -> Poly:
         apoly = ppoly_quotient(L)
@@ -504,9 +480,8 @@ def trace_lift_binomial(
     # x^(p^k) and x^(p^(k mod rn)) are the same map on the tower
     L = PPoly.monomial(tower, k % tower.full_degree)
     inner = trace_lift_general(h, L, a_code, tower, cap)
-    return LiftResult(
-        construction="trace-binomial",
-        tower=tower,
+    return inner.relabel(
+        "trace-binomial",
         params={"field": tower.descriptor(), "h": h.codes(), "k": k, "a": a_code},
         preconditions=[
             ("gcd(k, n) = 1", True),
@@ -515,9 +490,5 @@ def trace_lift_binomial(
             ("a != 0", True),
             ("kernel hypothesis for all b", True),
         ],
-        subfield_witness=inner.subfield_witness,
-        predicted_cpp=inner.predicted_cpp,
-        map_code=inner._map_code,
-        expand=inner._expand,
         extras=dict(inner.extras),
     )

@@ -157,10 +157,9 @@ class PPoly:
 
     def shifted(self, theta: Union[int, FieldElement]) -> Optional["PPoly"]:
         """The p-polynomial L(x) - theta*x, or None when it cancels to zero."""
-        t = theta.code if isinstance(theta, FieldElement) else int(theta)
         base = self.tower.base
         d = dict(self.coeffs)
-        d[0] = base._csub(d.get(0, 0), t)
+        d[0] = base._csub(d.get(0, 0), _code_in(base, theta, "theta"))
         if not any(d.values()):
             return None
         return PPoly(self.tower, d)
@@ -217,25 +216,16 @@ def ppoly_quotient_eval(L: PPoly, x: FieldElement) -> FieldElement:
     return FieldElement(tower, tower._cmul(y.code, tower._cinv(x.code)))
 
 
-def ppoly_permutes_kernel(
-    L: PPoly,
-    tower: Optional[TowerDesc] = None,
-    shift: Union[int, FieldElement, None] = None,
-) -> bool:
+def ppoly_permutes_kernel(L: PPoly, shift: Union[int, FieldElement, None] = None) -> bool:
     """Does x |-> L(x) - shift*x permute the trace kernel?
 
-    Exhaustive: evaluates the map on every kernel element and counts
-    distinct images. Images are required to stay inside the kernel (they
-    always do for base-field coefficients; a violation raises
-    MapEscapesKernel rather than silently reporting non-bijectivity).
+    shift is an element of the base field or its code. Exhaustive:
+    evaluates the map on every kernel element and counts distinct images.
+    Images are required to stay inside the kernel (they always do for
+    base-field coefficients; a violation raises MapEscapesKernel rather
+    than silently reporting non-bijectivity).
     """
-    if tower is None:
-        tower = L.tower
-    elif tower != L.tower:
-        raise FieldMismatch("PPoly belongs to a different tower")
-    theta = 0
-    if shift is not None:
-        theta = shift.code if isinstance(shift, FieldElement) else int(shift)
+    theta = 0 if shift is None else _code_in(L.tower.base, shift, "shift")
     return _permutes_kernel(L, theta)
 
 

@@ -23,6 +23,7 @@ from cppforge.errors import (
     OrderCapExceeded,
     PreconditionViolated,
 )
+from cppforge import lifts, permcheck
 from cppforge.permcheck import eval_poly
 
 
@@ -190,6 +191,65 @@ def test_trace_general_rejects_zero_a_and_foreign_l(f4, t42, t43):
         trace_lift_general(Poly(f4, [1, 1]), L, 0, t43)
     with pytest.raises(FieldMismatch):
         trace_lift_general(Poly(f4, [1, 1]), L, 1, t42)
+
+
+def test_trace_general_tables_h_and_the_witness_once(monkeypatch, f4, t43):
+    # the hypothesis scan, the map and the proof identity all read one table
+    # of h; the witness verdict reads one table of x*h(x); nothing else
+    # evaluates a polynomial on F_q
+    real = lifts.value_table
+    tabled = []
+
+    def counting_value_table(f, cap=None):
+        tabled.append(f)
+        return real(f, cap)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("h is evaluated pointwise")
+
+    monkeypatch.setattr(lifts, "value_table", counting_value_table)
+    monkeypatch.setattr(lifts, "eval_poly", refuse, raising=False)
+    h = Poly(f4, [1, 1])
+    res = trace_lift_general(h, PPoly.monomial(t43, 1), 1, t43)
+    assert tabled == [h, res.subfield_witness]
+    assert res.extras["proof_identity_holds"] is True
+
+
+def test_every_builder_decides_its_witness_by_table_is_cpp(monkeypatch, f4, t42, t43):
+    real = permcheck.is_complete_permutation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a builder called is_complete_permutation")
+
+    monkeypatch.setattr(lifts, "is_complete_permutation", refuse, raising=False)
+    monkeypatch.setattr(permcheck, "is_complete_permutation", refuse)
+    builds = [
+        norm_lift(Poly(f4, [2, 1]), t42),
+        monomial_cpp_check(2, 1, t42),
+        cppeg_construct(2, 2, 1, 2),
+        trace_lift_simple(Poly(f4, [2, 1]), t43),
+        trace_lift_general(Poly(f4, [1, 1]), PPoly.monomial(t43, 1), 1, t43),
+        trace_lift_binomial(Poly(f4, [1, 1]), 1, 1, t43),
+    ]
+    for res in builds:
+        assert res.predicted_cpp == real(res.subfield_witness).both, res
+
+
+def test_relabel_keeps_the_map_and_the_witness(f4, t43):
+    inner = trace_lift_general(Poly(f4, [1, 1]), PPoly.monomial(t43, 1), 1, t43)
+    res = inner.relabel("renamed", {"x": 1}, [("p", True)], {"e": 2})
+    assert (res.construction, res.params, res.preconditions, res.extras) == (
+        "renamed", {"x": 1}, [("p", True)], {"e": 2})
+    assert res.tower == inner.tower and res.subfield_witness == inner.subfield_witness
+    assert res.predicted_cpp == inner.predicted_cpp
+    assert res.map_table() == inner.map_table() and res.lifted == inner.lifted
+    assert inner.relabel("bare", {}, []).extras == {}
+
+
+def test_trace_general_refuses_a_base_past_the_cap_before_the_scan(f4, t43):
+    # h's table is the first thing built, so the hypothesis scan never runs
+    with pytest.raises(OrderCapExceeded):
+        trace_lift_general(Poly(f4, [0]), PPoly.monomial(t43, 0), 1, t43, cap=2)
 
 
 def test_trace_binomial_matches_general_delegate(f4, t43):

@@ -16,7 +16,7 @@ from cppforge import (
     rel_norm,
     rel_trace,
 )
-from cppforge.errors import FieldMismatch, PreconditionViolated
+from cppforge.errors import FieldMismatch, OutOfRange, PreconditionViolated
 from cppforge.maps import (
     norm_exponent,
     ppoly_eval,
@@ -156,6 +156,21 @@ def test_permutes_kernel_shift_matches_explicit_difference(tw):
             assert via_shift == (tw.order // tw.q == 1)
         else:
             assert ppoly_permutes_kernel(diff) == via_shift
+
+
+def test_permutes_kernel_validates_the_shift():
+    # F_4096/F_64: a shift is a code below 64 or an element of F_64
+    tw = make_tower(make_extension(make_prime_field(2), 6), 2)
+    L = PPoly.monomial(tw, 1)
+    for bad in (5000, 70, -1):
+        with pytest.raises(OutOfRange):
+            ppoly_permutes_kernel(L, shift=bad)
+    foreign = FieldElement(make_prime_field(3), 1)
+    with pytest.raises(FieldMismatch):
+        ppoly_permutes_kernel(L, shift=foreign)
+    with pytest.raises(FieldMismatch):
+        L.shifted(foreign)
+    assert ppoly_permutes_kernel(L, shift=FieldElement(tw.base, 0)) is True
 
 
 def test_binomial_criterion_rejects_bad_k(tw):
