@@ -92,11 +92,11 @@ def clear_caches() -> None:
     """Empty every per-process cache of the package.
 
     That is the shared exp/log lists (fields._LOG_CACHE) and every
-    functools.lru_cache of a loaded module: the canonical moduli, the
-    numpy tables, the trace kernels, the kernel verdicts, the Lagrange
-    bases, the sweep towers and the CLI parser. No result depends on them:
-    later calls rebuild what they need. A module that is not loaded yet
-    has nothing cached, so none is imported here.
+    functools.lru_cache of a loaded module: the canonical moduli, the odd-p
+    addition tables, the numpy tables, the trace kernels, the kernel
+    verdicts, the Lagrange bases, the sweep towers and the CLI parser. No
+    result depends on them: later calls rebuild what they need. A module
+    that is not loaded yet has nothing cached, so none is imported here.
     """
     import sys
 

@@ -21,6 +21,16 @@ field rebuilt per call (as the CLI does) builds them once per process.
 The cache is bounded by _LOG_CACHE_CELLS and evicts its oldest entry
 first.
 
+Addition is digitwise mod p on a code's base-p expansion; the digit loop
+_digit_add is its definition. For odd p on a level of full degree f > 1,
+a code splits at lo = p^w, w = ceil(f/2), and one table of the digitwise
+sums of two w-digit codes adds both halves: two lookups per addition. The
+table depends only on (p, w), so one bounded module cache
+(_half_add_table) serves every level of that shape; a level fetches it on
+its first addition. A level whose table would exceed _LOG_TABLE_MAX cells
+(p^(2w) of them) keeps the digit loop, as _cmul keeps the convolution
+past the exp/log lists.
+
 Moduli, when not supplied, are chosen canonically: candidate coefficient
 tuples are scanned in ascending code order (constant coefficient varying
 fastest) and the first monic irreducible wins, so two constructions of the
@@ -82,6 +92,38 @@ def _prime_factors(m: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
+
+
+def _digit_add(p: int, a: int, b: int) -> int:
+    """The definition of code addition: digitwise mod p, one base-p digit at a time."""
+    out, place = 0, 1
+    while a or b:
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        out += (x + y) % p * place
+        place *= p
+    return out
+
+
+# 62 (p, w) shapes have a table (p^(2w) <= _LOG_TABLE_MAX), 1.1 MB in all,
+# so this bound never evicts one
+@functools.lru_cache(maxsize=64)
+def _half_add_table(p: int, w: int) -> bytes:
+    """t[x * p^w + y] = _digit_add(p, x, y) for codes x, y below p^w.
+
+    Built one top digit at a time from the table one digit narrower: for x
+    = xh*lo + xl and y = yh*lo + yl with xl, yl < lo, the sum is
+    ((xh + yh) % p)*lo plus the narrower table's entry for (xl, yl). The
+    entries are codes below p^w <= 255 (callers keep p^(2w) <= 2^16), so
+    each takes one byte.
+    """
+    tab, lo = b"\0", 1
+    for _ in range(w):
+        rows = [tab[x * lo : (x + 1) * lo] for x in range(lo)]
+        tab = bytes([(xh + yh) % p * lo + v
+                     for xh in range(p) for row in rows for yh in range(p) for v in row])
+        lo *= p
+    return tab
 
 
 class FieldElement:
@@ -186,6 +228,7 @@ class FieldDesc:
         self._radix = p if sub is None else sub.order
         self.order = self._radix**degree
         self.full_degree = degree if sub is None else degree * sub.full_degree
+        self._add_tab = None  # fetched by the level's first _cadd
         self._red_rows = self._make_red_rows() if degree > 1 else None
         self._exp = None
         self._log = None
@@ -335,19 +378,31 @@ class FieldDesc:
     # every level, so addition is digitwise mod p on that expansion.
 
     def _cadd(self, a: int, b: int) -> int:
+        """a + b, as _digit_add defines it.
+
+        p = 2 is XOR and a prime field (a + b) % p. Any other level splits
+        both codes at lo = p^w, w = ceil(full_degree/2), and adds the low
+        halves and the high halves by one lookup each in the shared (p, w)
+        table, unless that table would pass _LOG_TABLE_MAX cells: then the
+        digit loop runs.
+        """
         p = self.p
         if p == 2:
             # digits are single bits in disjoint positions: addition is XOR
             return a ^ b
         if self.full_degree == 1:
             return (a + b) % p
-        out, place = 0, 1
-        while a or b:
-            a, x = divmod(a, p)
-            b, y = divmod(b, p)
-            out += (x + y) % p * place
-            place *= p
-        return out
+        tab = self._add_tab
+        if tab:
+            lo = self._add_lo
+            return tab[a % lo * lo + b % lo] + lo * tab[a // lo * lo + b // lo]
+        if tab is None:
+            # the level's first addition: fetch the shared table, b"" past the cap
+            w = (self.full_degree + 1) // 2
+            self._add_lo = p**w
+            self._add_tab = _half_add_table(p, w) if p ** (2 * w) <= _LOG_TABLE_MAX else b""
+            return self._cadd(a, b)
+        return _digit_add(p, a, b)
 
     def _cneg(self, a: int) -> int:
         p = self.p

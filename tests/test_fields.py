@@ -83,6 +83,65 @@ def test_f25_ring_identities(a, b, c):
     assert f._cmul(a, f._cadd(b, c)) == f._cadd(f._cmul(a, b), f._cmul(a, c))
 
 
+# --- code addition: the shared (p, w) table against the digit loop ----------
+
+
+def _odd_p_levels(max_order):
+    """Every odd-p flat field and tower level of full degree > 1 up to max_order."""
+    levels = {f: None for tw in tower_grid(max_order) if tw.p != 2 for f in (tw.base, tw)}
+    for p in {tw.p for tw in levels}:
+        r = 2
+        while p**r <= max_order:
+            levels[make_extension(make_prime_field(p), r)] = None
+            r += 1
+    return [f for f in levels if f.full_degree > 1]
+
+
+def test_addition_table_matches_the_digit_loop_on_every_pair_up_to_729():
+    levels = _odd_p_levels(729)
+    assert len(levels) == 34
+    # addition depends only on p and the full degree: one set of rows by
+    # the digit loop serves every level of a shape, and so does one table
+    want = {}
+    for f in levels:
+        codes = range(f.order)
+        shape = (f.p, f.full_degree)
+        if shape not in want:
+            want[shape] = [[fields._digit_add(f.p, a, b) for b in codes] for a in codes]
+        for a in codes:
+            assert [f._cadd(a, b) for b in codes] == want[shape][a], (f, a)
+        assert f._add_tab is fields._half_add_table(f.p, (f.full_degree + 1) // 2), f
+
+
+@pytest.mark.parametrize(
+    "p, n, tabled",
+    [(3, 10, True), (5, 5, True), (3, 7, True), (11, 3, True), (17, 3, False)],
+    ids=["F_59049/F_3", "F_3125/F_5", "F_2187/F_3", "F_1331/F_11", "F_4913/F_17"],
+)
+def test_addition_matches_the_digit_loop_on_seeded_pairs(p, n, tabled):
+    # F_4913/F_17 would need a 17^4-cell table, past _LOG_TABLE_MAX
+    tw = make_tower(make_prime_field(p), n)
+    rng = random.Random(tw.order)
+    for _ in range(20000):
+        a, b = rng.randrange(tw.order), rng.randrange(tw.order)
+        assert tw._cadd(a, b) == fields._digit_add(p, a, b), (a, b)
+    assert bool(tw._add_tab) == tabled
+
+
+_ODD_SHAPES = [(p, d) for p in (3, 5, 7, 11, 13) for d in range(1, 7)
+               if p**d <= fields.MAX_FIELD_ORDER]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_ODD_SHAPES), st.data())
+def test_odd_p_addition_is_the_digit_loop_and_subtraction_undoes_it(shape, data):
+    p, d = shape
+    f = make_extension(make_prime_field(p), d)
+    a, b = (data.draw(st.integers(0, f.order - 1)) for _ in range(2))
+    assert f._cadd(a, b) == fields._digit_add(p, a, b)
+    assert f._csub(f._cadd(a, b), b) == a
+
+
 def test_multiplicative_generator_has_full_order(f4, f9, f16):
     for f in (f4, f9, f16):
         g = f.multiplicative_generator()

@@ -152,8 +152,8 @@ def test_clear_caches_changes_no_report():
         return out
 
     def sizes():
-        memos = (fields._canonical_modulus, tables.base_tables, tables.tower_tables,
-                 maps.trace_kernel, maps._permutes_kernel, grids._tower)
+        memos = (fields._canonical_modulus, fields._half_add_table, tables.base_tables,
+                 tables.tower_tables, maps.trace_kernel, maps._permutes_kernel, grids._tower)
         return [len(fields._LOG_CACHE)] + [m.cache_info().currsize for m in memos]
 
     first = reports()
@@ -169,9 +169,9 @@ def test_every_cleared_cache_is_bounded():
     sweep_trace_general(max_order=64)
     memos = {value for name, module in sys.modules.items() if name.startswith("cppforge.")
              for value in vars(module).values() if hasattr(value, "cache_clear")}
-    assert {m.__name__ for m in memos} == {"_canonical_modulus", "base_tables", "tower_tables",
-                                           "trace_kernel", "_permutes_kernel", "_lagrange_basis",
-                                           "_tower", "_build_parser"}
+    assert {m.__name__ for m in memos} == {"_canonical_modulus", "_half_add_table", "base_tables",
+                                           "tower_tables", "trace_kernel", "_permutes_kernel",
+                                           "_lagrange_basis", "_tower", "_build_parser"}
     for memo in memos - {cli._build_parser}:
         assert memo.cache_info().maxsize is not None, memo.__name__
     clear_caches()
