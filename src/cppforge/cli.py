@@ -47,7 +47,7 @@ from .lifts import (
     trace_lift_simple,
 )
 from .maps import PPoly, binomial_kernel_criterion, ppoly_permutes_kernel
-from .permcheck import fiber_criterion_verify, is_complete_permutation
+from .permcheck import _cap_check, fiber_criterion_verify, is_complete_permutation
 from .search import enumerate_complete_mappings
 
 EXIT_OK = 0
@@ -315,6 +315,7 @@ def cmd_kernel_check(args) -> int:
     c = _require(args, "--c")
     verdict = binomial_kernel_criterion(k, c, tower)
     L = PPoly.monomial(tower, k % tower.full_degree)
+    _cap_check(tower.order, _cap(args))  # the kernel scan walks the whole tower
     actual = ppoly_permutes_kernel(L, shift=c)
     agree = verdict.predicted is None or verdict.predicted == actual
     report = {

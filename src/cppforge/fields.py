@@ -405,17 +405,14 @@ class FieldDesc:
         return _digit_add(p, a, b)
 
     def _cneg(self, a: int) -> int:
-        p = self.p
-        if p == 2:
-            return a
-        if self.full_degree == 1:
-            return (-a) % p
-        out, place = 0, 1
-        while a:
-            a, x = divmod(a, p)
-            out += (-x) % p * place
-            place *= p
-        return out
+        """-a as (p - 1)*a: p - 1 is the same code at every level, so _cmul
+        negates by one log/exp lookup, and _digit_add stays the only digit
+        loop. On a level past _LOG_TABLE_MAX _cmul is the convolution: on
+        F_177147/F_3 a negation takes 7.4 us against the digit loop's 1.7 us
+        (2-core Xeon, Python 3.11). No sweep or workload subtracts on an
+        odd-p level that large.
+        """
+        return a if self.p == 2 else self._cmul(self.p - 1, a)
 
     def _csub(self, a: int, b: int) -> int:
         return self._cadd(a, self._cneg(b))

@@ -12,7 +12,9 @@ reference path vouch for each other.
 
 The norm and trace lifts cost only what their verdicts need, and every
 shortcut is exact for any table contents, so none takes a theorem on
-trust. A row whose lifted values repeat is not a permutation, so it is not
+trust. Each lift reduces to a witness on the base field, x*h(x^n) for the
+norm lift and x*h(x) for the trace lifts, and one witness pass serves all
+three. A row whose lifted values repeat is not a permutation, so it is not
 a CPP either. The trace lift (thm3.2) lifts the first _PREFIX columns of
 every row and the rest only for the rows whose prefix is distinct. The
 norm lift (thm2.2) lifts no prefix: codes below q are the embedded F_q,
@@ -195,12 +197,6 @@ def _sweep(token: str, default_max_order: int):
     return register
 
 
-def _distinct_pairs(lam_scaled: np.ndarray, tabs: np.ndarray, order: int) -> np.ndarray:
-    """Rowwise: is x -> (lambda(x), f(x)) injective? Exact, via key sort."""
-    keys = np.sort(lam_scaled[None, :] + tabs, axis=1)
-    return (np.diff(keys, axis=1) != 0).sum(axis=1) + 1 == order
-
-
 def _lift_rows(tt, hcols: np.ndarray, sel: np.ndarray) -> np.ndarray:
     """Rowwise x * hcols[., sel[x]] for x < len(sel), without materializing
     the wide gather.
@@ -214,8 +210,9 @@ def _lift_rows(tt, hcols: np.ndarray, sel: np.ndarray) -> np.ndarray:
 
 
 def _distinct_rows(tabs: np.ndarray) -> np.ndarray:
-    """Per row: are its values distinct? A row of leading columns of a map
-    that repeats a value is a proof that the map is no permutation."""
+    """Per row: are its values distinct? The one sort-based test, for
+    partial rows and keys; whole tables go to bijective_rows. A repeat among
+    some columns of a map is a proof that the map is no permutation."""
     keys = np.sort(tabs, axis=1)
     return (keys[:, 1:] != keys[:, :-1]).all(axis=1)
 
@@ -233,38 +230,28 @@ def _lift_verdicts(tt, hv: np.ndarray, sel: np.ndarray):
     return perm, cpp
 
 
-def _h_blocks(bt, h_rows: np.ndarray, order: int):
-    """Blocks of h rows, each with its values on the base and the witness
-    verdicts (perm, cpp) per row: does x*h(x) permute the base, and is it a
-    CPP of the base?"""
-    step = max(1, _ROW_CELLS // order)
-    for lo in range(0, len(h_rows), step):
-        coeffs = h_rows[lo : lo + step]
-        hv = bt.horner(coeffs)
-        yield (coeffs, hv, *cpp_rows(bt, bt.mul_by_x(hv)))
+def _witness_blocks(bt, h_rows: np.ndarray, subst: np.ndarray, width: int, step: int):
+    """The witness pass of every lift: blocks of step h rows, each with a
+    mask alive, h's values on the base for the alive rows, and the verdicts
+    (perm, cpp) per row of the witness x*h(subst[x]). The norm lift (thm2.2)
+    substitutes x^n; the trace lifts (thm3.2, thm3.7) pass the identity.
 
-
-def _witness_blocks(bt, h_rows: np.ndarray, pow_n: np.ndarray, width: int):
-    """thm2.2's witness pass: blocks of h rows, each with a mask alive, h's
-    values on the base for the alive rows, and the verdicts (perm, cpp) per
-    row of the witness x*h(x^n).
-
-    With a width, h is first evaluated at the points x^n of the witness's
-    first width columns only; a row whose witness repeats a value there
-    neither permutes nor is a CPP, and only the other rows are alive and
-    evaluated in full. Width 0 keeps every row alive. Blocks are sized by
-    the base-width cells they touch.
+    With a width, h is first evaluated at the points subst[x] of the
+    witness's first width columns only; a row whose witness repeats a value
+    there neither permutes nor is a CPP, and only the other rows are alive
+    and evaluated in full. Width 0 keeps every row alive. thm2.2 sizes its
+    blocks by the base cells they touch; the trace lifts by tower cells,
+    since each of their blocks is lifted to the tower whole.
     """
-    step = max(1, _WITNESS_CELLS // bt.q)
     for lo in range(0, len(h_rows), step):
         coeffs = h_rows[lo : lo + step]
         alive = np.ones(len(coeffs), dtype=bool)
         if width:
-            alive = _distinct_rows(bt.mul_by_x(bt.horner(coeffs, pow_n[:width])))
+            alive = _distinct_rows(bt.mul_by_x(bt.horner(coeffs, subst[:width])))
         hv = bt.horner(coeffs[alive])
         perm = np.zeros(len(coeffs), dtype=bool)
         cpp = perm.copy()
-        perm[alive], cpp[alive] = cpp_rows(bt, bt.mul_by_x(hv[:, pow_n]))
+        perm[alive], cpp[alive] = cpp_rows(bt, bt.mul_by_x(hv[:, subst]))
         yield coeffs, alive, hv, perm, cpp
 
 
@@ -282,7 +269,8 @@ def _norm_lift_verdicts(tt, hv: np.ndarray, scan: np.ndarray, lam_scaled: np.nda
         perm[rows], cpp[rows] = cpp_rows(tt, lifted)
         hit = lo + np.flatnonzero(scan[rows])
         if len(hit):
-            pairs[hit] = _distinct_pairs(lam_scaled, lifted[hit - lo], tt.order)
+            # x -> (nor x, lift(x)) is injective exactly when its keys are distinct
+            pairs[hit] = _distinct_rows(lam_scaled + lifted[hit - lo])
     return perm, cpp, pairs
 
 
@@ -335,7 +323,6 @@ def sweep_norm_lift(rep: SweepReport, max_order: int, rng, random_h: int = 100) 
     cells (x, c), so h is evaluated at those points only.
     """
     fiber_agree = 0
-    fiber_cases = 0
     builder_checks = 0
     towers = _norm_lift_towers(max_order)
     for tower in towers:
@@ -361,7 +348,8 @@ def sweep_norm_lift(rep: SweepReport, max_order: int, rng, random_h: int = 100) 
         sample_idx = set(rng.integers(0, len(all_h), size=8).tolist())
         verdicts = []  # (witness, lift) CPP verdicts of the all_h rows
         for block in (all_h, rand_h):
-            for coeffs, alive, hv, wit_perm, wit_cpp in _witness_blocks(bt, block, pow_n, width):
+            for coeffs, alive, hv, wit_perm, wit_cpp in _witness_blocks(
+                    bt, block, pow_n, width, max(1, _WITNESS_CELLS // q)):
                 # fiber criterion with induced v -> v*h(v)^n; the pair scan
                 # only decides the conclusion when the induced map bijects.
                 # hv holds the alive rows: every row without a width, and
@@ -373,7 +361,6 @@ def sweep_norm_lift(rep: SweepReport, max_order: int, rng, random_h: int = 100) 
                 perm[full], lift_cpp[full], conclusion[full] = _norm_lift_verdicts(
                     tt, hv[full[alive]], h_bij[full], lam_scaled)
                 square_ok = (bt.horner(coeffs, bad_col) != bad_c).all(axis=1)
-                fiber_cases += len(coeffs)
                 fiber_ok = (conclusion == perm) & square_ok
                 fiber_agree += int(fiber_ok.sum())
                 rep.counterexamples += [{"q": q, "n": n, "h": coeffs[i].tolist(),
@@ -399,7 +386,7 @@ def sweep_norm_lift(rep: SweepReport, max_order: int, rng, random_h: int = 100) 
             builder_checks += 1
     return {
         "pairs": [(t.q, t.n) for t in towers],
-        "fiber_cases": fiber_cases,
+        "fiber_cases": rep.cases,
         "fiber_agreements": fiber_agree,
         "builder_crosschecks": builder_checks,
     }
@@ -496,7 +483,8 @@ def sweep_trace_simple(rep: SweepReport, max_order: int, rng) -> dict:
             continue
         sample_idx = set(rng.integers(0, len(all_h), size=4).tolist())
         verdicts = []  # (witness, lift) CPP verdicts per row
-        for coeffs, hv, _, wit_cpp in _h_blocks(bt, all_h, order):
+        for coeffs, _, hv, _, wit_cpp in _witness_blocks(
+                bt, all_h, np.arange(q), 0, max(1, _ROW_CELLS // order)):
             _, lift_cpp = _lift_verdicts(tt, hv, tt.TR)
             rep.note(wit_cpp == lift_cpp, lift_cpp,
                      lambda i: {"q": q, "n": tower.n, "h": coeffs[i].tolist()})
@@ -525,7 +513,6 @@ def sweep_trace_general(rep: SweepReport, max_order: int, rng) -> dict:
     cases must match the exhaustive CPP check and carry a verified proof
     identity.
     """
-    hypothesis_failures = 0
     for tower in tower_grid(max_order):
         base = tower.base
         q = tower.q
@@ -541,7 +528,6 @@ def sweep_trace_general(rep: SweepReport, max_order: int, rng) -> dict:
                     try:
                         res = trace_lift_general(h, L, a, tower, tower.order)
                     except HypothesisFails:
-                        hypothesis_failures += 1
                         rep.skipped += 1
                         continue
                     ver = res.verified_cpp(tower.order)
@@ -550,7 +536,7 @@ def sweep_trace_general(rep: SweepReport, max_order: int, rng) -> dict:
                     rep.note(ok, bool(ver),
                              {"q": q, "n": tower.n, "h": hc.tolist(),
                               "L": L.text(), "a": a})
-    return {"hypothesis_failures": hypothesis_failures}
+    return {"hypothesis_failures": rep.skipped}
 
 
 @_sweep("thm3.7", 256)
@@ -580,7 +566,8 @@ def sweep_trace_binomial(rep: SweepReport, max_order: int, rng) -> dict:
         all_h = _all_h_coeffs(q, H_DEGREE)
         # h values on the trace and witness verdicts depend on neither k nor a
         blocks = [(coeffs, hv[:, tt.TR], wit_cpp)
-                  for coeffs, hv, _, wit_cpp in _h_blocks(bt, all_h, order)]
+                  for coeffs, _, hv, _, wit_cpp in _witness_blocks(
+                      bt, all_h, np.arange(q), 0, max(1, _ROW_CELLS // order))]
         for k in ks:
             avec = tt.pow_all(p**k - 1)
             adiff = tt.add(avec[tt.TR], minus[avec])  # A(tr x) - A(x)
@@ -620,7 +607,7 @@ def sweep_kernel_binomials(rep: SweepReport, max_order: int, rng) -> dict:
     carry no prediction and are tallied as skipped (their exhaustive
     outcome is still recorded in extras).
     """
-    no_case_true = no_case_false = 0
+    no_case_true = 0
     for tower in tower_grid(max_order):
         tt = tower_tables(tower)
         p, q, n = tower.p, tower.q, tower.n
@@ -635,17 +622,14 @@ def sweep_kernel_binomials(rep: SweepReport, max_order: int, rng) -> dict:
                     rep.note(False, False, {"q": q, "n": n, "k": k, "c": c,
                                             "why": "image escaped the kernel"})
                     continue
-                actual = np.unique(img).size == len(kernel)
+                actual = _distinct_rows(img[None, :])[0]
                 verdict = binomial_kernel_criterion(k, c, tower)
                 if verdict.case_applied == "NoCaseApplies":
                     rep.skipped += 1
-                    if actual:
-                        no_case_true += 1
-                    else:
-                        no_case_false += 1
+                    no_case_true += int(actual)
                     continue
                 rep.note(verdict.predicted == bool(actual), bool(actual),
                          {"q": q, "n": n, "k": k, "c": c,
                           "case": verdict.case_applied})
     return {"no_case_exhaustive_true": no_case_true,
-            "no_case_exhaustive_false": no_case_false}
+            "no_case_exhaustive_false": rep.skipped - no_case_true}

@@ -46,12 +46,7 @@ from .maps import (
     require_norm_coprime,
     trace_code,
 )
-from .permcheck import (
-    DEFAULT_EXHAUSTIVE_CAP,
-    _cap_check,
-    table_is_cpp,
-    value_table,
-)
+from .permcheck import _cap_check, table_is_cpp, value_table
 
 # dense coefficient-count guard for lazy polynomial expansion
 EXPANSION_COEFF_CAP = 1 << 16
@@ -138,10 +133,11 @@ class LiftResult:
 
     def verified_cpp(self, cap: Optional[int] = None) -> Optional[bool]:
         """Exhaustive CPP status of the lifted map, or None above the cap."""
-        limit = DEFAULT_EXHAUSTIVE_CAP if cap is None else cap
-        if self.tower.order > limit:
+        try:
+            table = self.map_table(cap)
+        except OrderCapExceeded:
             return None
-        return table_is_cpp(self.tower, self.map_table(limit))
+        return table_is_cpp(self.tower, table)
 
     def to_json(self, cap: Optional[int] = None) -> dict:
         try:
@@ -363,15 +359,12 @@ def trace_lift_simple(h: Poly, tower: TowerDesc, cap: Optional[int] = None) -> L
     )
 
 
-def _proof_identity_holds(
-    tower: TowerDesc, htab: list[int], f: Callable[[int], int], cap: Optional[int]
-) -> Optional[bool]:
-    """Check tr(f(x)) = tr(x)*h(tr(x)) over the whole tower (None above cap).
+def _proof_identity_holds(tower: TowerDesc, htab: list[int], f: Callable[[int], int]) -> bool:
+    """Check tr(f(x)) = tr(x)*h(tr(x)) over the whole tower.
 
-    htab is h's value table on the base field.
+    htab is h's value table on the base field. The caller has already held
+    the tower to the exhaustive cap.
     """
-    if tower.order > (DEFAULT_EXHAUSTIVE_CAP if cap is None else cap):
-        return None
     base = tower.base
     for xc in range(tower.order):
         t = trace_code(tower, xc)
@@ -388,9 +381,10 @@ def trace_lift_general(
     The kernel hypothesis is verified exhaustively before anything is
     built: for every b in F_q both maps L(x) - (h(b)/a + A(b))x and
     L(x) - ((h(b)+1)/a + A(b))x must permute ker(tr). The first failure
-    raises HypothesisFails naming b and which of the two maps broke. The
-    tables of h and of the witness on the base, and the proof identity on
-    the tower, are built under cap; h and A are evaluated on F_q once.
+    raises HypothesisFails naming b and which of the two maps broke. h and
+    A are evaluated on F_q once, h's table under cap. The kernel scans, the
+    proof identity and any verification are exhaustive over the tower, so
+    a tower above cap then raises OrderCapExceeded before the first scan.
     """
     h = _base_poly(h, tower)
     if L.tower != tower:
@@ -404,6 +398,7 @@ def trace_lift_general(
     # A(t) for t in the embedded base field: embed(t) has code t
     atab = [ppoly_quotient_eval(L, FieldElement(tower, t)).code for t in range(tower.q)]
     check_in_base(tower, atab)
+    _cap_check(tower.order, cap)
 
     for b, (hb, ab) in enumerate(zip(htab, atab)):
         for which, num in enumerate((hb, base._cadd(hb, 1))):
@@ -422,7 +417,7 @@ def trace_lift_general(
         hh = tower._csub(hh, tower._cmul(a_code, ax))
         return tower._cmul(xc, hh)
 
-    identity = _proof_identity_holds(tower, htab, f, cap)
+    identity = _proof_identity_holds(tower, htab, f)
 
     def expand() -> Poly:
         apoly = ppoly_quotient(L)
@@ -457,7 +452,7 @@ def trace_lift_binomial(
     Arithmetic conditions gcd(k, n) = 1, p not dividing n, and
     gcd(n, p^gcd(k, r) - 1) = 1 guarantee the kernel hypothesis for every
     shift; the delegate still verifies it exhaustively rather than
-    trusting the guarantee.
+    trusting the guarantee, and so refuses a tower above cap.
     """
     h = _base_poly(h, tower)
     p, n, r = tower.p, tower.n, tower.base.r

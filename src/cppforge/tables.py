@@ -62,8 +62,6 @@ class BaseTables:
         out = np.ones(q, dtype=np.int32)
         b = np.arange(q, dtype=np.int32)
         e = int(e)
-        if e == 0:
-            return out
         while e:
             if e & 1:
                 out = self.MUL[out, b]
@@ -127,12 +125,12 @@ class TowerTables:
         "_half_add",
     )
 
-    def __init__(self, tower: TowerDesc, base_tables: Optional[BaseTables] = None):
+    def __init__(self, tower: TowerDesc, base_tables: BaseTables):
         order = tower.order
         if order > BULK_TOWER_CAP:
             raise OrderCapExceeded(order, BULK_TOWER_CAP, "bulk tower tables")
         self.tower = tower
-        self.base = base_tables if base_tables is not None else BaseTables(tower.base)
+        self.base = base_tables
         if self.base.field != tower.base:
             raise AssertionError("base tables belong to a different field")
         self.order = order

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from cppforge import cli, clear_caches, permcheck
+from cppforge import cli, clear_caches, lifts, permcheck
 from cppforge.cli import main
 
 
@@ -304,6 +304,36 @@ def test_kernel_check_rejects_non_coprime_k(capsys):
     code, _, err = run(capsys, "kernel-check", "--p", "2", "--r", "2",
                        "--n", "2", "--k", "2", "--c", "1")
     assert code == 2 and "gcd" in err
+
+
+def _no_kernel_scan(*args, **kwargs):
+    raise AssertionError("a kernel scan ran above the cap")
+
+
+@pytest.mark.parametrize("call", [
+    "kernel-check --p 2 --r 1 --n 17 --k 1 --c 1",
+    "construct trace-binomial --p 2 --r 1 --n 17 --h [1] --k 1 --a 1",
+])
+def test_kernel_scan_above_the_cap_is_refused_before_it_starts(capsys, monkeypatch, call):
+    # both walk ker(tr) of F_131072, past the default cap; the base F_2 is not
+    monkeypatch.setattr(cli, "ppoly_permutes_kernel", _no_kernel_scan)
+    monkeypatch.setattr(lifts, "ppoly_permutes_kernel", _no_kernel_scan)
+    for cap, extra in ((65536, []), (1000, ["--cap", "1000"])):
+        code, out, err = run(capsys, *call.split(), *extra)
+        assert code == 2 and out == ""
+        assert err.count("cppforge:") == 1
+        assert f"order 131072 exceeds cap {cap}" in err
+
+
+def test_kernel_check_cap_governs_the_kernel_scan(capsys, monkeypatch):
+    argv = ["kernel-check", "--p", "2", "--r", "1", "--n", "4", "--k", "1", "--c", "1"]
+    assert run_json(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "ppoly_permutes_kernel", _no_kernel_scan)
+    code, out, err = run(capsys, *argv, "--cap", "8")
+    assert code == 2 and out == "" and "order 16 exceeds cap 8" in err
+    monkeypatch.setenv(cli.CAP_ENV, "8")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "order 16 exceeds cap 8" in err
 
 
 # --- grid -------------------------------------------------------------------

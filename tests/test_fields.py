@@ -128,6 +128,32 @@ def test_addition_matches_the_digit_loop_on_seeded_pairs(p, n, tabled):
     assert bool(tw._add_tab) == tabled
 
 
+def _digit_neg(p, a):
+    """-a digit by digit: the reference for FieldDesc._cneg."""
+    out, place = 0, 1
+    while a:
+        a, x = divmod(a, p)
+        out += (-x) % p * place
+        place *= p
+    return out
+
+
+def test_negation_matches_the_digitwise_reference_on_every_element_up_to_729():
+    for f in _odd_p_levels(729):
+        codes = range(f.order)
+        assert [f._cneg(a) for a in codes] == [_digit_neg(f.p, a) for a in codes], f
+
+
+@pytest.mark.parametrize("n", [10, 11], ids=["F_59049/F_3", "F_177147/F_3"])
+def test_negation_matches_the_digitwise_reference_on_seeded_elements(n):
+    # F_177147 is past _LOG_TABLE_MAX: there _cmul is the convolution
+    tw = make_tower(make_prime_field(3), n)
+    rng = random.Random(tw.order)
+    for _ in range(2000):
+        a = rng.randrange(tw.order)
+        assert tw._cneg(a) == _digit_neg(3, a), a
+
+
 _ODD_SHAPES = [(p, d) for p in (3, 5, 7, 11, 13) for d in range(1, 7)
                if p**d <= fields.MAX_FIELD_ORDER]
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cppforge import REGISTRY, SweepReport, clear_caches, norm_lift_pairs, tower_grid
-from cppforge import cli, fields, grids, lifts, maps, permcheck, tables
+from cppforge import cli, fields, grids, maps, permcheck, tables
 from cppforge.grids import (
     DEFAULT_SEED,
     sweep_kernel_binomials,
@@ -197,10 +197,10 @@ def _report_json(rep):
 def test_no_sweep_depends_on_the_default_cap(monkeypatch):
     # each sweep checks its lifts at the tower's own order, the proof
     # identity of thm3.3 and thm3.7 included: a default cap below the
-    # towers changes no report
+    # towers changes no report. permcheck's cap is the only one: a sweep
+    # that left a builder on the default would be refused at its gate
     want = {token: _report_json(sweep(max_order=64)) for token, sweep in REGISTRY.items()}
     monkeypatch.setattr(permcheck, "DEFAULT_EXHAUSTIVE_CAP", 16)
-    monkeypatch.setattr(lifts, "DEFAULT_EXHAUSTIVE_CAP", 16)
     for token, sweep in REGISTRY.items():
         assert _report_json(sweep(max_order=64)) == want[token], token
 

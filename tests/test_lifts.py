@@ -252,6 +252,20 @@ def test_trace_general_refuses_a_base_past_the_cap_before_the_scan(f4, t43):
         trace_lift_general(Poly(f4, [0]), PPoly.monomial(t43, 0), 1, t43, cap=2)
 
 
+def test_trace_lifts_refuse_a_tower_past_the_cap_before_any_kernel_scan(monkeypatch, f4, t43):
+    # the base F_4 fits the cap and the tower F_64 does not: the builders
+    # refuse rather than scan the tower's kernel
+    def no_kernel_scan(*args, **kwargs):
+        raise AssertionError("a kernel scan ran above the cap")
+
+    monkeypatch.setattr(lifts, "ppoly_permutes_kernel", no_kernel_scan)
+    h = Poly(f4, [1, 1])
+    with pytest.raises(OrderCapExceeded, match="order 64 exceeds cap 16"):
+        trace_lift_general(h, PPoly.monomial(t43, 1), 1, t43, cap=16)
+    with pytest.raises(OrderCapExceeded, match="order 64 exceeds cap 16"):
+        trace_lift_binomial(h, 1, 1, t43, cap=16)
+
+
 def test_trace_binomial_matches_general_delegate(f4, t43):
     h = Poly(f4, [1, 1])
     via_binomial = trace_lift_binomial(h, 1, 1, t43)
