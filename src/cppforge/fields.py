@@ -31,6 +31,15 @@ its first addition. A level whose table would exceed _LOG_TABLE_MAX cells
 (p^(2w) of them) keeps the digit loop, as _cmul keeps the convolution
 past the exp/log lists.
 
+Beside the per-element _cmul/_cadd/_cpow, a level has whole-field list
+passes from the same lists and the same addition rule: _cadd_each adds
+two code lists elementwise, _cpow_all lists x^e for every code, and
+_peval_all evaluates a polynomial at every code, Horner one coefficient
+at a time. A pass is one list comprehension, with the per-element work in
+lookups rather than method calls. _peval_all and _cpow_all run the
+per-element methods on a level with no exp/log lists, and _cadd_each
+maps _cadd where _cadd would run the digit loop.
+
 Moduli, when not supplied, are chosen canonically: candidate coefficient
 tuples are scanned in ascending code order (constant coefficient varying
 fastest) and the first monic irreducible wins, so two constructions of the
@@ -397,12 +406,34 @@ class FieldDesc:
             lo = self._add_lo
             return tab[a % lo * lo + b % lo] + lo * tab[a // lo * lo + b // lo]
         if tab is None:
-            # the level's first addition: fetch the shared table, b"" past the cap
-            w = (self.full_degree + 1) // 2
-            self._add_lo = p**w
-            self._add_tab = _half_add_table(p, w) if p ** (2 * w) <= _LOG_TABLE_MAX else b""
+            self._fetch_add_tab()
             return self._cadd(a, b)
         return _digit_add(p, a, b)
+
+    def _fetch_add_tab(self) -> bytes:
+        """The level's first addition: fetch the shared table, b"" past the cap."""
+        p, w = self.p, (self.full_degree + 1) // 2
+        self._add_lo = p**w
+        self._add_tab = _half_add_table(p, w) if p ** (2 * w) <= _LOG_TABLE_MAX else b""
+        return self._add_tab
+
+    def _cadd_each(self, us: Iterable[int], vs: Iterable[int]) -> list[int]:
+        """[_cadd(u, v) for u, v in zip(us, vs)], with _cadd's rule inlined
+        into one list pass: XOR, % p, or the two half-table lookups; a level
+        with no table maps _cadd."""
+        p = self.p
+        if p == 2:
+            return [u ^ v for u, v in zip(us, vs)]
+        if self.full_degree == 1:
+            return [(u + v) % p for u, v in zip(us, vs)]
+        tab = self._add_tab
+        if tab is None:
+            tab = self._fetch_add_tab()
+        if not tab:
+            return list(map(self._cadd, us, vs))
+        lo = self._add_lo
+        return [tab[u % lo * lo + v % lo] + lo * tab[u // lo * lo + v // lo]
+                for u, v in zip(us, vs)]
 
     def _cneg(self, a: int) -> int:
         """-a as (p - 1)*a: p - 1 is the same code at every level, so _cmul
@@ -445,6 +476,14 @@ class FieldDesc:
         if self._log is not None or self.log_tables():
             return self._exp[self._log[a] * e % (self.order - 1)]
         return self._codeof(self._pow_vec(self._vec(a), e))
+
+    def _cpow_all(self, e: int) -> list[int]:
+        """[_cpow(x, e) for x in range(order)]: one pass over the log list
+        where the level has one."""
+        if e == 0 or self._sub is None or not (self._log is not None or self.log_tables()):
+            return [self._cpow(x, e) for x in range(self.order)]
+        exp, m = self._exp, self.order - 1
+        return [0] + [exp[lx * e % m] for lx in self._log[1:]]
 
     # -- element API -----------------------------------------------------
 
@@ -633,6 +672,44 @@ def _peval(home: FieldDesc, cs: Sequence[int], x: int) -> int:
     acc = 0
     for c in reversed(cs):
         acc = home._cadd(home._cmul(acc, x), c)
+    return acc
+
+
+def _peval_all(home: FieldDesc, cs: Sequence[int]) -> list[int]:
+    """[_peval(home, cs, x) for x in range(home.order)], by Horner one
+    coefficient at a time over every x, from the top coefficient down.
+
+    A prime field takes (a*x + c) % p per x. A level with exp/log lists
+    multiplies by one lookup per x in mexp = exp + exp + zeros, with the log
+    of 0 read as 2m (m = order - 1): a log sum that involves a zero lands
+    past 2m - 2, where mexp holds 0, as TowerTables.MEXP does. For p = 2
+    the same pass XORs the coefficient in; odd p adds it by _cadd_each. A
+    level past _LOG_TABLE_MAX runs _peval per point.
+    """
+    order = home.order
+    if not cs:
+        return [0] * order
+    acc, rest = [cs[-1]] * order, cs[-2::-1]
+    if home._sub is None:
+        p = home.p
+        for c in rest:
+            acc = [(a * x + c) % p for x, a in enumerate(acc)]
+        return acc
+    tabs = home.log_tables()
+    if tabs is None:
+        return [_peval(home, cs, x) for x in range(order)]
+    exp, log = tabs
+    m = order - 1
+    lg = list(log)
+    lg[0] = 2 * m
+    mexp = exp + exp + [0] * (2 * m + 1)
+    for c in rest:
+        if home.p == 2:
+            acc = [mexp[lg[a] + lx] ^ c for a, lx in zip(acc, lg)]
+        else:
+            acc = [mexp[lg[a] + lx] for a, lx in zip(acc, lg)]
+            if c:
+                acc = home._cadd_each(acc, [c] * order)
     return acc
 
 

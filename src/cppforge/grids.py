@@ -275,10 +275,15 @@ def _norm_lift_verdicts(tt, hv: np.ndarray, scan: np.ndarray, lam_scaled: np.nda
 
 
 def _all_h_coeffs(q: int, max_degree: int) -> np.ndarray:
-    """Every nonzero coefficient vector of length max_degree+1, lex order."""
+    """Every nonzero coefficient vector of length max_degree+1, in code order.
+
+    Row i holds the base-q digits of the code i + 1, c0 the least
+    significant, so c0 varies fastest: for q = 4 the rows start [1,0,0],
+    [2,0,0], [3,0,0], [0,1,0].
+    """
     m = max_degree + 1
     grids = np.meshgrid(*[np.arange(q, dtype=np.int32)] * m, indexing="ij")
-    cols = [g.reshape(-1) for g in reversed(grids)]  # c0 varies slowest overall
+    cols = [g.reshape(-1) for g in reversed(grids)]  # the last axis, c0, varies fastest
     mat = np.stack(cols, axis=1)
     return mat[(mat != 0).any(axis=1)]
 

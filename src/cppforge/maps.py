@@ -53,6 +53,21 @@ def trace_code(tower: TowerDesc, xc: int) -> int:
     return acc
 
 
+def trace_list(tower: TowerDesc) -> list[int]:
+    """[trace_code(tower, xc) for xc in range(tower.order)], in list passes.
+
+    One power pass makes the Frobenius list frob[x] = x^q. Starting from
+    the codes, each of n - 1 passes of frob gives the next conjugates
+    x^(q^i), and _cadd_each adds them in.
+    """
+    acc = conj = list(range(tower.order))
+    frob = tower._cpow_all(tower.q)
+    for _ in range(tower.n - 1):
+        conj = [frob[c] for c in conj]
+        acc = tower._cadd_each(acc, conj)
+    return acc
+
+
 def rel_trace(x: FieldElement) -> FieldElement:
     """Relative trace tr(x) = x + x^q + ... + x^(q^(n-1)), in the base field."""
     tower = _require_tower(x)
@@ -90,11 +105,12 @@ _VERDICT_CACHE_SIZE = 1024
 def trace_kernel(tower: TowerDesc) -> tuple[FieldElement, ...]:
     """All trace-zero elements in ascending code order.
 
+    The traces come from trace_list, in list passes over the whole tower.
     Memoized per equal tower, for the last _KERNEL_CACHE_SIZE towers asked
     for. The kernel is an F_q-subspace of size exactly q^(n-1); that count
     is asserted rather than assumed.
     """
-    tr = [trace_code(tower, xc) for xc in range(tower.order)]
+    tr = trace_list(tower)
     check_in_base(tower, tr)
     ker = tuple(FieldElement(tower, xc) for xc, t in enumerate(tr) if t == 0)
     if len(ker) != tower.q ** (tower.n - 1):

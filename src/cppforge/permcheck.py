@@ -16,12 +16,15 @@ decomposition is verified, not trusted.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
+from operator import indexOf
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import BadTableLength, FieldMismatch, OrderCapExceeded, OutOfRange
-from .fields import FieldDesc, FieldElement, Poly, TowerDesc, _peval
-from .maps import check_in_base, norm_exponent, trace_code
+from .fields import FieldDesc, FieldElement, Poly, TowerDesc, _peval, _peval_all
+from .maps import check_in_base, norm_exponent, trace_list
 
 DEFAULT_EXHAUSTIVE_CAP = 1 << 16
 
@@ -85,10 +88,11 @@ def _cap_check(order: int, cap: Optional[int]):
 
 
 def value_table(f: Poly, cap: Optional[int] = None) -> list[int]:
-    """Codes of f over the whole home field, indexed by input code."""
+    """Codes of f over the whole home field, indexed by input code: Horner
+    in one list pass per coefficient (fields._peval_all)."""
     home = f.home
     _cap_check(home.order, cap)
-    return [_peval(home, f.coeffs, xc) for xc in range(home.order)]
+    return _peval_all(home, f.coeffs)
 
 
 def table_verdict(order: int, table: Sequence[int]) -> PermVerdict:
@@ -96,24 +100,20 @@ def table_verdict(order: int, table: Sequence[int]) -> PermVerdict:
 
     The witness is min over colliding codes of (first, second preimage of
     the collided value), which is independent of how the scan is chunked.
+    Counter(table) decides bijectivity. The first preimages of distinct
+    values differ, so the least of them fixes the witness: it is the first
+    x whose value occurs twice, and the second preimage is that value's
+    next occurrence.
     """
     if len(table) != order:
         raise BadTableLength(len(table), order)
-    first: dict[int, int] = {}
-    best: Optional[tuple[int, int]] = None
-    collided = set()
-    for x, v in enumerate(table):
-        if v in first:
-            if v not in collided:
-                collided.add(v)
-                pair = (first[v], x)
-                if best is None or pair < best:
-                    best = pair
-        else:
-            first[v] = x
-    if best is None:
+    counts = Counter(table)
+    if len(counts) == order:
         return PermVerdict(True, None)
-    return PermVerdict(False, best)
+    x = next(x for x, v in enumerate(table) if counts[v] > 1)
+    # islice and indexOf take a numpy row as well as a list or tuple
+    y = x + 1 + indexOf(islice(table, x + 1, None), table[x])
+    return PermVerdict(False, (x, y))
 
 
 def is_permutation(f: Poly, cap: Optional[int] = None) -> PermVerdict:
@@ -125,7 +125,7 @@ def table_is_cpp(home: FieldDesc, table: Sequence[int]) -> bool:
     only when f permutes; is_complete_permutation reports both witnesses."""
     if not table_verdict(home.order, table).is_permutation:
         return False
-    shifted = [home._cadd(v, x) for x, v in enumerate(table)]
+    shifted = home._cadd_each(table, range(home.order))
     return table_verdict(home.order, shifted).is_permutation
 
 
@@ -133,7 +133,7 @@ def is_complete_permutation(f: Poly, cap: Optional[int] = None) -> CppCheck:
     """Verdicts for f and for f + x; f is a CPP when both hold."""
     home = f.home
     tab = value_table(f, cap)
-    shifted = [home._cadd(v, x) for x, v in enumerate(tab)]
+    shifted = home._cadd_each(tab, range(home.order))
     return CppCheck(table_verdict(home.order, tab), table_verdict(home.order, shifted))
 
 
@@ -185,18 +185,17 @@ def fiber_criterion_verify(
     ftab = _as_table(tower, f, "f")
     htab = _as_table(base, h, "h")
     if lambda_kind == "trace":
-        lam = [trace_code(tower, xc) for xc in range(order)]
+        lam = trace_list(tower)
     else:
-        e = norm_exponent(tower)
-        lam = [tower._cpow(xc, e) for xc in range(order)]
+        lam = tower._cpow_all(norm_exponent(tower))
     check_in_base(tower, lam)
 
-    square_commutes = all(lam[ftab[x]] == htab[lam[x]] for x in range(order))
+    square_commutes = [lam[v] for v in ftab] == [htab[t] for t in lam]
     lam_surjective = len(set(lam)) == q
 
     h_bijective = len(set(htab)) == q
     # f injective on every fiber lam^-1(s) iff x -> (lam(x), f(x)) is injective
-    fibers_injective = len({(lam[x], ftab[x]) for x in range(order)}) == order
+    fibers_injective = len(set(zip(lam, ftab))) == order
     cross_check = len(set(ftab)) == order
 
     conclusion: Optional[bool] = None

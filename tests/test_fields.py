@@ -21,6 +21,7 @@ from cppforge import (
     make_extension,
     make_prime_field,
     make_tower,
+    value_table,
 )
 from cppforge.errors import (
     DivisionByZero,
@@ -86,15 +87,22 @@ def test_f25_ring_identities(a, b, c):
 # --- code addition: the shared (p, w) table against the digit loop ----------
 
 
-def _odd_p_levels(max_order):
-    """Every odd-p flat field and tower level of full degree > 1 up to max_order."""
-    levels = {f: None for tw in tower_grid(max_order) if tw.p != 2 for f in (tw.base, tw)}
+def _levels(max_order):
+    """Every prime field, flat field and tower level (base and tower) up to
+    max_order, for each characteristic the tower grid uses."""
+    levels = {f: None for tw in tower_grid(max_order) for f in (tw.base, tw)}
     for p in {tw.p for tw in levels}:
+        levels[make_prime_field(p)] = None
         r = 2
         while p**r <= max_order:
             levels[make_extension(make_prime_field(p), r)] = None
             r += 1
-    return [f for f in levels if f.full_degree > 1]
+    return list(levels)
+
+
+def _odd_p_levels(max_order):
+    """Every odd-p flat field and tower level of full degree > 1 up to max_order."""
+    return [f for f in _levels(max_order) if f.p != 2 and f.full_degree > 1]
 
 
 def test_addition_table_matches_the_digit_loop_on_every_pair_up_to_729():
@@ -166,6 +174,89 @@ def test_odd_p_addition_is_the_digit_loop_and_subtraction_undoes_it(shape, data)
     a, b = (data.draw(st.integers(0, f.order - 1)) for _ in range(2))
     assert f._cadd(a, b) == fields._digit_add(p, a, b)
     assert f._csub(f._cadd(a, b), b) == a
+
+
+# --- whole-field list passes against the per-point route ---------------------
+
+
+def _coeff_lists(order, rng):
+    """Seeded coefficient lists: empty, constants, inner zeros, zero tops."""
+    def code():
+        return rng.randrange(order)
+
+    return [
+        [], [0], [code()], [0, 1], [code(), code()],
+        [code(), 0, code(), 0, rng.randrange(1, order)],
+        [0, 0, 0, code()], [code(), code(), 0], [code(), 0, code(), 0, 0],
+        [code() for _ in range(7)],
+    ]
+
+
+def _assert_passes_match(f, rng, lists):
+    order = f.order
+    for cs in lists:
+        assert fields._peval_all(f, cs) == [fields._peval(f, cs, x) for x in range(order)], (f, cs)
+    us = [rng.randrange(order) for _ in range(order)]
+    assert f._cadd_each(us, range(order)) == [f._cadd(u, x) for x, u in enumerate(us)], f
+    for e in (0, 1, f.p, rng.randrange(2, 2 * order)):
+        assert f._cpow_all(e) == [f._cpow(x, e) for x in range(order)], (f, e)
+
+
+def test_whole_field_passes_match_the_per_point_route_on_every_level_up_to_729():
+    levels = _levels(729)
+    assert {f._sub is None for f in levels} == {True, False}
+    for f in levels:
+        rng = random.Random(f.order * 7 + f.full_degree)
+        _assert_passes_match(f, rng, _coeff_lists(f.order, rng))
+
+
+@pytest.mark.parametrize(
+    "p, r, n",
+    [(2, 1, 12), (2, 6, 2), (5, 1, 5), (2, 1, 16), (17, 1, 3)],
+    ids=["F_4096/F_2", "F_4096/F_64", "F_3125/F_5", "F_65536/F_2", "F_4913/F_17"],
+)
+def test_whole_field_passes_match_the_per_point_route_on_seeded_lists(p, r, n):
+    # F_65536/F_2 is the largest level with exp/log lists; F_4913/F_17 has
+    # them but adds by the digit loop (its half table would pass the cap)
+    tw = make_tower(make_extension(make_prime_field(p), r), n)
+    rng = random.Random(tw.order)
+    _assert_passes_match(tw, rng, _coeff_lists(tw.order, rng)[4::2])
+    assert tw.log_tables() is not None
+    assert p == 2 or bool(tw._add_tab) == (tw.order != 4913)
+
+
+def test_value_table_past_the_log_lists_is_the_per_point_horner():
+    # F_131072/F_2 has no exp/log lists: each point runs _peval, under a cap
+    # raised to its order. x + c keeps it to one cheap convolution per point
+    # (by 1); a random linear coefficient takes 5 s for the table.
+    tw = make_tower(make_prime_field(2), 17)
+    assert tw.log_tables() is None
+    rng = random.Random(tw.order)
+    f = Poly(tw, [rng.randrange(tw.order), 1])
+    tab = value_table(f, cap=tw.order)
+    assert len(tab) == tw.order
+    for x in rng.sample(range(tw.order), 500):
+        assert tab[x] == fields._peval(tw, f.coeffs, x), x
+    assert value_table(Poly(tw, [5]), cap=tw.order) == [5] * tw.order
+    us = [rng.randrange(tw.order) for _ in range(2000)]
+    assert tw._cadd_each(us, us[::-1]) == [tw._cadd(u, v) for u, v in zip(us, us[::-1])]
+
+
+_PASS_SHAPES = [(p, r, n) for p in (2, 3, 5, 7) for r in (1, 2, 3) for n in range(1, 7)
+                if (r > 1 or n > 1) and p ** (r * n) <= 2187]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_PASS_SHAPES), st.data())
+def test_whole_field_passes_are_the_per_point_route(shape, data):
+    p, r, n = shape
+    base = make_extension(make_prime_field(p), r)
+    f = make_tower(base, n) if r > 1 else make_extension(base, n)
+    codes = st.integers(0, f.order - 1)
+    cs = data.draw(st.lists(codes, max_size=6))
+    assert fields._peval_all(f, cs) == [fields._peval(f, cs, x) for x in range(f.order)]
+    us, vs = (data.draw(st.lists(codes, min_size=1, max_size=64)) for _ in range(2))
+    assert f._cadd_each(us, vs) == [f._cadd(u, v) for u, v in zip(us, vs)]
 
 
 def test_multiplicative_generator_has_full_order(f4, f9, f16):

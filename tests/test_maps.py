@@ -22,8 +22,11 @@ from cppforge.maps import (
     ppoly_eval,
     ppoly_quotient,
     ppoly_quotient_eval,
+    trace_code,
     trace_kernel,
+    trace_list,
 )
+from cppforge.grids import tower_grid
 from cppforge.permcheck import eval_poly
 
 
@@ -72,6 +75,17 @@ def test_norm_of_embedded_base_is_nth_power(tw):
     n = tw.n
     for a in tw.base.elements():
         assert rel_norm(tw.embed(a)).code == tw.base._cpow(a.code, n)
+
+
+def test_trace_and_norm_lists_equal_the_per_point_maps_on_every_tower_up_to_4096():
+    towers = tower_grid(4096)
+    # the n = 1 tower, where the trace is the identity, has no Frobenius pass
+    towers.append(make_tower(make_extension(make_prime_field(2), 2), 1))
+    for tw in towers:
+        codes = range(tw.order)
+        assert trace_list(tw) == [trace_code(tw, x) for x in codes], tw
+        e = norm_exponent(tw)
+        assert tw._cpow_all(e) == [tw._cpow(x, e) for x in codes], tw
 
 
 def test_trace_kernel_size_and_membership(tw):

@@ -1,5 +1,8 @@
 """Permutation / complete-permutation verdicts and the fiber criterion."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +18,7 @@ from cppforge import (
     value_table,
 )
 from cppforge.errors import BadTableLength, FieldMismatch, OrderCapExceeded, OutOfRange
-from cppforge.permcheck import eval_poly, table_verdict
+from cppforge.permcheck import PermVerdict, eval_poly, table_verdict
 
 
 def test_value_table_matches_pointwise_eval():
@@ -40,6 +43,56 @@ def test_table_verdict_witness_is_lex_least():
     # must be the lex-least pair overall, not the first one encountered
     v = table_verdict(4, [7, 5, 7, 5])
     assert v.witness == (0, 2)
+
+
+def _reference_verdict(order, table):
+    """The dict scan table_verdict ran before it counted: each value's first
+    preimage, and the least (first, second) pair over the collided values."""
+    if len(table) != order:
+        raise BadTableLength(len(table), order)
+    first = {}
+    best = None
+    collided = set()
+    for x, v in enumerate(table):
+        if v in first:
+            if v not in collided:
+                collided.add(v)
+                pair = (first[v], x)
+                if best is None or pair < best:
+                    best = pair
+        else:
+            first[v] = x
+    return PermVerdict(best is None, best)
+
+
+def _seeded_tables(order, rng):
+    perm = list(range(order))
+    rng.shuffle(perm)
+    one = list(perm)
+    i, j = sorted(rng.sample(range(order), 2))
+    one[j] = one[i]
+    last = list(perm)
+    last[-1] = last[rng.randrange(order - 1)]
+    return {
+        "permutation": perm,
+        "one collision": one,
+        "many collisions": [rng.randrange(order // 2) for _ in range(order)],
+        "collision at the last index": last,
+        "last two equal": perm[:-1] + perm[-2:-1],
+        "constant": [perm[0]] * order,
+    }
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 9, 64, 729, 2187, 3125, 4096])
+def test_table_verdict_keeps_the_dict_scan_witness(order):
+    rng = random.Random(order)
+    for kind, tab in _seeded_tables(order, rng).items():
+        want = _reference_verdict(order, tab)
+        assert want.is_permutation == (kind == "permutation")
+        assert table_verdict(order, tab) == want, (order, kind)
+        assert table_verdict(order, tuple(tab)) == want, (order, kind)
+        rows = np.array([tab, tab[::-1]], dtype=np.int32)
+        assert table_verdict(order, rows[0]) == want, (order, kind)
 
 
 def test_squaring_on_f3_collides_at_1_2():
