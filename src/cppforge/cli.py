@@ -335,7 +335,11 @@ def cmd_grid(args) -> int:
         raise BadInput(f"grid --max-order must be >= 0, got {args.max_order}")
     from .grids import REGISTRY  # numpy loads only for a sweep
 
-    rep = REGISTRY[args.token](max_order=args.max_order)
+    sweep = REGISTRY[args.token]
+    # every tower of the sweep has order <= max_order
+    max_order = sweep.default_max_order if args.max_order is None else args.max_order
+    _cap_check(max_order, _cap(args))
+    rep = sweep(max_order=args.max_order)
     report = {"command": "grid", **rep.to_json()}
     if args.reproducible:
         del report["elapsed_seconds"]

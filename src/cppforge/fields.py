@@ -32,13 +32,17 @@ its first addition. A level whose table would exceed _LOG_TABLE_MAX cells
 past the exp/log lists.
 
 Beside the per-element _cmul/_cadd/_cpow, a level has whole-field list
-passes from the same lists and the same addition rule: _cadd_each adds
-two code lists elementwise, _cpow_all lists x^e for every code, and
-_peval_all evaluates a polynomial at every code, Horner one coefficient
-at a time. A pass is one list comprehension, with the per-element work in
-lookups rather than method calls. _peval_all and _cpow_all run the
-per-element methods on a level with no exp/log lists, and _cadd_each
-maps _cadd where _cadd would run the digit loop.
+passes from the same lists and the same addition rule: _cadd_each and
+_cmul_each add and multiply two code lists elementwise, _cpow_all lists
+x^e for every code, and _peval_all evaluates a polynomial at every code,
+Horner one coefficient at a time. A pass is one list comprehension, with
+the per-element work in lookups rather than method calls. The products
+read one pair of sentinel lists (_sentinel_lists); odd-p Horner adds each
+constant c through its translation list u -> u + c, built from two rows
+of the half table (_translation). _peval_all, _cpow_all and _cmul_each
+run the per-element methods on a level with no exp/log lists, and
+_cadd_each and _translation run _cadd where _cadd would run the digit
+loop.
 
 Moduli, when not supplied, are chosen canonically: candidate coefficient
 tuples are scanned in ascending code order (constant coefficient varying
@@ -435,6 +439,22 @@ class FieldDesc:
         return [tab[u % lo * lo + v % lo] + lo * tab[u // lo * lo + v // lo]
                 for u, v in zip(us, vs)]
 
+    def _translation(self, c: int) -> list[int]:
+        """[_cadd(u, c) for u in range(order)] on an odd-p level of full
+        degree > 1, with no division: u splits as uh*lo + ul, so the sum is
+        lo*(uh + ch) + (ul + cl), and the two half-table rows of ch and cl
+        give every term. A level with no table runs _cadd."""
+        tab = self._add_tab
+        if tab is None:
+            tab = self._fetch_add_tab()
+        if not tab:
+            return [self._cadd(u, c) for u in range(self.order)]
+        lo = self._add_lo
+        ch, cl = divmod(c, lo)
+        high = [lo * v for v in tab[ch * lo : ch * lo + self.order // lo]]
+        low = tab[cl * lo : cl * lo + lo]
+        return [h + l for h in high for l in low]
+
     def _cneg(self, a: int) -> int:
         """-a as (p - 1)*a: p - 1 is the same code at every level, so _cmul
         negates by one log/exp lookup, and _digit_add stays the only digit
@@ -456,6 +476,36 @@ class FieldDesc:
         if self._log is not None or self.log_tables():
             return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
         return self._codeof(self._mul_vec(self._vec(a), self._vec(b)))
+
+    def _sentinel_lists(self) -> Optional[tuple[list[int], list[int]]]:
+        """(mexp, lg) for one-lookup products on a level with exp/log lists:
+        mexp[lg[u] + lg[v]] = _cmul(u, v) for every pair of codes.
+
+        lg is the log list with the log of 0 read as 2m (m = order - 1) and
+        mexp = exp + exp + zeros: a log sum that involves a zero lands past
+        2m - 2, where mexp holds 0, as TowerTables.MEXP does. Built per
+        call (about 20 us at order 4096). None on a prime field or a level
+        past _LOG_TABLE_MAX.
+        """
+        if self._sub is None or self.log_tables() is None:
+            return None
+        m = self.order - 1
+        lg = list(self._log)
+        lg[0] = 2 * m
+        return self._exp + self._exp + [0] * (2 * m + 1), lg
+
+    def _cmul_each(self, us: Iterable[int], vs: Iterable[int]) -> list[int]:
+        """[_cmul(u, v) for u, v in zip(us, vs)] in one list pass: u*v % p
+        on a prime field, one mexp lookup per pair where the level has
+        exp/log lists (_sentinel_lists), and _cmul mapped past them."""
+        if self._sub is None:
+            p = self.p
+            return [u * v % p for u, v in zip(us, vs)]
+        lists = self._sentinel_lists()
+        if lists is None:
+            return list(map(self._cmul, us, vs))
+        mexp, lg = lists
+        return [mexp[lg[u] + lg[v]] for u, v in zip(us, vs)]
 
     def _cinv(self, a: int) -> int:
         if a == 0:
@@ -680,11 +730,10 @@ def _peval_all(home: FieldDesc, cs: Sequence[int]) -> list[int]:
     coefficient at a time over every x, from the top coefficient down.
 
     A prime field takes (a*x + c) % p per x. A level with exp/log lists
-    multiplies by one lookup per x in mexp = exp + exp + zeros, with the log
-    of 0 read as 2m (m = order - 1): a log sum that involves a zero lands
-    past 2m - 2, where mexp holds 0, as TowerTables.MEXP does. For p = 2
-    the same pass XORs the coefficient in; odd p adds it by _cadd_each. A
-    level past _LOG_TABLE_MAX runs _peval per point.
+    multiplies by one lookup per x in the sentinel lists (_sentinel_lists).
+    For p = 2 the same pass XORs the coefficient in; odd p reads the sum
+    from the coefficient's translation list (FieldDesc._translation) in the
+    same pass. A level past _LOG_TABLE_MAX runs _peval per point.
     """
     order = home.order
     if not cs:
@@ -695,21 +744,18 @@ def _peval_all(home: FieldDesc, cs: Sequence[int]) -> list[int]:
         for c in rest:
             acc = [(a * x + c) % p for x, a in enumerate(acc)]
         return acc
-    tabs = home.log_tables()
-    if tabs is None:
+    lists = home._sentinel_lists()
+    if lists is None:
         return [_peval(home, cs, x) for x in range(order)]
-    exp, log = tabs
-    m = order - 1
-    lg = list(log)
-    lg[0] = 2 * m
-    mexp = exp + exp + [0] * (2 * m + 1)
+    mexp, lg = lists
     for c in rest:
         if home.p == 2:
             acc = [mexp[lg[a] + lx] ^ c for a, lx in zip(acc, lg)]
+        elif c:
+            t = home._translation(c)
+            acc = [t[mexp[lg[a] + lx]] for a, lx in zip(acc, lg)]
         else:
             acc = [mexp[lg[a] + lx] for a, lx in zip(acc, lg)]
-            if c:
-                acc = home._cadd_each(acc, [c] * order)
     return acc
 
 
@@ -880,7 +926,9 @@ class Poly:
         if degree < 0:
             raise ValueError("degree must be non-negative")
         code = 1 if coeff is None else (coeff.code if isinstance(coeff, FieldElement) else int(coeff))
-        return cls(home, [0] * degree + [code])
+        # validate the one coefficient, then pad: the zeros need no check
+        lead = cls(home, [code]).codes()
+        return cls._raw(home, [0] * degree + lead if lead else [])
 
     @property
     def degree(self) -> int:

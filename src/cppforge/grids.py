@@ -174,8 +174,9 @@ REGISTRY: dict = {}
 
 def _sweep(token: str, default_max_order: int):
     """Register body(rep, max_order, rng, **options) -> extras as the sweep
-    `token`: the wrapper owns the max_order default, the seeded rng, the
-    report and its perf_counter timing."""
+    `token`: the wrapper owns the max_order default (exposed as its
+    default_max_order), the seeded rng, the report and its perf_counter
+    timing."""
 
     def register(body):
         def sweep(max_order: Optional[int] = None, seed: int = DEFAULT_SEED,
@@ -191,6 +192,7 @@ def _sweep(token: str, default_max_order: int):
         # body's name and doc; the signature and annotations stay sweep's
         sweep.__name__ = sweep.__qualname__ = body.__name__
         sweep.__doc__ = body.__doc__
+        sweep.default_max_order = default_max_order
         REGISTRY[token] = sweep
         return sweep
 

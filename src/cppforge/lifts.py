@@ -40,11 +40,13 @@ from .maps import (
     PPoly,
     check_in_base,
     norm_exponent,
+    ppoly_eval_all,
     ppoly_permutes_kernel,
     ppoly_quotient,
     ppoly_quotient_eval,
     require_norm_coprime,
     trace_code,
+    trace_list,
 )
 from .permcheck import _cap_check, table_is_cpp, value_table
 
@@ -78,6 +80,11 @@ class LiftResult:
     witness's exhaustively tested status. The lifted map itself is exposed
     pointwise (evaluate / map_table / verified_cpp) and as a lazily
     expanded dense Poly (lifted).
+
+    Each builder hands over the map twice: map_code evaluates one point
+    (evaluate), and map_all lists every point in whole-field list passes
+    (map_table, and through it verified_cpp). A replay that asks for a few
+    points pays for those points only.
     """
 
     __slots__ = (
@@ -89,6 +96,7 @@ class LiftResult:
         "predicted_cpp",
         "extras",
         "_map_code",
+        "_map_all",
         "_expand",
         "_lifted",
     )
@@ -102,6 +110,7 @@ class LiftResult:
         subfield_witness: Poly,
         predicted_cpp: Optional[bool],
         map_code: Callable[[int], int],
+        map_all: Callable[[], list[int]],
         expand: Callable[[], Poly],
         extras: Optional[dict] = None,
     ):
@@ -113,6 +122,7 @@ class LiftResult:
         self.predicted_cpp = predicted_cpp
         self.extras = extras or {}
         self._map_code = map_code
+        self._map_all = map_all
         self._expand = expand
         self._lifted = None
 
@@ -128,8 +138,7 @@ class LiftResult:
 
     def map_table(self, cap: Optional[int] = None) -> list[int]:
         _cap_check(self.tower.order, cap)
-        f = self._map_code
-        return [f(xc) for xc in range(self.tower.order)]
+        return self._map_all()
 
     def verified_cpp(self, cap: Optional[int] = None) -> Optional[bool]:
         """Exhaustive CPP status of the lifted map, or None above the cap."""
@@ -164,7 +173,7 @@ class LiftResult:
         """The same map and witness, reported as another construction."""
         return LiftResult(
             construction, self.tower, params, preconditions, self.subfield_witness,
-            self.predicted_cpp, self._map_code, self._expand, extras,
+            self.predicted_cpp, self._map_code, self._map_all, self._expand, extras,
         )
 
     def __repr__(self):
@@ -194,6 +203,10 @@ def norm_lift(h: Poly, tower: TowerDesc, cap: Optional[int] = None) -> LiftResul
         nor = tower._cpow(xc, npow)  # lands in the embedded base field
         return tower._cmul(xc, htab[nor])
 
+    def f_all() -> list[int]:
+        nors = tower._cpow_all(npow)
+        return tower._cmul_each(range(tower.order), [htab[v] for v in nors])
+
     def expand() -> Poly:
         _guard_expansion(max(h.degree, 0) * npow + 2)
         return embed_poly(h, tower).substitute_monomial(npow).shift(1)
@@ -206,6 +219,7 @@ def norm_lift(h: Poly, tower: TowerDesc, cap: Optional[int] = None) -> LiftResul
         subfield_witness=witness,
         predicted_cpp=predicted,
         map_code=f,
+        map_all=f_all,
         expand=expand,
     )
 
@@ -229,11 +243,14 @@ def monomial_cpp_check(alpha, s: int, tower: TowerDesc, cap: Optional[int] = Non
     _guard_expansion(w_exp + 1)
     witness = Poly.monomial(base, w_exp, a_code)
     _cap_check(q, cap)  # the witness table spans the whole base field
-    wtab = [base._cmul(a_code, base._cpow(xc, w_exp)) for xc in range(q)]
+    wtab = base._cmul_each([a_code] * q, base._cpow_all(w_exp))
     predicted = table_is_cpp(base, wtab)
 
     def f(xc: int) -> int:
         return tower._cmul(a_code, tower._cpow(xc, l_exp))
+
+    def f_all() -> list[int]:
+        return tower._cmul_each([a_code] * tower.order, tower._cpow_all(l_exp))
 
     def expand() -> Poly:
         _guard_expansion(l_exp + 1)
@@ -247,6 +264,7 @@ def monomial_cpp_check(alpha, s: int, tower: TowerDesc, cap: Optional[int] = Non
         subfield_witness=witness,
         predicted_cpp=predicted,
         map_code=f,
+        map_all=f_all,
         expand=expand,
     )
 
@@ -343,6 +361,9 @@ def trace_lift_simple(h: Poly, tower: TowerDesc, cap: Optional[int] = None) -> L
     def f(xc: int) -> int:
         return tower._cmul(xc, htab[trace_code(tower, xc)])
 
+    def f_all() -> list[int]:
+        return tower._cmul_each(range(tower.order), [htab[t] for t in trace_list(tower)])
+
     def expand() -> Poly:
         _guard_expansion(max(h.degree, 0) * q ** (tower.n - 1) + 2)
         return embed_poly(h, tower).compose(_trace_poly(tower)).shift(1)
@@ -355,22 +376,22 @@ def trace_lift_simple(h: Poly, tower: TowerDesc, cap: Optional[int] = None) -> L
         subfield_witness=witness,
         predicted_cpp=predicted,
         map_code=f,
+        map_all=f_all,
         expand=expand,
     )
 
 
-def _proof_identity_holds(tower: TowerDesc, htab: list[int], f: Callable[[int], int]) -> bool:
+def _proof_identity_holds(
+    base: FieldDesc, htab: list[int], tr: list[int], table: list[int]
+) -> bool:
     """Check tr(f(x)) = tr(x)*h(tr(x)) over the whole tower.
 
-    htab is h's value table on the base field. The caller has already held
-    the tower to the exhaustive cap.
+    htab is h's value table on the base field, tr the tower's trace list
+    and table the lifted map's value table. Both sides are lists over the
+    whole tower: the left reads tr at each value, the right is one base-field
+    _cmul_each.
     """
-    base = tower.base
-    for xc in range(tower.order):
-        t = trace_code(tower, xc)
-        if trace_code(tower, f(xc)) != base._cmul(t, htab[t]):
-            return False
-    return True
+    return [tr[y] for y in table] == base._cmul_each(tr, [htab[t] for t in tr])
 
 
 def trace_lift_general(
@@ -381,10 +402,14 @@ def trace_lift_general(
     The kernel hypothesis is verified exhaustively before anything is
     built: for every b in F_q both maps L(x) - (h(b)/a + A(b))x and
     L(x) - ((h(b)+1)/a + A(b))x must permute ker(tr). The first failure
-    raises HypothesisFails naming b and which of the two maps broke. h and
-    A are evaluated on F_q once, h's table under cap. The kernel scans, the
-    proof identity and any verification are exhaustive over the tower, so
-    a tower above cap then raises OrderCapExceeded before the first scan.
+    raises HypothesisFails naming b and which of the two maps broke. h is
+    evaluated on F_q once, under cap. The kernel scans, the proof identity
+    and any verification are exhaustive over the tower, so a tower above
+    cap then raises OrderCapExceeded before A is evaluated. A(x) = L(x)/x
+    is evaluated once on the whole tower, in list passes (L from
+    ppoly_eval_all, 1/x from the power list x^(order-2), A(0) = a_0); its
+    first q codes are A on the embedded F_q. The map's value table is built
+    once, for the proof identity, and map_table hands out copies of it.
     """
     h = _base_poly(h, tower)
     if L.tower != tower:
@@ -395,10 +420,13 @@ def trace_lift_general(
     base = tower.base
     a_inv = base._cinv(a_code)
     htab = value_table(h, cap)
-    # A(t) for t in the embedded base field: embed(t) has code t
-    atab = [ppoly_quotient_eval(L, FieldElement(tower, t)).code for t in range(tower.q)]
-    check_in_base(tower, atab)
     _cap_check(tower.order, cap)
+    order = tower.order
+    alist = tower._cmul_each(ppoly_eval_all(L, range(order)), tower._cpow_all(order - 2))
+    alist[0] = L.coefficient(0).code
+    # A(t) for t in the embedded base field: embed(t) has code t
+    atab = alist[: tower.q]
+    check_in_base(tower, atab)
 
     for b, (hb, ab) in enumerate(zip(htab, atab)):
         for which, num in enumerate((hb, base._cadd(hb, 1))):
@@ -410,14 +438,18 @@ def trace_lift_general(
     witness = h.shift(1)
     predicted = table_is_cpp(base, value_table(witness, cap))
 
+    # h(t) + a*A(t) on F_q, then H(x) = that at tr(x), minus a*A(x)
+    hta = [base._cadd(hb, base._cmul(a_code, ab)) for hb, ab in zip(htab, atab)]
+
     def f(xc: int) -> int:
-        t = trace_code(tower, xc)
         ax = ppoly_quotient_eval(L, FieldElement(tower, xc)).code
-        hh = tower._cadd(htab[t], tower._cmul(a_code, atab[t]))
-        hh = tower._csub(hh, tower._cmul(a_code, ax))
+        hh = tower._csub(hta[trace_code(tower, xc)], tower._cmul(a_code, ax))
         return tower._cmul(xc, hh)
 
-    identity = _proof_identity_holds(tower, htab, f)
+    tr = trace_list(tower)
+    minus_a_ax = tower._cmul_each([tower._cneg(a_code)] * order, alist)
+    table = tower._cmul_each(range(order), tower._cadd_each([hta[t] for t in tr], minus_a_ax))
+    identity = _proof_identity_holds(base, htab, tr, table)
 
     def expand() -> Poly:
         apoly = ppoly_quotient(L)
@@ -436,6 +468,7 @@ def trace_lift_general(
         subfield_witness=witness,
         predicted_cpp=predicted,
         map_code=f,
+        map_all=table.copy,
         expand=expand,
         extras={
             "proof_identity_holds": identity,

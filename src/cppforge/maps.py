@@ -56,15 +56,19 @@ def trace_code(tower: TowerDesc, xc: int) -> int:
 def trace_list(tower: TowerDesc) -> list[int]:
     """[trace_code(tower, xc) for xc in range(tower.order)], in list passes.
 
-    One power pass makes the Frobenius list frob[x] = x^q. Starting from
-    the codes, each of n - 1 passes of frob gives the next conjugates
-    x^(q^i), and _cadd_each adds them in.
+    The trace is F_q-linear: a code xc = sum c_i q^i stands for sum c_i y^i,
+    so tr(xc) = sum c_i t_i with t_i = trace_code(tower, q^i). The list
+    grows one digit at a time: the codes below q^(i+1) are c*q^i + r for
+    the codes r below q^i, and their traces are the traces of r plus c*t_i,
+    one _cadd_each over the list so far for each digit c. That is about
+    order*q/(q - 1) base-field additions in all, where the Frobenius chain
+    takes n - 1 power and addition passes over the whole tower.
     """
-    acc = conj = list(range(tower.order))
-    frob = tower._cpow_all(tower.q)
-    for _ in range(tower.n - 1):
-        conj = [frob[c] for c in conj]
-        acc = tower._cadd_each(acc, conj)
+    base, q = tower.base, tower.q
+    acc = [0]
+    for i in range(tower.n):
+        t = trace_code(tower, q**i)
+        acc = [s for c in range(q) for s in base._cadd_each(acc, [base._cmul(c, t)] * len(acc))]
     return acc
 
 
@@ -212,6 +216,29 @@ def ppoly_eval(L: PPoly, x: FieldElement) -> FieldElement:
     return FieldElement(tower, acc)
 
 
+def ppoly_eval_all(L: PPoly, codes: Iterable[int]) -> list[int]:
+    """[ppoly_eval(L, x).code for x in codes], in list passes.
+
+    One power pass makes the Frobenius list frob[x] = x^p; each step of the
+    chain x, x^p, x^(p^2), ... is then one pass of frob over the current
+    list, and each index of L adds a_i * x^(p^i) by one _cmul_each and one
+    _cadd_each. A tower with no exp/log lists runs ppoly_eval per point.
+    """
+    tower = L.tower
+    cur = list(codes)
+    if tower.log_tables() is None:
+        return [ppoly_eval(L, FieldElement(tower, x)).code for x in cur]
+    frob = tower._cpow_all(tower.p)
+    acc = [0] * len(cur)
+    pos = 0
+    for i, a in L.coeffs:
+        for _ in range(i - pos):
+            cur = [frob[c] for c in cur]
+        pos = i
+        acc = tower._cadd_each(acc, tower._cmul_each([a] * len(cur), cur))
+    return acc
+
+
 def ppoly_quotient(L: PPoly) -> Poly:
     """The ordinary polynomial A(x) = L(x)/x = sum a_i x^(p^i - 1)."""
     tower = L.tower
@@ -247,18 +274,24 @@ def ppoly_permutes_kernel(L: PPoly, shift: Union[int, FieldElement, None] = None
 
 @functools.lru_cache(maxsize=_VERDICT_CACHE_SIZE)
 def _permutes_kernel(L: PPoly, theta: int) -> bool:
-    """ppoly_permutes_kernel on L's own tower with the shift code theta."""
+    """ppoly_permutes_kernel on L's own tower with the shift code theta.
+
+    The kernel codes are mapped in list passes (ppoly_eval_all, then
+    -theta*x added by one _cmul_each and one _cadd_each), and each image
+    is tested for membership in the set of the memoized kernel's codes.
+    The first image outside it, in kernel order, raises MapEscapesKernel.
+    """
     tower = L.tower
-    kernel = trace_kernel(tower)
-    seen = set()
-    for x in kernel:
-        y = ppoly_eval(L, x).code
-        if theta:
-            y = tower._csub(y, tower._cmul(theta, x.code))
-        if trace_code(tower, y) != 0:
-            raise MapEscapesKernel(x.code, y)
-        seen.add(y)
-    return len(seen) == len(kernel)
+    xs = [x.code for x in trace_kernel(tower)]
+    ys = ppoly_eval_all(L, xs)
+    if theta:
+        minus_theta = [tower._cneg(theta)] * len(xs)
+        ys = tower._cadd_each(ys, tower._cmul_each(minus_theta, xs))
+    members = set(xs)
+    if not members.issuperset(ys):
+        x, y = next((x, y) for x, y in zip(xs, ys) if y not in members)
+        raise MapEscapesKernel(x, y)
+    return len(set(ys)) == len(xs)
 
 
 @dataclass(frozen=True)

@@ -394,6 +394,58 @@ def test_grid_rejects_negative_max_order(capsys, token):
     assert "Traceback" not in err
 
 
+def _stub_sweep(monkeypatch, token, run=False):
+    """Replace a registered sweep by a stub with its default max_order: one
+    that raises, so a sweep that should be refused fails rather than runs,
+    or one that returns an empty clean report."""
+    from cppforge import grids
+
+    real = grids.REGISTRY[token]
+
+    def stub(max_order=None):
+        if not run:
+            raise AssertionError(f"{token} ran past the cap")
+        return grids.SweepReport(token)
+
+    stub.default_max_order = real.default_max_order
+    monkeypatch.setitem(grids.REGISTRY, token, stub)
+
+
+def _assert_refused(code, out, err):
+    assert code == cli.EXIT_PRECONDITION == 2
+    assert out == ""
+    assert err.startswith("cppforge: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_grid_honours_the_cap_flag_and_env(capsys, monkeypatch):
+    _stub_sweep(monkeypatch, "thm2.2")
+    code, out, err = run(capsys, "grid", "thm2.2", "--max-order", "64", "--cap", "2")
+    _assert_refused(code, out, err)
+    assert "order 64 exceeds cap 2" in err
+    monkeypatch.setenv("CPPFORGE_CAP", "2")
+    _assert_refused(*run(capsys, "grid", "thm2.2", "--max-order", "64"))
+
+
+def test_grid_checks_the_cap_against_the_sweeps_own_default(capsys, monkeypatch):
+    # thm3.3 sweeps every tower of order <= 256 unless told otherwise
+    from cppforge import REGISTRY
+
+    assert REGISTRY["thm3.3"].default_max_order == 256
+    _stub_sweep(monkeypatch, "thm3.3")
+    _assert_refused(*run(capsys, "grid", "thm3.3", "--cap", "255"))
+    _stub_sweep(monkeypatch, "thm3.3", run=True)
+    code, rep, _ = run_json(capsys, "grid", "thm3.3", "--cap", "256")
+    assert code == 0 and rep["token"] == "thm3.3"
+
+
+def test_the_default_cap_passes_every_default_sweep():
+    from cppforge import REGISTRY
+
+    defaults = {token: sweep.default_max_order for token, sweep in REGISTRY.items()}
+    assert max(defaults.values()) <= permcheck.DEFAULT_EXHAUSTIVE_CAP, defaults
+
+
 def test_grid_rejects_unknown_token(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["grid", "thm9.9"])

@@ -198,6 +198,7 @@ def _assert_passes_match(f, rng, lists):
         assert fields._peval_all(f, cs) == [fields._peval(f, cs, x) for x in range(order)], (f, cs)
     us = [rng.randrange(order) for _ in range(order)]
     assert f._cadd_each(us, range(order)) == [f._cadd(u, x) for x, u in enumerate(us)], f
+    assert f._cmul_each(us, range(order)) == [f._cmul(u, x) for x, u in enumerate(us)], f
     for e in (0, 1, f.p, rng.randrange(2, 2 * order)):
         assert f._cpow_all(e) == [f._cpow(x, e) for x in range(order)], (f, e)
 
@@ -238,8 +239,49 @@ def test_value_table_past_the_log_lists_is_the_per_point_horner():
     for x in rng.sample(range(tw.order), 500):
         assert tab[x] == fields._peval(tw, f.coeffs, x), x
     assert value_table(Poly(tw, [5]), cap=tw.order) == [5] * tw.order
-    us = [rng.randrange(tw.order) for _ in range(2000)]
+    us = [rng.randrange(tw.order) for _ in range(2000)] + [0]
     assert tw._cadd_each(us, us[::-1]) == [tw._cadd(u, v) for u, v in zip(us, us[::-1])]
+    assert tw._cmul_each(us, us[::-1]) == [tw._cmul(u, v) for u, v in zip(us, us[::-1])]
+
+
+def test_translation_lists_are_the_addition_of_every_constant_up_to_729():
+    # addition depends only on (p, full degree): one set of rows per shape
+    want = {}
+    for f in _odd_p_levels(729):
+        codes = range(f.order)
+        shape = (f.p, f.full_degree)
+        if shape not in want:
+            want[shape] = [[f._cadd(u, c) for u in codes] for c in codes]
+        for c in codes:
+            assert f._translation(c) == want[shape][c], (f, c)
+
+
+def test_translation_list_past_the_half_table_runs_cadd():
+    # F_4913/F_17 has exp/log lists but its half table would pass the cap
+    tw = make_tower(make_prime_field(17), 3)
+    rng = random.Random(tw.order)
+    for c in (0, 1, rng.randrange(tw.order)):
+        assert tw._translation(c) == [fields._digit_add(17, u, c) for u in range(tw.order)]
+    assert tw._add_tab == b""
+
+
+def test_monomial_is_the_padded_coefficient_list(f4):
+    # validated through one coefficient, then padded with zeros
+    t42 = make_tower(f4, 2)
+    seeded = [make_tower(make_extension(make_prime_field(p), r), n)
+              for p, r, n in ((2, 1, 12), (2, 6, 2), (5, 1, 5), (3, 1, 7))]
+    rng = random.Random(3)
+    for home in _levels(729) + [t42] + seeded:
+        for d in (0, 1, 7, rng.randrange(40)):
+            c = rng.randrange(home.order)
+            assert Poly.monomial(home, d, c) == Poly(home, [0] * d + [c]), (home, d, c)
+            assert Poly.monomial(home, d) == Poly(home, [0] * d + [1])
+        assert Poly.monomial(home, 5, 0).is_zero()
+        with pytest.raises(OutOfRange):
+            Poly.monomial(home, 3, home.order)
+    assert Poly.monomial(t42, 2, FieldElement(f4, 3)).coeffs == (0, 0, 3)
+    with pytest.raises(ValueError):
+        Poly.monomial(t42, -1)
 
 
 _PASS_SHAPES = [(p, r, n) for p in (2, 3, 5, 7) for r in (1, 2, 3) for n in range(1, 7)

@@ -1,5 +1,9 @@
 """Construction layer: norm lifts, monomial families, trace lifts."""
 
+import math
+import random
+from collections import Counter
+
 import pytest
 
 from cppforge import (
@@ -24,6 +28,8 @@ from cppforge.errors import (
     PreconditionViolated,
 )
 from cppforge import lifts, permcheck
+from cppforge.grids import norm_lift_pairs, tower_grid
+from cppforge.maps import trace_list
 from cppforge.permcheck import eval_poly
 
 
@@ -347,3 +353,119 @@ def test_lifted_expansion_represents_the_same_map(f4, t42):
     dense = res.lifted
     for x in t42.elements():
         assert eval_poly(dense, x) == res.evaluate(x)
+
+
+# --- whole-field list passes against the per-point map ----------------------
+
+
+def _random_base_poly(base, rng, degree=3):
+    return Poly(base, [rng.randrange(base.order) for _ in range(degree + 1)])
+
+
+def _random_ppoly(tower, rng):
+    """A p-polynomial with a nonzero a_0 and one or two higher indices."""
+    base = tower.base
+    coeffs = {0: rng.randrange(1, base.order)}
+    for i in rng.sample(range(1, tower.full_degree), min(2, tower.full_degree - 1)):
+        coeffs[i] = rng.randrange(1, base.order)
+    return PPoly(tower, coeffs)
+
+
+def _builds(tower, rng):
+    """One LiftResult per builder that admits the tower, on seeded inputs.
+
+    The callers stub out the kernel hypothesis of the trace lifts: the map
+    is defined whether or not it holds, and few random L pass it.
+    """
+    base, q, n = tower.base, tower.q, tower.n
+    out = {}
+    if math.gcd(n, q - 1) == 1:
+        out["norm-lift"] = norm_lift(_random_base_poly(base, rng), tower)
+        out["monomial"] = monomial_cpp_check(rng.randrange(1, q), rng.randrange(4), tower)
+    h0s = [c for c in range(q) if c not in (0, base._cneg(1))]  # none over F_2
+    if h0s:
+        h = Poly(base, [rng.choice(h0s)] + [rng.randrange(q) for _ in range(3)])
+        out["trace-simple"] = trace_lift_simple(h, tower)
+    out["trace-general"] = trace_lift_general(
+        _random_base_poly(base, rng), _random_ppoly(tower, rng), rng.randrange(1, q), tower)
+    for k in range(1, tower.full_degree):
+        try:
+            out["trace-binomial"] = trace_lift_binomial(
+                _random_base_poly(base, rng), k, rng.randrange(1, q), tower)
+            break
+        except PreconditionViolated:
+            pass
+    return out
+
+
+@pytest.fixture
+def no_kernel_hypothesis(monkeypatch):
+    monkeypatch.setattr(lifts, "ppoly_permutes_kernel", lambda L: True)
+
+
+def _assert_table_is_the_pointwise_map(res):
+    f = res._map_code
+    assert res.map_table() == [f(x) for x in range(res.tower.order)], res
+
+
+def test_every_builder_lists_its_pointwise_map_on_every_tower_up_to_729(no_kernel_hypothesis):
+    rng = random.Random(729)
+    seen = Counter()
+    for tower in tower_grid(729):
+        for name, res in _builds(tower, rng).items():
+            _assert_table_is_the_pointwise_map(res)
+            seen[name] += 1
+    # cppeg's towers: q = 16 = 2^(e*t) with (e, t, k) = (2, 2, 1) and (1, 4, 2)
+    for e, t, k in ((2, 2, 1), (1, 4, 2)):
+        res = cppeg_construct(e, t, k, 2)
+        _assert_table_is_the_pointwise_map(res)
+        seen[res.construction] += 1
+    towers = tower_grid(729)
+    norm_towers = len(norm_lift_pairs(729))
+    assert seen == {"norm-lift": norm_towers, "monomial": norm_towers,
+                    "trace-simple": sum(t.q > 2 for t in towers),
+                    "trace-general": len(towers), "trace-binomial": 8, "cppeg": 2}, seen
+
+
+@pytest.mark.parametrize(
+    "p, r, n",
+    [(2, 1, 12), (2, 6, 2), (5, 1, 5), (3, 1, 7)],
+    ids=["F_4096/F_2", "F_4096/F_64", "F_3125/F_5", "F_2187/F_3"],
+)
+def test_every_builder_lists_its_pointwise_map_on_seeded_large_towers(
+    no_kernel_hypothesis, p, r, n
+):
+    tower = make_tower(make_extension(make_prime_field(p), r), n)
+    builds = _builds(tower, random.Random(tower.order))
+    assert {"norm-lift", "monomial", "trace-general"} <= set(builds)
+    assert ("trace-simple" in builds) == (tower.q > 2)
+    for res in builds.values():
+        _assert_table_is_the_pointwise_map(res)
+
+
+@pytest.mark.parametrize("p, r, n", [(2, 2, 3), (3, 1, 3), (3, 2, 2), (5, 1, 3)],
+                         ids=["F_64/F_4", "F_27/F_3", "F_81/F_9", "F_125/F_5"])
+def test_trace_general_lists_the_map_of_its_dense_polynomial(no_kernel_hypothesis, p, r, n):
+    # the dense form reads A(0) = a_0 off the quotient polynomial: an
+    # independent route for A on the kernel, where A(0) enters the map
+    tower = make_tower(make_extension(make_prime_field(p), r), n)
+    rng = random.Random(tower.order + 1)
+    for _ in range(3):
+        L = _random_ppoly(tower, rng)
+        res = trace_lift_general(_random_base_poly(tower.base, rng, 2), L,
+                                 rng.randrange(1, tower.q), tower)
+        assert res.map_table() == permcheck.value_table(res.lifted), L
+
+
+def test_proof_identity_fails_on_a_corrupted_table(f4, t43):
+    h = Poly(f4, [1, 1])
+    res = trace_lift_general(h, PPoly.monomial(t43, 1), 1, t43)
+    assert res.extras["proof_identity_holds"] is True
+    htab, tr = permcheck.value_table(h), trace_list(t43)
+    table = res.map_table()
+    assert lifts._proof_identity_holds(f4, htab, tr, table) is True
+    # move one value to a code of another trace
+    x = 37
+    table[x] = next(y for y in range(t43.order) if tr[y] != tr[table[x]])
+    assert lifts._proof_identity_holds(f4, htab, tr, table) is False
+    assert res.map_table() != table  # each call hands out its own copy

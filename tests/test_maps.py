@@ -1,6 +1,7 @@
 """Relative trace/norm, p-polynomials, and the kernel-binomial criterion."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +17,12 @@ from cppforge import (
     rel_norm,
     rel_trace,
 )
-from cppforge.errors import FieldMismatch, OutOfRange, PreconditionViolated
+from cppforge import maps
+from cppforge.errors import FieldMismatch, MapEscapesKernel, OutOfRange, PreconditionViolated
 from cppforge.maps import (
     norm_exponent,
     ppoly_eval,
+    ppoly_eval_all,
     ppoly_quotient,
     ppoly_quotient_eval,
     trace_code,
@@ -241,3 +244,71 @@ def test_ppoly_evaluators_refuse_foreign_arguments():
         for x in (foreign_zero, 0):
             with pytest.raises(FieldMismatch):
                 fn(L, x)
+
+
+# --- list passes against the per-point chain ---------------------------------
+
+
+def _random_ppolys(tw, rng):
+    """Seeded p-polynomials: one index, a_0 with a top index, and a dense one."""
+    def code():
+        return rng.randrange(1, tw.q)
+
+    top = tw.full_degree - 1
+    return [
+        PPoly.monomial(tw, rng.randrange(tw.full_degree), code()),
+        PPoly(tw, {0: code(), top: code()}),
+        PPoly(tw, {i: code() for i in range(tw.full_degree) if rng.random() < 0.6} or {top: 1}),
+    ]
+
+
+def _assert_ppoly_lists_match(tw, rng, codes):
+    for L in _random_ppolys(tw, rng):
+        want = [ppoly_eval(L, FieldElement(tw, x)).code for x in codes]
+        assert ppoly_eval_all(L, codes) == want, (tw, L)
+
+
+def test_ppoly_eval_all_is_the_pointwise_chain_on_every_tower_up_to_729():
+    for tw in tower_grid(729):
+        _assert_ppoly_lists_match(tw, random.Random(tw.order), range(tw.order))
+
+
+@pytest.mark.parametrize(
+    "p, r, n",
+    [(2, 1, 12), (2, 6, 2), (5, 1, 5), (3, 1, 7), (2, 1, 17)],
+    ids=["F_4096/F_2", "F_4096/F_64", "F_3125/F_5", "F_2187/F_3", "F_131072/F_2"],
+)
+def test_ppoly_eval_all_is_the_pointwise_chain_on_seeded_towers(p, r, n):
+    # F_131072/F_2 has no exp/log lists and runs ppoly_eval per point, each
+    # Frobenius step a convolution: a few points keep it short
+    tw = make_tower(make_extension(make_prime_field(p), r), n)
+    tabled = tw.log_tables() is not None
+    assert tabled == (tw.order <= 1 << 16)
+    rng = random.Random(tw.order)
+    codes = [rng.randrange(tw.order) for _ in range(300 if tabled else 20)] + [0, 1]
+    _assert_ppoly_lists_match(tw, rng, codes)
+
+
+def test_an_image_outside_the_kernel_raises_at_the_first_escape(monkeypatch):
+    # append codes of nonzero trace to the kernel: the first of them in
+    # kernel order whose image leaves the true kernel is the one reported,
+    # as the per-point trace test reports it
+    tw = make_tower(make_extension(make_prime_field(2), 2), 3)
+    real_kernel = trace_kernel(tw)
+    outside = [x for x in range(tw.order) if trace_code(tw, x) != 0][5:8]
+    patched = real_kernel + tuple(FieldElement(tw, x) for x in outside)
+    L, theta = PPoly(tw, {0: 2, 1: 3}), 1
+
+    def image(x):
+        return tw._csub(ppoly_eval(L, x).code, tw._cmul(theta, x.code))
+
+    first = next((x.code, image(x)) for x in patched if trace_code(tw, image(x)) != 0)
+    assert first[0] in outside
+    maps._permutes_kernel.cache_clear()
+    monkeypatch.setattr(maps, "trace_kernel", lambda tower: patched)
+    try:
+        with pytest.raises(MapEscapesKernel) as exc:
+            ppoly_permutes_kernel(L, shift=theta)
+    finally:
+        maps._permutes_kernel.cache_clear()
+    assert (exc.value.x_code, exc.value.image_code) == first
