@@ -10,26 +10,31 @@ are what the CLI prints and what value tables store.
 
 One class, FieldDesc, models every level: degree d above a subfield, with
 the prime field as the base case. Its convolution over the subfield
-(_mul_vec) defines multiplication; levels of order up to _LOG_TABLE_MAX
-use exp/log lists derived from it, which tables.py also reuses. The
-convolution fills two half-width tables of products by the generator, one
-for each half of a code's digits; each power of the generator is then one
-code addition of two entries (see _build_log_tables). The lists are built
-lazily, on a level's first multiply, and shared per field: one module
-cache keyed by descriptor() serves every instance of the same field, so a
-field rebuilt per call (as the CLI does) builds them once per process.
-The cache is bounded by _LOG_CACHE_CELLS and evicts its oldest entry
-first.
+(_mul_vec) defines multiplication, and the digit loop _digit_add, digitwise
+mod p on a code's base-p expansion, defines addition. One threshold decides
+a level's lookup data: a level of order up to _LOG_TABLE_MAX gets exp/log
+lists, and if it also has odd p and full degree > 1, a half-width addition
+table. A larger level keeps the convolution and the digit loop. This
+module owns that data; tables.py wraps it in numpy arrays rather than
+deriving its own.
 
-Addition is digitwise mod p on a code's base-p expansion; the digit loop
-_digit_add is its definition. For odd p on a level of full degree f > 1,
-a code splits at lo = p^w, w = ceil(f/2), and one table of the digitwise
-sums of two w-digit codes adds both halves: two lookups per addition. The
-table depends only on (p, w), so one bounded module cache
-(_half_add_table) serves every level of that shape; a level fetches it on
-its first addition. A level whose table would exceed _LOG_TABLE_MAX cells
-(p^(2w) of them) keeps the digit loop, as _cmul keeps the convolution
-past the exp/log lists.
+The exp/log lists are derived from the convolution: it fills two
+half-width tables of products by the generator, one for each half of a
+code's digits, and each power of the generator is then one code addition
+of two entries (see _build_log_tables). They are kept in sentinel form
+(log_tables): mexp = exp + exp + zeros and lg = log with the log of 0 read
+as 2m (m = order - 1), so that mexp[lg[a] + lg[b]] is the product of any
+two codes, zero included, by one lookup. The lists are built lazily, on a
+level's first multiply, and shared per field: one module cache keyed by
+descriptor() serves every instance of the same field, so a field rebuilt
+per call (as the CLI does) builds them once per process. The cache is
+bounded by _LOG_CACHE_CELLS and evicts its oldest entry first.
+
+For odd p on a level of full degree f > 1, a code splits at lo = p^w, w =
+ceil(f/2), and one table of the digitwise sums of two w-digit codes adds
+both halves: two lookups per addition. The table depends only on (p, w),
+so one bounded module cache (_half_add_table) serves every level of that
+shape; a level fetches it on its first addition.
 
 Beside the per-element _cmul/_cadd/_cpow, a level has whole-field list
 passes from the same lists and the same addition rule: _cadd_each and
@@ -37,12 +42,10 @@ _cmul_each add and multiply two code lists elementwise, _cpow_all lists
 x^e for every code, and _peval_all evaluates a polynomial at every code,
 Horner one coefficient at a time. A pass is one list comprehension, with
 the per-element work in lookups rather than method calls. The products
-read one pair of sentinel lists (_sentinel_lists); odd-p Horner adds each
-constant c through its translation list u -> u + c, built from two rows
-of the half table (_translation). _peval_all, _cpow_all and _cmul_each
-run the per-element methods on a level with no exp/log lists, and
-_cadd_each and _translation run _cadd where _cadd would run the digit
-loop.
+read the cached sentinel lists; odd-p Horner adds each constant c through
+its translation list u -> u + c, built from two rows of the half table
+(_translation). On a level past _LOG_TABLE_MAX, _peval_all, _cpow_all and
+_cmul_each run the per-element methods and _cadd_each maps _cadd.
 
 Moduli, when not supplied, are chosen canonically: candidate coefficient
 tuples are scanned in ascending code order (constant coefficient varying
@@ -53,6 +56,7 @@ same field always agree.
 from __future__ import annotations
 
 import functools
+from array import array
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -69,11 +73,13 @@ from .errors import (
 # (smaller, configurable) cap in permcheck.
 MAX_FIELD_ORDER = 1 << 20
 
-# Levels at or below this order get exp/log tables on first multiply.
+# Levels at or below this order get exp/log tables on first multiply and,
+# for odd p and full degree > 1, a half-width addition table on first add.
 _LOG_TABLE_MAX = 1 << 16
 
-# descriptor() -> (exp, log), shared by every instance of a field; the summed
-# order of the cached fields stays <= _LOG_CACHE_CELLS, oldest evicted first
+# descriptor() -> (mexp, lg), the sentinel lists shared by every instance of
+# a field; the summed order of the cached fields stays <= _LOG_CACHE_CELLS,
+# oldest evicted first
 _LOG_CACHE: dict[str, tuple[list[int], list[int]]] = {}
 _LOG_CACHE_CELLS = 1 << 18
 
@@ -118,23 +124,30 @@ def _digit_add(p: int, a: int, b: int) -> int:
     return out
 
 
-# 62 (p, w) shapes have a table (p^(2w) <= _LOG_TABLE_MAX), 1.1 MB in all,
-# so this bound never evicts one
-@functools.lru_cache(maxsize=64)
-def _half_add_table(p: int, w: int) -> bytes:
+# 69 (p, w) shapes have a table (the odd-p levels of full degree > 1 up to
+# _LOG_TABLE_MAX), 10.0 MiB in all, so this bound never evicts one
+@functools.lru_cache(maxsize=128)
+def _half_add_table(p: int, w: int) -> array:
     """t[x * p^w + y] = _digit_add(p, x, y) for codes x, y below p^w.
 
     Built one top digit at a time from the table one digit narrower: for x
     = xh*lo + xl and y = yh*lo + yl with xl, yl < lo, the sum is
-    ((xh + yh) % p)*lo plus the narrower table's entry for (xl, yl). The
-    entries are codes below p^w <= 255 (callers keep p^(2w) <= 2^16), so
-    each takes one byte.
+    ((xh + yh) % p)*lo plus the narrower table's entry for (xl, yl). So the
+    row of x is the row of xl (the row at xh = 0) rotated left by xh*lo
+    entries: a level is lo rows built in Python and p rotations of each,
+    copied in C. The entries are codes below p^w, at most 37^2 - 1 on a
+    level up to _LOG_TABLE_MAX (F_50653 = F_(37^3), w = 2), so each takes
+    two bytes.
     """
-    tab, lo = b"\0", 1
+    tab, lo = array("H", [0]), 1
     for _ in range(w):
-        rows = [tab[x * lo : (x + 1) * lo] for x in range(lo)]
-        tab = bytes([(xh + yh) % p * lo + v
-                     for xh in range(p) for row in rows for yh in range(p) for v in row])
+        narrow = [tab[xl * lo : (xl + 1) * lo] for xl in range(lo)]
+        rows = [array("H", [yh * lo + v for yh in range(p) for v in row]) for row in narrow]
+        tab = array("H")
+        for shift in range(0, p * lo, lo):
+            for row in rows:
+                tab += row[shift:]
+                tab += row[:shift]
         lo *= p
     return tab
 
@@ -327,15 +340,20 @@ class FieldDesc:
         raise AssertionError("no multiplicative generator found")
 
     def log_tables(self) -> Optional[tuple[list[int], list[int]]]:
-        """(exp, log) with exp[j] = g^j for the smallest-code generator g,
-        log[exp[j]] = j and log[0] = -1.
+        """(mexp, lg), the exp/log lists in sentinel form: with m = order - 1
+        and g the smallest-code generator, mexp[j] = g^(j mod m) for j <
+        2m, mexp[j] = 0 from 2m on, lg[g^j] = j, and lg[0] = 2m. Then
+        mexp[lg[a] + lg[b]] = _cmul(a, b) for every pair of codes: a log sum
+        with a zero operand is at least 2m, past every nonzero product's
+        (at most 2m - 2). mexp[:m] is the exp list.
 
         Built from the convolution on first use, never by the constructor:
         about 2*sqrt(order) convolutions fill two half-width product tables,
-        and each power follows by one code addition. Shared through the
-        module cache: an equal field (same descriptor()) built later reuses
-        the same lists. The cache holds at most _LOG_CACHE_CELLS codes in all
-        and drops its oldest field first. None when the order exceeds
+        and each power follows by one code addition (_build_log_tables).
+        Shared through the module cache: an equal field (same descriptor())
+        built later reuses the same lists, and tables.py reads them too. The
+        cache holds fields of summed order at most _LOG_CACHE_CELLS and
+        drops its oldest field first. None when the order exceeds
         _LOG_TABLE_MAX.
         """
         if self._exp is None:
@@ -344,7 +362,10 @@ class FieldDesc:
             key = self.descriptor()
             tabs = _LOG_CACHE.get(key)
             if tabs is None:
-                tabs = self._build_log_tables()
+                exp, lg = self._build_log_tables()
+                m = self.order - 1
+                lg[0] = 2 * m
+                tabs = exp + exp + [0] * (2 * m + 1), lg
                 # make room, oldest first; instances keep the lists they hold
                 used = sum(len(log) for _, log in _LOG_CACHE.values())
                 while _LOG_CACHE and used + self.order > _LOG_CACHE_CELLS:
@@ -371,11 +392,14 @@ class FieldDesc:
             self._codeof(self._mul_vec(self._vec(v * lo), g)) for v in range(self.order // lo)
         ]
         add = self._cadd
+        # exp and log hold the int objects of one list of codes, not one
+        # object per entry: a retained level of order 2^16 keeps 1.8 MB less
+        codes = list(range(self.order))
         exp = [0] * m
         log = [-1] * self.order
         c = 1
-        for j in range(m):
-            exp[j] = c
+        for j in codes[:m]:
+            exp[j] = codes[c]
             log[c] = j
             c = add(low[c % lo], high[c // lo])
         if c != 1:
@@ -396,8 +420,8 @@ class FieldDesc:
         p = 2 is XOR and a prime field (a + b) % p. Any other level splits
         both codes at lo = p^w, w = ceil(full_degree/2), and adds the low
         halves and the high halves by one lookup each in the shared (p, w)
-        table, unless that table would pass _LOG_TABLE_MAX cells: then the
-        digit loop runs.
+        table; a level past _LOG_TABLE_MAX has no table and runs the digit
+        loop.
         """
         p = self.p
         if p == 2:
@@ -414,17 +438,18 @@ class FieldDesc:
             return self._cadd(a, b)
         return _digit_add(p, a, b)
 
-    def _fetch_add_tab(self) -> bytes:
-        """The level's first addition: fetch the shared table, b"" past the cap."""
+    def _fetch_add_tab(self) -> Union[array, bytes]:
+        """The level's first addition: fetch the shared table, b"" past
+        _LOG_TABLE_MAX."""
         p, w = self.p, (self.full_degree + 1) // 2
         self._add_lo = p**w
-        self._add_tab = _half_add_table(p, w) if p ** (2 * w) <= _LOG_TABLE_MAX else b""
+        self._add_tab = _half_add_table(p, w) if self.order <= _LOG_TABLE_MAX else b""
         return self._add_tab
 
     def _cadd_each(self, us: Iterable[int], vs: Iterable[int]) -> list[int]:
         """[_cadd(u, v) for u, v in zip(us, vs)], with _cadd's rule inlined
         into one list pass: XOR, % p, or the two half-table lookups; a level
-        with no table maps _cadd."""
+        past _LOG_TABLE_MAX maps _cadd."""
         p = self.p
         if p == 2:
             return [u ^ v for u, v in zip(us, vs)]
@@ -443,12 +468,11 @@ class FieldDesc:
         """[_cadd(u, c) for u in range(order)] on an odd-p level of full
         degree > 1, with no division: u splits as uh*lo + ul, so the sum is
         lo*(uh + ch) + (ul + cl), and the two half-table rows of ch and cl
-        give every term. A level with no table runs _cadd."""
+        give every term. Only a level with exp/log lists asks for one, and
+        every such level has a table."""
         tab = self._add_tab
         if tab is None:
             tab = self._fetch_add_tab()
-        if not tab:
-            return [self._cadd(u, c) for u in range(self.order)]
         lo = self._add_lo
         ch, cl = divmod(c, lo)
         high = [lo * v for v in tab[ch * lo : ch * lo + self.order // lo]]
@@ -471,37 +495,21 @@ class FieldDesc:
     def _cmul(self, a: int, b: int) -> int:
         if self._sub is None:
             return a * b % self.p
+        if self._log is not None or self.log_tables():
+            # the sentinel lists: a zero operand needs no test
+            return self._exp[self._log[a] + self._log[b]]
         if a == 0 or b == 0:
             return 0
-        if self._log is not None or self.log_tables():
-            return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
         return self._codeof(self._mul_vec(self._vec(a), self._vec(b)))
-
-    def _sentinel_lists(self) -> Optional[tuple[list[int], list[int]]]:
-        """(mexp, lg) for one-lookup products on a level with exp/log lists:
-        mexp[lg[u] + lg[v]] = _cmul(u, v) for every pair of codes.
-
-        lg is the log list with the log of 0 read as 2m (m = order - 1) and
-        mexp = exp + exp + zeros: a log sum that involves a zero lands past
-        2m - 2, where mexp holds 0, as TowerTables.MEXP does. Built per
-        call (about 20 us at order 4096). None on a prime field or a level
-        past _LOG_TABLE_MAX.
-        """
-        if self._sub is None or self.log_tables() is None:
-            return None
-        m = self.order - 1
-        lg = list(self._log)
-        lg[0] = 2 * m
-        return self._exp + self._exp + [0] * (2 * m + 1), lg
 
     def _cmul_each(self, us: Iterable[int], vs: Iterable[int]) -> list[int]:
         """[_cmul(u, v) for u, v in zip(us, vs)] in one list pass: u*v % p
         on a prime field, one mexp lookup per pair where the level has
-        exp/log lists (_sentinel_lists), and _cmul mapped past them."""
+        exp/log lists (log_tables), and _cmul mapped past them."""
         if self._sub is None:
             p = self.p
             return [u * v % p for u, v in zip(us, vs)]
-        lists = self._sentinel_lists()
+        lists = self.log_tables()
         if lists is None:
             return list(map(self._cmul, us, vs))
         mexp, lg = lists
@@ -730,7 +738,7 @@ def _peval_all(home: FieldDesc, cs: Sequence[int]) -> list[int]:
     coefficient at a time over every x, from the top coefficient down.
 
     A prime field takes (a*x + c) % p per x. A level with exp/log lists
-    multiplies by one lookup per x in the sentinel lists (_sentinel_lists).
+    multiplies by one lookup per x in the sentinel lists (log_tables).
     For p = 2 the same pass XORs the coefficient in; odd p reads the sum
     from the coefficient's translation list (FieldDesc._translation) in the
     same pass. A level past _LOG_TABLE_MAX runs _peval per point.
@@ -744,7 +752,7 @@ def _peval_all(home: FieldDesc, cs: Sequence[int]) -> list[int]:
         for c in rest:
             acc = [(a * x + c) % p for x, a in enumerate(acc)]
         return acc
-    lists = home._sentinel_lists()
+    lists = home.log_tables()
     if lists is None:
         return [_peval(home, cs, x) for x in range(order)]
     mexp, lg = lists
@@ -925,9 +933,8 @@ class Poly:
     def monomial(cls, home, degree: int, coeff=None) -> "Poly":
         if degree < 0:
             raise ValueError("degree must be non-negative")
-        code = 1 if coeff is None else (coeff.code if isinstance(coeff, FieldElement) else int(coeff))
         # validate the one coefficient, then pad: the zeros need no check
-        lead = cls(home, [code]).codes()
+        lead = cls(home, [1 if coeff is None else coeff]).codes()
         return cls._raw(home, [0] * degree + lead if lead else [])
 
     @property
@@ -964,7 +971,9 @@ class Poly:
         return Poly._raw(self.home, _pmul(self.home, self.coeffs, other.coeffs))
 
     def scale(self, c) -> "Poly":
-        code = c.code if isinstance(c, FieldElement) else int(c)
+        # checked as a one-coefficient Poly: a foreign element or a code
+        # past the order is refused, as in the constructor
+        code = (Poly(self.home, [c]).coeffs or (0,))[0]
         return Poly._raw(self.home, [self.home._cmul(code, x) for x in self.coeffs])
 
     def shift(self, k: int) -> "Poly":

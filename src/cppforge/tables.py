@@ -3,10 +3,13 @@
 The scalar arithmetic in fields.py defines the fields; this module
 re-expresses it as numpy index arithmetic so that whole-field scans stay
 cheap at desk scale (orders up to 2^16). Nothing here is an independent
-source of truth: EXP/LOG are the scalar exp/log lists of each level
-(FieldDesc.log_tables), every other table is built from them or from the
-scalar ops, and test_tables.py pins each table to the scalar ops. Bulk
-code exists for speed only.
+source of truth, and the lookup data is the scalar route's own: MEXP and
+LOG are arrays of a level's cached sentinel exp/log lists
+(FieldDesc.log_tables), EXP is the first order - 1 entries of MEXP, the
+odd-p tower addition reads the level's shared half-width addition table
+(fields._half_add_table) in place, and TR is maps.trace_list. Every other
+table is built from these or from the scalar ops, and test_tables.py pins
+each table to the scalar ops. Bulk code exists for speed only.
 
 The base-table kernels (BaseTables.horner, add_to_x, mul_by_x and
 bijective_rows) look each cell up through one flat index into the raveled
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import OrderCapExceeded
 from .fields import FieldDesc, TowerDesc
-from .maps import norm_exponent
+from .maps import norm_exponent, trace_list
 
 BULK_BASE_CAP = 1 << 10
 BULK_TOWER_CAP = 1 << 16
@@ -49,12 +52,8 @@ class BaseTables:
             row = [field._cadd(a, b) for b in range(q)]
             add[a] = row
         self.ADD = add
-        exp, log = (np.array(t, dtype=np.int64) for t in field.log_tables())
-        la, lb = np.meshgrid(log, log, indexing="ij")
-        mul = exp[(la + lb) % (q - 1)].astype(np.int32)
-        mul[0, :] = 0
-        mul[:, 0] = 0
-        self.MUL = mul
+        mexp, lg = (np.array(t, dtype=np.int32) for t in field.log_tables())
+        self.MUL = mexp[lg[:, None] + lg[None, :]]
 
     def pow_all(self, e: int) -> np.ndarray:
         """x^e for every x, with 0^0 = 1 to match the scalar rule."""
@@ -137,38 +136,23 @@ class TowerTables:
         self.q = tower.q
         self.n = tower.n
         self.p = tower.p
-        m = order - 1
-        exp, log = tower.log_tables()
-        self.EXP = np.array(exp, dtype=np.int32)
-        self.LOG = np.array(log, dtype=np.int32)
         # LOG[0] = 2m keeps every log sum of a zero operand at >= 2m, past
-        # the reach of any nonzero product (<= 2m - 2), so MEXP below can
-        # resolve products without a separate zero mask
-        self.LOG[0] = 2 * m
-        mexp = np.zeros(4 * m + 1, dtype=np.int32)
-        mexp[: 2 * m - 1] = self.EXP[np.arange(2 * m - 1) % m]
-        self.MEXP = mexp
-        # digit addition never carries, so codes split at lo = q^ceil(n/2)
-        # into a low and a high half, and one lo x lo table of the low
-        # digits, built digit by digit from base.ADD, adds both halves
+        # the reach of any nonzero product (<= 2m - 2), where MEXP holds 0:
+        # products need no separate zero mask
+        mexp, lg = tower.log_tables()
+        self.MEXP = np.array(mexp, dtype=np.int32)
+        self.LOG = np.array(lg, dtype=np.int32)
+        self.EXP = self.MEXP[: order - 1]
+        # the level's own (p, w) table, read in place and read-only: digit
+        # addition never carries, so codes split at the level's lo = p^w
+        # into a low and a high half, and the table adds both halves
         self._half_add = None
         if self.p != 2:
-            lo = self.q ** ((self.n + 1) // 2)
-            codes = np.arange(lo, dtype=np.int64)
-            half = np.zeros((lo, lo), dtype=np.int32)
-            for sh in (self.q**k for k in range((self.n + 1) // 2)):
-                d = (codes // sh) % self.q
-                half += sh * self.base.ADD[d[:, None], d[None, :]]
-            self._half_add = half
-        xs = np.arange(order, dtype=np.int64)
-        tr = xs.copy()
-        t = xs
-        for _ in range(self.n - 1):
-            t = self.pow_map(t, self.q)
-            tr = self.add(tr, t)
-        if not (tr < self.q).all():
+            tab = tower._add_tab or tower._fetch_add_tab()
+            self._half_add = np.frombuffer(memoryview(tab).toreadonly(), dtype=np.uint16)
+        self.TR = np.array(trace_list(tower), dtype=np.int32)
+        if not (self.TR < self.q).all():
             raise AssertionError("trace left the base field")
-        self.TR = tr.astype(np.int32)
         nor = self.pow_all(norm_exponent(tower))
         if not (nor < self.q).all():
             raise AssertionError("norm left the base field")
@@ -182,9 +166,11 @@ class TowerTables:
     def add(self, a: np.ndarray, b) -> np.ndarray:
         if self.p == 2:
             return a ^ b
-        half = self._half_add
-        lo = len(half)
-        return half[a % lo, b % lo] + lo * half[a // lo, b // lo]
+        half, lo = self._half_add, self.tower._add_lo
+        # widen before multiplying: in uint16, lo times an entry wraps past
+        # 65535, and the uint16 sum would wrap the next addition's indices
+        high = half[a // lo * lo + b // lo].astype(np.int32)
+        return half[a % lo * lo + b % lo] + lo * high
 
     _add = add  # add_to_x's path: a tracer that wraps add times it once
 

@@ -123,16 +123,23 @@ def test_addition_table_matches_the_digit_loop_on_every_pair_up_to_729():
 
 @pytest.mark.parametrize(
     "p, n, tabled",
-    [(3, 10, True), (5, 5, True), (3, 7, True), (11, 3, True), (17, 3, False)],
-    ids=["F_59049/F_3", "F_3125/F_5", "F_2187/F_3", "F_1331/F_11", "F_4913/F_17"],
+    [(3, 10, True), (5, 5, True), (3, 7, True), (11, 3, True), (17, 3, True), (3, 11, False)],
+    ids=["F_59049/F_3", "F_3125/F_5", "F_2187/F_3", "F_1331/F_11", "F_4913/F_17",
+         "F_177147/F_3"],
 )
 def test_addition_matches_the_digit_loop_on_seeded_pairs(p, n, tabled):
-    # F_4913/F_17 would need a 17^4-cell table, past _LOG_TABLE_MAX
+    # every odd-p level up to _LOG_TABLE_MAX has a half table, F_4913/F_17's
+    # of 17^4 cells included; F_177147/F_3 is past it: _cadd runs the digit
+    # loop there and _cadd_each maps _cadd
     tw = make_tower(make_prime_field(p), n)
     rng = random.Random(tw.order)
+    pairs = []
     for _ in range(20000):
         a, b = rng.randrange(tw.order), rng.randrange(tw.order)
         assert tw._cadd(a, b) == fields._digit_add(p, a, b), (a, b)
+        pairs.append((a, b))
+    us, vs = zip(*pairs)
+    assert tw._cadd_each(us, vs) == [fields._digit_add(p, a, b) for a, b in pairs]
     assert bool(tw._add_tab) == tabled
 
 
@@ -218,12 +225,12 @@ def test_whole_field_passes_match_the_per_point_route_on_every_level_up_to_729()
 )
 def test_whole_field_passes_match_the_per_point_route_on_seeded_lists(p, r, n):
     # F_65536/F_2 is the largest level with exp/log lists; F_4913/F_17 has
-    # them but adds by the digit loop (its half table would pass the cap)
+    # them and a half table of 17^4 cells, whose entries pass one byte
     tw = make_tower(make_extension(make_prime_field(p), r), n)
     rng = random.Random(tw.order)
     _assert_passes_match(tw, rng, _coeff_lists(tw.order, rng)[4::2])
     assert tw.log_tables() is not None
-    assert p == 2 or bool(tw._add_tab) == (tw.order != 4913)
+    assert p == 2 or bool(tw._add_tab)
 
 
 def test_value_table_past_the_log_lists_is_the_per_point_horner():
@@ -256,13 +263,41 @@ def test_translation_lists_are_the_addition_of_every_constant_up_to_729():
             assert f._translation(c) == want[shape][c], (f, c)
 
 
-def test_translation_list_past_the_half_table_runs_cadd():
-    # F_4913/F_17 has exp/log lists but its half table would pass the cap
-    tw = make_tower(make_prime_field(17), 3)
-    rng = random.Random(tw.order)
-    for c in (0, 1, rng.randrange(tw.order)):
-        assert tw._translation(c) == [fields._digit_add(17, u, c) for u in range(tw.order)]
-    assert tw._add_tab == b""
+def test_the_half_table_cache_holds_every_shape_up_to_the_log_table_max():
+    # one table per (p, w), w = ceil(f/2), over the odd-p levels of full
+    # degree f > 1 up to _LOG_TABLE_MAX: the bound must never evict one
+    shapes = set()
+    for p in filter(fields._is_prime, range(3, 257)):
+        f = 2
+        while p**f <= fields._LOG_TABLE_MAX:
+            shapes.add((p, (f + 1) // 2))
+            f += 1
+    assert len(shapes) == 69
+    assert len(shapes) <= fields._half_add_table.cache_parameters()["maxsize"]
+    # two bytes per cell, p^(2w) cells per table: the 10.0 MiB of the comment
+    assert round(sum(2 * p ** (2 * w) for p, w in shapes) / 2**20, 1) == 10.0
+
+
+def test_monomial_refuses_a_foreign_coefficient(f4, f9):
+    # the coefficient goes through the constructor's check, not by its code
+    t = make_tower(f4, 2)
+    foreign = FieldElement(f9, 2)
+    with pytest.raises(FieldMismatch):
+        Poly(t, [0, 0, foreign])
+    with pytest.raises(FieldMismatch):
+        Poly.monomial(t, 2, foreign)
+    assert Poly.monomial(t, 2, FieldElement(f4, 2)) == Poly(t, [0, 0, 2])
+
+
+def test_scale_checks_its_factor_as_the_constructor_does(f4, f9):
+    t = make_tower(f4, 2)
+    with pytest.raises(FieldMismatch):
+        Poly(t, [1, 1]).scale(FieldElement(f9, 2))
+    with pytest.raises(OutOfRange):
+        Poly(t, [1, 1]).scale(t.order)
+    assert Poly(t, [1, 1]).scale(FieldElement(f4, 2)) == Poly(t, [2, 2])
+    assert Poly(t, [1, 1]).scale(FieldElement(t, 7)) == Poly(t, [7, 7])
+    assert Poly(t, [1, 1]).scale(0).is_zero()
 
 
 def test_monomial_is_the_padded_coefficient_list(f4):

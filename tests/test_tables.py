@@ -26,6 +26,7 @@ from cppforge import (
     table_verdict,
     value_table,
 )
+from cppforge import fields
 from cppforge.errors import OrderCapExceeded
 from cppforge.grids import tower_grid
 from cppforge.maps import trace_kernel
@@ -329,6 +330,47 @@ def test_odd_add_to_x_memory_is_bounded():
     assert peak < 4 << 20, peak
     for i, x in np.random.default_rng(19).integers(0, [8, tt.order], size=(200, 2)):
         assert out[i, x] == tw._cadd(int(tabs[i, x]), int(x))
+
+
+def _odd_p_towers():
+    """Every odd-p tower of tower_grid(729), and F_4913/F_17 and F_16807/F_7:
+    the first shapes whose half-table entries pass 255 (lo = 289 and 343)."""
+    towers = [tw for tw in tower_grid(729) if tw.p != 2]
+    towers += [make_tower(make_prime_field(17), 3), make_tower(make_prime_field(7), 5)]
+    return [pytest.param(tw, id=repr(tw)) for tw in towers]
+
+
+@pytest.mark.parametrize("tower", _odd_p_towers())
+def test_odd_tower_add_is_the_digit_loop_on_seeded_pairs(tower):
+    tt, p, order = tower_tables(tower), tower.p, tower.order
+    rng = np.random.default_rng(order)
+    a, b = rng.integers(0, order, size=(2, 2000), dtype=np.int32)
+    total = tt.add(a, b)
+    want = [fields._digit_add(p, x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert total.tolist() == want
+    # a sum goes on into index arithmetic, as into a second addition here
+    again = [fields._digit_add(p, x, y) for x, y in zip(want, b.tolist())]
+    assert tt.add(total, b).tolist() == again
+    tabs = rng.integers(0, order, size=(2, order), dtype=np.int32)
+    assert tt.add_to_x(tabs).tolist() == [[fields._digit_add(p, v, x) for x, v in enumerate(row)]
+                                          for row in tabs.tolist()]
+
+
+def test_odd_tower_tables_read_the_scalar_half_table_in_place():
+    # F_243/F_3 and F_729/F_9 share the shape (p, w) = (3, 3); F_4913/F_17
+    # has (17, 2) and F_50653/F_37 (37, 2), the largest table
+    f3 = make_prime_field(3)
+    for towers in ([make_tower(f3, 5), make_tower(make_extension(f3, 2), 3)],
+                   [make_tower(make_prime_field(17), 3)], [make_tower(make_prime_field(37), 3)]):
+        w = (towers[0].full_degree + 1) // 2
+        shared = fields._half_add_table(towers[0].p, w)
+        # fresh towers, built apart from the tower_tables cache
+        halves = [TowerTables(tw, base_tables(tw.base))._half_add for tw in towers]
+        for tw, half in zip(towers, halves):
+            assert tw._add_tab is shared, tw
+            assert np.shares_memory(half, np.frombuffer(shared, dtype=np.uint16)), tw
+            assert not half.flags.writeable, tw
+        assert all(np.shares_memory(halves[0], half) for half in halves)
 
 
 def test_zero_operand_products_are_zero(tt):
