@@ -6,6 +6,11 @@ reports counts plus any counterexamples. Reports are expected to come
 back clean; a nonempty counterexample list means either the library or
 the equivalence bookkeeping is wrong, and the tests fail loudly on it.
 
+Each sweep is a per-tower body registered with _sweep(token,
+default_max_order, towers, extras): towers maps max_order to the ordered
+towers the sweep walks, and extras is the zero dict its report's extras
+start from. _sweep alone walks the towers.
+
 The heavy sweeps run on the numpy tables; each one also replays a seeded
 sample of its cases through the scalar builders so the fast path and the
 reference path vouch for each other.
@@ -35,6 +40,7 @@ sound tables have no failing cell.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import time
@@ -43,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import HypothesisFails, PreconditionViolated
+from .errors import HypothesisFails, OrderCapExceeded, PreconditionViolated
 from .fields import (
     FieldElement,
     Poly,
@@ -61,7 +67,7 @@ from .lifts import (
     trace_lift_simple,
 )
 from .maps import PPoly, binomial_kernel_criterion, norm_exponent
-from .tables import base_tables, bijective_rows, cpp_rows, tower_tables
+from .tables import BULK_TOWER_CAP, base_tables, bijective_rows, cpp_rows, tower_tables
 
 DEFAULT_SEED = 20260819
 H_DEGREE = 2  # every nonzero h of degree <= H_DEGREE is swept exhaustively
@@ -122,6 +128,11 @@ def _norm_lift_towers(max_order: int) -> list[TowerDesc]:
     return sorted(towers, key=lambda t: (t.q, t.n))
 
 
+def _quadratic_towers(max_order: int) -> list[TowerDesc]:
+    """The quadratic towers F_(q^2)/F_q with q = 2^et, et >= 2, of cor2.5."""
+    return [_tower(2, et, 2) for et in range(2, 31) if 4**et <= max_order]
+
+
 def norm_lift_pairs(max_order: int = 4096) -> list[tuple[int, int]]:
     """(q, n) pairs admissible for the norm lift: gcd(n, q-1) = 1, q^n <= cap."""
     return [(t.q, t.n) for t in _norm_lift_towers(max_order)]
@@ -172,20 +183,26 @@ class SweepReport:
 REGISTRY: dict = {}
 
 
-def _sweep(token: str, default_max_order: int):
-    """Register body(rep, max_order, rng, **options) -> extras as the sweep
-    `token`: the wrapper owns the max_order default (exposed as its
-    default_max_order), the seeded rng, the report and its perf_counter
-    timing."""
+def _sweep(token: str, default_max_order: int, towers, extras: dict):
+    """Register body(rep, tower, rng, **options) as the sweep `token`: it
+    walks towers(max_order), max_order defaulting to default_max_order
+    (exposed on the sweep), and refuses a walk with a tower past
+    BULK_TOWER_CAP before its first tower. Every tower draws from one seeded
+    rng in walk order; rep.extras starts as a copy of the zero dict extras,
+    whose counters each body advances in place."""
 
     def register(body):
         def sweep(max_order: Optional[int] = None, seed: int = DEFAULT_SEED,
                   **options) -> SweepReport:
-            max_order = default_max_order if max_order is None else max_order
-            rng = np.random.default_rng(seed)
-            rep = SweepReport(token)
             t0 = time.perf_counter()
-            rep.extras = body(rep, max_order, rng, **options)
+            walk = towers(default_max_order if max_order is None else max_order)
+            top = max((t.order for t in walk), default=0)
+            if top > BULK_TOWER_CAP:
+                raise OrderCapExceeded(top, BULK_TOWER_CAP, "bulk tower tables")
+            rng = np.random.default_rng(seed)
+            rep = SweepReport(token, extras=copy.deepcopy(extras))
+            for tower in walk:
+                body(rep, tower, rng, **options)
             rep.elapsed = time.perf_counter() - t0
             return rep
 
@@ -301,8 +318,9 @@ def _random_h_coeffs(q: int, count: int, rng) -> np.ndarray:
     return out
 
 
-@_sweep("thm2.2", 4096)
-def sweep_norm_lift(rep: SweepReport, max_order: int, rng, random_h: int = 100) -> dict:
+@_sweep("thm2.2", 4096, _norm_lift_towers,
+        {"pairs": [], "fiber_cases": 0, "fiber_agreements": 0, "builder_crosschecks": 0})
+def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100) -> None:
     """x*h(nor(x)) CPP on the tower vs x*h(x^n) CPP on the base.
 
     Runs over every admissible (q, n) pair, every nonzero h of degree <=
@@ -329,103 +347,92 @@ def sweep_norm_lift(rep: SweepReport, max_order: int, rng, random_h: int = 100) 
     square fails exactly when h(nor x) is c for one of the table's failing
     cells (x, c), so h is evaluated at those points only.
     """
-    fiber_agree = 0
-    builder_checks = 0
-    towers = _norm_lift_towers(max_order)
-    for tower in towers:
-        q, n, order = tower.q, tower.n, tower.order
-        bt = base_tables(tower.base)
-        tt = tower_tables(tower)
-        pow_n = bt.pow_all(n)  # x -> x^n: substitution index and induced-map power
-        lam_scaled = (tt.NOR.astype(np.int64) * order).astype(np.int32)
-        # failing cells (x, c) of the square table; none on sound tables
-        bad_x, bad_c = np.nonzero(~tt.norm_square_table())
-        bad_col = tt.NOR[bad_x]
-        # the lift's first q columns are the witness map
-        sub_ok = ((tt.NOR[:q] == pow_n).all()
-                  and (tt.MEXP[tt.LOG[:q, None] + tt.LOG[None, :q]] == bt.MUL).all())
-        # x -> x^n carries the witness onto the induced map
-        pow_ok = (bijective_rows(pow_n[None, :])[0]
-                  and (pow_n[bt.MUL] == bt.MUL[pow_n[:, None], pow_n[None, :]]).all())
-        # with both, a row needs h in full only when its witness permutes,
-        # and the witness prefix rejects most of the others
-        width = min(_WITNESS_PREFIX, q) if sub_ok and pow_ok else 0
-        all_h = _all_h_coeffs(q, H_DEGREE)
-        rand_h = _random_h_coeffs(q, random_h, rng)
-        sample_idx = set(rng.integers(0, len(all_h), size=8).tolist())
-        verdicts = []  # (witness, lift) CPP verdicts of the all_h rows
-        for block in (all_h, rand_h):
-            for coeffs, alive, hv, wit_perm, wit_cpp in _witness_blocks(
-                    bt, block, pow_n, width, max(1, _WITNESS_CELLS // q)):
-                # fiber criterion with induced v -> v*h(v)^n; the pair scan
-                # only decides the conclusion when the induced map bijects.
-                # hv holds the alive rows: every row without a width, and
-                # with one every row of full = wit_perm
-                h_bij = wit_perm if pow_ok else bijective_rows(bt.mul_by_x(pow_n[hv]))
-                full = wit_perm | h_bij if sub_ok else np.ones(len(coeffs), dtype=bool)
-                perm = np.zeros(len(coeffs), dtype=bool)
-                lift_cpp, conclusion = perm.copy(), perm.copy()
-                perm[full], lift_cpp[full], conclusion[full] = _norm_lift_verdicts(
-                    tt, hv[full[alive]], h_bij[full], lam_scaled)
-                square_ok = (bt.horner(coeffs, bad_col) != bad_c).all(axis=1)
-                fiber_ok = (conclusion == perm) & square_ok
-                fiber_agree += int(fiber_ok.sum())
-                rep.counterexamples += [{"q": q, "n": n, "h": coeffs[i].tolist(),
-                                         "why": "fiber verdict"}
-                                        for i in np.flatnonzero(~fiber_ok)]
-                rep.note(wit_cpp == lift_cpp, lift_cpp,
-                         lambda i: {"q": q, "n": n, "h": coeffs[i].tolist()})
-                if block is all_h:
-                    verdicts.append((wit_cpp, lift_cpp))
-        wit_all, lift_all = (np.concatenate(v) for v in zip(*verdicts))
-        # replay a seeded sample through the scalar builder against the
-        # batch's verdicts; big towers get one full-table replay and seeded
-        # point pinning for the rest, small ones replay the whole table
-        for j, i in enumerate(sorted(sample_idx)):
-            res = norm_lift(Poly(tower.base, [int(c) for c in all_h[i]]), tower)
-            assert res.predicted_cpp == wit_all[i]
-            if order < 1024 or j == 0:
-                assert res.verified_cpp(order) == lift_all[i]
-            else:
-                lifted = _lift_rows(tt, bt.horner(all_h[i : i + 1]), tt.NOR)[0]
-                for x in rng.integers(0, order, size=32):
-                    assert res.evaluate(FieldElement(tower, int(x))).code == lifted[x]
-            builder_checks += 1
-    return {
-        "pairs": [(t.q, t.n) for t in towers],
-        "fiber_cases": rep.cases,
-        "fiber_agreements": fiber_agree,
-        "builder_crosschecks": builder_checks,
-    }
+    q, n, order = tower.q, tower.n, tower.order
+    rep.extras["pairs"].append((q, n))
+    bt = base_tables(tower.base)
+    tt = tower_tables(tower)
+    pow_n = bt.pow_all(n)  # x -> x^n: substitution index and induced-map power
+    lam_scaled = (tt.NOR.astype(np.int64) * order).astype(np.int32)
+    # failing cells (x, c) of the square table; none on sound tables
+    bad_x, bad_c = np.nonzero(~tt.norm_square_table())
+    bad_col = tt.NOR[bad_x]
+    # the lift's first q columns are the witness map
+    sub_ok = ((tt.NOR[:q] == pow_n).all()
+              and (tt.MEXP[tt.LOG[:q, None] + tt.LOG[None, :q]] == bt.MUL).all())
+    # x -> x^n carries the witness onto the induced map
+    pow_ok = (bijective_rows(pow_n[None, :])[0]
+              and (pow_n[bt.MUL] == bt.MUL[pow_n[:, None], pow_n[None, :]]).all())
+    # with both, a row needs h in full only when its witness permutes,
+    # and the witness prefix rejects most of the others
+    width = min(_WITNESS_PREFIX, q) if sub_ok and pow_ok else 0
+    all_h = _all_h_coeffs(q, H_DEGREE)
+    rand_h = _random_h_coeffs(q, random_h, rng)
+    sample_idx = set(rng.integers(0, len(all_h), size=8).tolist())
+    verdicts = []  # (witness, lift) CPP verdicts of the all_h rows
+    for block in (all_h, rand_h):
+        for coeffs, alive, hv, wit_perm, wit_cpp in _witness_blocks(
+                bt, block, pow_n, width, max(1, _WITNESS_CELLS // q)):
+            # fiber criterion with induced v -> v*h(v)^n; the pair scan
+            # only decides the conclusion when the induced map bijects.
+            # hv holds the alive rows: every row without a width, and
+            # with one every row of full = wit_perm
+            h_bij = wit_perm if pow_ok else bijective_rows(bt.mul_by_x(pow_n[hv]))
+            full = wit_perm | h_bij if sub_ok else np.ones(len(coeffs), dtype=bool)
+            perm = np.zeros(len(coeffs), dtype=bool)
+            lift_cpp, conclusion = perm.copy(), perm.copy()
+            perm[full], lift_cpp[full], conclusion[full] = _norm_lift_verdicts(
+                tt, hv[full[alive]], h_bij[full], lam_scaled)
+            square_ok = (bt.horner(coeffs, bad_col) != bad_c).all(axis=1)
+            fiber_ok = (conclusion == perm) & square_ok
+            rep.extras["fiber_cases"] += len(coeffs)
+            rep.extras["fiber_agreements"] += int(fiber_ok.sum())
+            rep.counterexamples += [{"q": q, "n": n, "h": coeffs[i].tolist(),
+                                     "why": "fiber verdict"}
+                                    for i in np.flatnonzero(~fiber_ok)]
+            rep.note(wit_cpp == lift_cpp, lift_cpp,
+                     lambda i: {"q": q, "n": n, "h": coeffs[i].tolist()})
+            if block is all_h:
+                verdicts.append((wit_cpp, lift_cpp))
+    wit_all, lift_all = (np.concatenate(v) for v in zip(*verdicts))
+    # replay a seeded sample through the scalar builder against the
+    # batch's verdicts; big towers get one full-table replay and seeded
+    # point pinning for the rest, small ones replay the whole table
+    for j, i in enumerate(sorted(sample_idx)):
+        res = norm_lift(Poly(tower.base, [int(c) for c in all_h[i]]), tower)
+        assert res.predicted_cpp == wit_all[i]
+        if order < 1024 or j == 0:
+            assert res.verified_cpp(order) == lift_all[i]
+        else:
+            lifted = _lift_rows(tt, bt.horner(all_h[i : i + 1]), tt.NOR)[0]
+            for x in rng.integers(0, order, size=32):
+                assert res.evaluate(FieldElement(tower, int(x))).code == lifted[x]
+        rep.extras["builder_crosschecks"] += 1
 
 
-@_sweep("cor2.3", 4096)
-def sweep_monomial_norm(rep: SweepReport, max_order: int, rng) -> dict:
+@_sweep("cor2.3", 4096, _norm_lift_towers, {"builder_crosschecks": 0})
+def sweep_monomial_norm(rep: SweepReport, tower: TowerDesc, rng) -> None:
     """alpha*x^(1+s*(q^n-1)/(q-1)) vs alpha*x^(1+ns), all s in 0..q-2, all alpha."""
-    builder_checks = 0
-    for tower in _norm_lift_towers(max_order):
-        q, n = tower.q, tower.n
-        bt = base_tables(tower.base)
-        tt = tower_tables(tower)
-        npow = norm_exponent(tower)
-        alphas = np.arange(1, q)[:, None]  # one row per alpha = 1..q-1
-        replays = 0
-        for s in range(max(q - 1, 1)):
-            _, wcpp = cpp_rows(bt, bt.MUL[alphas, bt.pow_all(1 + n * s)[None, :]])
-            _, lcpp = cpp_rows(tt, tt.mul(alphas, tt.pow_all(1 + s * npow)[None, :]))
-            rep.note(wcpp == lcpp, lcpp,
-                     lambda i: {"q": q, "n": n, "s": s, "alpha": i + 1})
-            if replays < 3 and rng.integers(0, 4) == 0:
-                alpha = int(rng.integers(1, q))
-                res = monomial_cpp_check(alpha, s, tower)
-                assert res.verified_cpp(tt.order) == res.predicted_cpp == lcpp[alpha - 1]
-                replays += 1
-                builder_checks += 1
-    return {"builder_crosschecks": builder_checks}
+    q, n = tower.q, tower.n
+    bt = base_tables(tower.base)
+    tt = tower_tables(tower)
+    npow = norm_exponent(tower)
+    alphas = np.arange(1, q)[:, None]  # one row per alpha = 1..q-1
+    replays = 0
+    for s in range(max(q - 1, 1)):
+        _, wcpp = cpp_rows(bt, bt.MUL[alphas, bt.pow_all(1 + n * s)[None, :]])
+        _, lcpp = cpp_rows(tt, tt.mul(alphas, tt.pow_all(1 + s * npow)[None, :]))
+        rep.note(wcpp == lcpp, lcpp,
+                 lambda i: {"q": q, "n": n, "s": s, "alpha": i + 1})
+        if replays < 3 and rng.integers(0, 4) == 0:
+            alpha = int(rng.integers(1, q))
+            res = monomial_cpp_check(alpha, s, tower)
+            assert res.verified_cpp(tt.order) == res.predicted_cpp == lcpp[alpha - 1]
+            replays += 1
+            rep.extras["builder_crosschecks"] += 1
 
 
-@_sweep("cor2.5", 4096)
-def sweep_quadratic_monomials(rep: SweepReport, max_order: int, rng) -> dict:
+@_sweep("cor2.5", 4096, _quadratic_towers, {"builder_crosschecks": 0})
+def sweep_quadratic_monomials(rep: SweepReport, tower: TowerDesc, rng) -> None:
     """The unconditional quadratic-extension monomial family, all (e, t, k, alpha).
 
     Admissible alpha give CPPs with no side condition, so every outcome
@@ -433,76 +440,68 @@ def sweep_quadratic_monomials(rep: SweepReport, max_order: int, rng) -> dict:
     rejection is confirmed. The admissible alpha of one (e, t, k) are
     checked as one batch.
     """
-    builder_checks = 0
-    for et in range(2, 31):
-        if 2 ** (2 * et) > max_order:
-            break
-        base = make_extension(make_prime_field(2), et)
-        q = base.q
-        for e in range(1, et + 1):
-            if et % e:
-                continue
-            t = et // e
-            for k in range(1, t):
-                if e == 1 and math.gcd(k, t) == 1:
-                    continue
-                g = math.gcd(2 ** (e * k) - 1, q - 1)
-                built = []
-                for alpha in range(1, q):
-                    if base._cpow(alpha, (q - 1) // g) != 1:
-                        built.append(cppeg_construct(e, t, k, alpha))
-                        continue
-                    try:
-                        cppeg_construct(e, t, k, alpha)
-                        rep.note(False, False,
-                                 {"e": e, "t": t, "k": k, "alpha": alpha,
-                                  "why": "inadmissible alpha accepted"})
-                    except PreconditionViolated:
-                        rep.skipped += 1
-                if not built:
-                    continue
-                tt = tower_tables(built[0].tower)
-                exp_tab = tt.pow_all(built[0].params["exponent"])
-                alphas = [res.params["alpha"] for res in built]
-                ver = cpp_rows(tt, tt.mul(np.array(alphas)[:, None], exp_tab[None, :]))[1]
-                predicted = np.array([res.predicted_cpp is True for res in built])
-                rep.note(predicted & ver, ver,
-                         lambda i: {"e": e, "t": t, "k": k, "alpha": alphas[i]})
-                for res, v in zip(built, ver):
-                    if builder_checks < 4 and rng.integers(0, 5) == 0:
-                        assert res.verified_cpp(tt.order) == v
-                        builder_checks += 1
-    return {"builder_crosschecks": builder_checks}
-
-
-@_sweep("thm3.2", 1024)
-def sweep_trace_simple(rep: SweepReport, max_order: int, rng) -> dict:
-    """x*h(tr(x)) CPP on the tower vs x*h(x) CPP on the base, admissible h."""
-    builder_checks = 0
-    for tower in tower_grid(max_order):
-        bt = base_tables(tower.base)
-        tt = tower_tables(tower)
-        q, order = tower.q, tower.order
-        minus_one = tower.base._cneg(1)
-        all_h = _all_h_coeffs(q, H_DEGREE)
-        all_h = all_h[(all_h[:, 0] != 0) & (all_h[:, 0] != minus_one)]
-        if len(all_h) == 0:
+    base = tower.base
+    et, q = base.r, base.q
+    for e in range(1, et + 1):
+        if et % e:
             continue
-        sample_idx = set(rng.integers(0, len(all_h), size=4).tolist())
-        verdicts = []  # (witness, lift) CPP verdicts per row
-        for coeffs, _, hv, _, wit_cpp in _witness_blocks(
-                bt, all_h, np.arange(q), 0, max(1, _ROW_CELLS // order)):
-            _, lift_cpp = _lift_verdicts(tt, hv, tt.TR)
-            rep.note(wit_cpp == lift_cpp, lift_cpp,
-                     lambda i: {"q": q, "n": tower.n, "h": coeffs[i].tolist()})
-            verdicts.append((wit_cpp, lift_cpp))
-        wit_all, lift_all = (np.concatenate(v) for v in zip(*verdicts))
-        for i in sorted(sample_idx):
-            res = trace_lift_simple(Poly(tower.base, [int(c) for c in all_h[i]]), tower)
-            assert res.predicted_cpp == wit_all[i]
-            assert res.verified_cpp(order) == lift_all[i]
-            builder_checks += 1
-    return {"builder_crosschecks": builder_checks}
+        t = et // e
+        for k in range(1, t):
+            if e == 1 and math.gcd(k, t) == 1:
+                continue
+            g = math.gcd(2 ** (e * k) - 1, q - 1)
+            built = []
+            for alpha in range(1, q):
+                if base._cpow(alpha, (q - 1) // g) != 1:
+                    built.append(cppeg_construct(e, t, k, alpha))
+                    continue
+                try:
+                    cppeg_construct(e, t, k, alpha)
+                    rep.note(False, False,
+                             {"e": e, "t": t, "k": k, "alpha": alpha,
+                              "why": "inadmissible alpha accepted"})
+                except PreconditionViolated:
+                    rep.skipped += 1
+            if not built:
+                continue
+            tt = tower_tables(tower)
+            exp_tab = tt.pow_all(built[0].params["exponent"])
+            alphas = [res.params["alpha"] for res in built]
+            ver = cpp_rows(tt, tt.mul(np.array(alphas)[:, None], exp_tab[None, :]))[1]
+            predicted = np.array([res.predicted_cpp is True for res in built])
+            rep.note(predicted & ver, ver,
+                     lambda i: {"e": e, "t": t, "k": k, "alpha": alphas[i]})
+            for res, v in zip(built, ver):
+                if rep.extras["builder_crosschecks"] < 4 and rng.integers(0, 5) == 0:
+                    assert res.verified_cpp(tt.order) == v
+                    rep.extras["builder_crosschecks"] += 1
+
+
+@_sweep("thm3.2", 1024, tower_grid, {"builder_crosschecks": 0})
+def sweep_trace_simple(rep: SweepReport, tower: TowerDesc, rng) -> None:
+    """x*h(tr(x)) CPP on the tower vs x*h(x) CPP on the base, admissible h."""
+    bt = base_tables(tower.base)
+    tt = tower_tables(tower)
+    q, order = tower.q, tower.order
+    minus_one = tower.base._cneg(1)
+    all_h = _all_h_coeffs(q, H_DEGREE)
+    all_h = all_h[(all_h[:, 0] != 0) & (all_h[:, 0] != minus_one)]
+    if len(all_h) == 0:
+        return
+    sample_idx = set(rng.integers(0, len(all_h), size=4).tolist())
+    verdicts = []  # (witness, lift) CPP verdicts per row
+    for coeffs, _, hv, _, wit_cpp in _witness_blocks(
+            bt, all_h, np.arange(q), 0, max(1, _ROW_CELLS // order)):
+        _, lift_cpp = _lift_verdicts(tt, hv, tt.TR)
+        rep.note(wit_cpp == lift_cpp, lift_cpp,
+                 lambda i: {"q": q, "n": tower.n, "h": coeffs[i].tolist()})
+        verdicts.append((wit_cpp, lift_cpp))
+    wit_all, lift_all = (np.concatenate(v) for v in zip(*verdicts))
+    for i in sorted(sample_idx):
+        res = trace_lift_simple(Poly(tower.base, [int(c) for c in all_h[i]]), tower)
+        assert res.predicted_cpp == wit_all[i]
+        assert res.verified_cpp(order) == lift_all[i]
+        rep.extras["builder_crosschecks"] += 1
 
 
 def _random_ppoly(tower: TowerDesc, rng) -> PPoly:
@@ -512,42 +511,41 @@ def _random_ppoly(tower: TowerDesc, rng) -> PPoly:
     return PPoly(tower, pairs)
 
 
-@_sweep("thm3.3", 256)
-def sweep_trace_general(rep: SweepReport, max_order: int, rng) -> dict:
+@_sweep("thm3.3", 256, tower_grid, {"hypothesis_failures": 0})
+def sweep_trace_general(rep: SweepReport, tower: TowerDesc, rng) -> None:
     """The H(x) = h(tr x) + a*A(tr x) - a*A(x) lift, seeded L sample per tower.
 
     Cases whose kernel hypothesis fails are counted as skipped; built
     cases must match the exhaustive CPP check and carry a verified proof
     identity.
     """
-    for tower in tower_grid(max_order):
-        base = tower.base
-        q = tower.q
-        ppolys = [PPoly.monomial(tower, k) for k in range(1, min(tower.full_degree, 4))]
-        ppolys += [_random_ppoly(tower, rng) for _ in range(2)]
-        lin_h = _all_h_coeffs(q, 1)
-        h_list = [lin_h[i] for i in rng.integers(0, len(lin_h), size=min(6, len(lin_h)))]
-        a_list = sorted({int(a) for a in rng.integers(1, q, size=2)})
-        for L in ppolys:
-            for hc in h_list:
-                h = Poly(base, [int(c) for c in hc])
-                for a in a_list:
-                    try:
-                        res = trace_lift_general(h, L, a, tower, tower.order)
-                    except HypothesisFails:
-                        rep.skipped += 1
-                        continue
-                    ver = res.verified_cpp(tower.order)
-                    ok = (ver == res.predicted_cpp
-                          and res.extras["proof_identity_holds"] is True)
-                    rep.note(ok, bool(ver),
-                             {"q": q, "n": tower.n, "h": hc.tolist(),
-                              "L": L.text(), "a": a})
-    return {"hypothesis_failures": rep.skipped}
+    base = tower.base
+    q = tower.q
+    ppolys = [PPoly.monomial(tower, k) for k in range(1, min(tower.full_degree, 4))]
+    ppolys += [_random_ppoly(tower, rng) for _ in range(2)]
+    lin_h = _all_h_coeffs(q, 1)
+    h_list = [lin_h[i] for i in rng.integers(0, len(lin_h), size=min(6, len(lin_h)))]
+    a_list = sorted({int(a) for a in rng.integers(1, q, size=2)})
+    for L in ppolys:
+        for hc in h_list:
+            h = Poly(base, [int(c) for c in hc])
+            for a in a_list:
+                try:
+                    res = trace_lift_general(h, L, a, tower, tower.order)
+                except HypothesisFails:
+                    rep.skipped += 1
+                    rep.extras["hypothesis_failures"] += 1
+                    continue
+                ver = res.verified_cpp(tower.order)
+                ok = (ver == res.predicted_cpp
+                      and res.extras["proof_identity_holds"] is True)
+                rep.note(ok, bool(ver),
+                         {"q": q, "n": tower.n, "h": hc.tolist(),
+                          "L": L.text(), "a": a})
 
 
-@_sweep("thm3.7", 256)
-def sweep_trace_binomial(rep: SweepReport, max_order: int, rng) -> dict:
+@_sweep("thm3.7", 256, tower_grid, {"builder_crosschecks": 0, "identity_failures": 0})
+def sweep_trace_binomial(rep: SweepReport, tower: TowerDesc, rng) -> None:
     """L = x^(p^k) lifts on every tower/k passing the arithmetic conditions.
 
     The batched path recomputes H(x) = h(tr x) + a*(A(tr x) - A(x)) from
@@ -555,88 +553,81 @@ def sweep_trace_binomial(rep: SweepReport, max_order: int, rng) -> dict:
     trace_lift_binomial, which also re-verifies the kernel hypothesis the
     arithmetic conditions promise.
     """
-    builder_checks = 0
-    identity_failures = 0
-    for tower in tower_grid(max_order):
-        p, r, n, q = tower.p, tower.base.r, tower.n, tower.q
-        if n % p == 0:
-            continue
-        ks = [k for k in range(1, tower.full_degree)
-              if math.gcd(k, n) == 1 and math.gcd(n, p ** math.gcd(k, r) - 1) == 1]
-        if not ks:
-            continue
-        bt = base_tables(tower.base)
-        tt = tower_tables(tower)
-        order = tt.order
-        xs = np.arange(order)[None, :]
-        minus = tt.scale_row(tower.base._cneg(1))
-        all_h = _all_h_coeffs(q, H_DEGREE)
-        # h values on the trace and witness verdicts depend on neither k nor a
-        blocks = [(coeffs, hv[:, tt.TR], wit_cpp)
-                  for coeffs, _, hv, _, wit_cpp in _witness_blocks(
-                      bt, all_h, np.arange(q), 0, max(1, _ROW_CELLS // order))]
-        for k in ks:
-            avec = tt.pow_all(p**k - 1)
-            adiff = tt.add(avec[tt.TR], minus[avec])  # A(tr x) - A(x)
+    p, r, n, q = tower.p, tower.base.r, tower.n, tower.q
+    if n % p == 0:
+        return
+    ks = [k for k in range(1, tower.full_degree)
+          if math.gcd(k, n) == 1 and math.gcd(n, p ** math.gcd(k, r) - 1) == 1]
+    if not ks:
+        return
+    bt = base_tables(tower.base)
+    tt = tower_tables(tower)
+    order = tt.order
+    xs = np.arange(order)[None, :]
+    minus = tt.scale_row(tower.base._cneg(1))
+    all_h = _all_h_coeffs(q, H_DEGREE)
+    # h values on the trace and witness verdicts depend on neither k nor a
+    blocks = [(coeffs, hv[:, tt.TR], wit_cpp)
+              for coeffs, _, hv, _, wit_cpp in _witness_blocks(
+                  bt, all_h, np.arange(q), 0, max(1, _ROW_CELLS // order))]
+    for k in ks:
+        avec = tt.pow_all(p**k - 1)
+        adiff = tt.add(avec[tt.TR], minus[avec])  # A(tr x) - A(x)
 
-            def lift(htr: np.ndarray, a: int) -> np.ndarray:
-                """x*H(x) per row of h(tr x) values, H(x) = h(tr x) + a*adiff(x)."""
-                return tt.mul(tt.add(htr, tt.scale_row(a)[adiff][None, :]), xs)
+        def lift(htr: np.ndarray, a: int) -> np.ndarray:
+            """x*H(x) per row of h(tr x) values, H(x) = h(tr x) + a*adiff(x)."""
+            return tt.mul(tt.add(htr, tt.scale_row(a)[adiff][None, :]), xs)
 
-            for a in range(1, q):
-                for coeffs, htr, wit_cpp in blocks:
-                    lifted = lift(htr, a)
-                    _, lift_cpp = cpp_rows(tt, lifted)
-                    ident = (tt.TR[lifted] == bt.MUL[tt.TR[None, :], htr]).all(axis=1)
-                    identity_failures += int((~ident).sum())
-                    rep.note((wit_cpp == lift_cpp) & ident, lift_cpp,
-                             lambda i: {"q": q, "n": n, "k": k, "a": a,
-                                        "h": coeffs[i].tolist()})
-            for i in rng.integers(0, len(all_h), size=3):
-                h = Poly(tower.base, [int(c) for c in all_h[i]])
-                a = int(rng.integers(1, q))
-                res = trace_lift_binomial(h, k, a, tower, order)
-                ver = res.verified_cpp(order)
-                assert ver == res.predicted_cpp
-                assert res.extras["proof_identity_holds"] is True
-                htr = bt.horner(all_h[i : i + 1])[:, tt.TR]
-                assert res.map_table(order) == lift(htr, a)[0].tolist()
-                builder_checks += 1
-    return {"builder_crosschecks": builder_checks,
-            "identity_failures": identity_failures}
+        for a in range(1, q):
+            for coeffs, htr, wit_cpp in blocks:
+                lifted = lift(htr, a)
+                _, lift_cpp = cpp_rows(tt, lifted)
+                ident = (tt.TR[lifted] == bt.MUL[tt.TR[None, :], htr]).all(axis=1)
+                rep.extras["identity_failures"] += int((~ident).sum())
+                rep.note((wit_cpp == lift_cpp) & ident, lift_cpp,
+                         lambda i: {"q": q, "n": n, "k": k, "a": a,
+                                    "h": coeffs[i].tolist()})
+        for i in rng.integers(0, len(all_h), size=3):
+            h = Poly(tower.base, [int(c) for c in all_h[i]])
+            a = int(rng.integers(1, q))
+            res = trace_lift_binomial(h, k, a, tower, order)
+            ver = res.verified_cpp(order)
+            assert ver == res.predicted_cpp
+            assert res.extras["proof_identity_holds"] is True
+            htr = bt.horner(all_h[i : i + 1])[:, tt.TR]
+            assert res.map_table(order) == lift(htr, a)[0].tolist()
+            rep.extras["builder_crosschecks"] += 1
 
 
-@_sweep("lemma3.4", 4096)
-def sweep_kernel_binomials(rep: SweepReport, max_order: int, rng) -> dict:
+@_sweep("lemma3.4", 4096, tower_grid,
+        {"no_case_exhaustive_true": 0, "no_case_exhaustive_false": 0})
+def sweep_kernel_binomials(rep: SweepReport, tower: TowerDesc, rng) -> None:
     """x^(p^k) - c*x on ker(tr): criterion verdict vs exhaustive check.
 
     Case1/Case2 predictions must be confirmed exactly; NoCaseApplies rows
     carry no prediction and are tallied as skipped (their exhaustive
     outcome is still recorded in extras).
     """
-    no_case_true = 0
-    for tower in tower_grid(max_order):
-        tt = tower_tables(tower)
-        p, q, n = tower.p, tower.q, tower.n
-        kernel = tt.KERNEL
-        ks = [k for k in range(1, tower.full_degree) if math.gcd(k, n) == 1]
-        minus = tt.scale_row(tower.base._cneg(1))
-        for k in ks:
-            frob = tt.pow_map(kernel, p**k)
-            for c in range(q):
-                img = tt.add(frob, minus[tt.scale_row(c)[kernel]])
-                if not (tt.TR[img] == 0).all():
-                    rep.note(False, False, {"q": q, "n": n, "k": k, "c": c,
-                                            "why": "image escaped the kernel"})
-                    continue
-                actual = _distinct_rows(img[None, :])[0]
-                verdict = binomial_kernel_criterion(k, c, tower)
-                if verdict.case_applied == "NoCaseApplies":
-                    rep.skipped += 1
-                    no_case_true += int(actual)
-                    continue
-                rep.note(verdict.predicted == bool(actual), bool(actual),
-                         {"q": q, "n": n, "k": k, "c": c,
-                          "case": verdict.case_applied})
-    return {"no_case_exhaustive_true": no_case_true,
-            "no_case_exhaustive_false": rep.skipped - no_case_true}
+    tt = tower_tables(tower)
+    p, q, n = tower.p, tower.q, tower.n
+    kernel = tt.KERNEL
+    ks = [k for k in range(1, tower.full_degree) if math.gcd(k, n) == 1]
+    minus = tt.scale_row(tower.base._cneg(1))
+    for k in ks:
+        frob = tt.pow_map(kernel, p**k)
+        for c in range(q):
+            img = tt.add(frob, minus[tt.scale_row(c)[kernel]])
+            if not (tt.TR[img] == 0).all():
+                rep.note(False, False, {"q": q, "n": n, "k": k, "c": c,
+                                        "why": "image escaped the kernel"})
+                continue
+            actual = bool(_distinct_rows(img[None, :])[0])
+            verdict = binomial_kernel_criterion(k, c, tower)
+            if verdict.case_applied == "NoCaseApplies":
+                rep.skipped += 1
+                rep.extras["no_case_exhaustive_true"] += int(actual)
+                rep.extras["no_case_exhaustive_false"] += int(not actual)
+                continue
+            rep.note(verdict.predicted == actual, actual,
+                     {"q": q, "n": n, "k": k, "c": c,
+                      "case": verdict.case_applied})

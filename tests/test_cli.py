@@ -367,11 +367,38 @@ GRID_DIGESTS_64 = {
 }
 
 
-@pytest.mark.parametrize("token", list(GRID_DIGESTS_64))
-def test_grid_reproducible_output_is_pinned(capsys, token):
-    code, out, _ = run(capsys, "grid", token, "--max-order", "64", "--reproducible")
+# the same at max_order 0, where every walk is empty, and at 8, where thm3.2
+# skips every tower (q = 2 leaves no admissible h): each report still
+# carries its sweep's zero extras
+GRID_DIGESTS_0 = {
+    "thm2.2": "34aaa5317e947cf2d810c73cb24211afc9e411b97e3636513ee5612c67b8e3f9",
+    "cor2.3": "a8bd2b2cdcca6a456de19546cee0e9b48bb49a9f66876feec33c6f5fe6e7bfaa",
+    "cor2.5": "1a6495eb8da1199f314743504868c3fb2c8285ab52985229e6d1c826797e649a",
+    "thm3.2": "08a155ba084af4137ff5dd381f351f4e284defbd4e97bda179cf6a33850e721f",
+    "thm3.3": "9dfe181f66462b7fe48b789b68801cec3d3d788f9c7d6d2dfc8b6fcd2c19910e",
+    "thm3.7": "a63672c7a06f3f6c5919993c5bfeee58c78f6574ea8a7c4d3b74a9c17ce7fba5",
+    "lemma3.4": "bb8f57e5847beb5eab8807aeba18b59cb6f5b939e83943132441417b1c910e56",
+}
+GRID_DIGESTS_8 = {
+    "thm2.2": "79b3497f035271cce36122d8723967448b92fe9ec75708f4a6591d394d8120b9",
+    "cor2.3": "c053a0ac9ac637241cebc6d0b90d032fe52207227a361d9acc31b8f96ae4c912",
+    "cor2.5": "1a6495eb8da1199f314743504868c3fb2c8285ab52985229e6d1c826797e649a",
+    "thm3.2": "08a155ba084af4137ff5dd381f351f4e284defbd4e97bda179cf6a33850e721f",
+    "thm3.3": "8e689c13448d2130cafcc376984b406def149ab5e5700cbf637e05f480ea27a0",
+    "thm3.7": "92ec7657e845118efba2cf5e59c7e02f8acf3c32ca6fd368fa17d73ea5d21d02",
+    "lemma3.4": "d26452ba1f022bab61a81af149cd50293949b3dc030b05850b03ab194db3f08a",
+}
+_GRID_DIGESTS = {64: GRID_DIGESTS_64, 0: GRID_DIGESTS_0, 8: GRID_DIGESTS_8}
+
+
+@pytest.mark.parametrize("token, max_order", [
+    pytest.param(token, max_order, id=token if max_order == 64 else f"{token}@{max_order}")
+    for max_order, digests in _GRID_DIGESTS.items() for token in digests
+])
+def test_grid_reproducible_output_is_pinned(capsys, token, max_order):
+    code, out, _ = run(capsys, "grid", token, "--max-order", str(max_order), "--reproducible")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GRID_DIGESTS_64[token]
+    assert hashlib.sha256(out.encode()).hexdigest() == _GRID_DIGESTS[max_order][token]
 
 
 # sha256 of `cppforge grid thm2.2 --max-order 1024 --reproducible`: every
@@ -437,6 +464,25 @@ def test_grid_checks_the_cap_against_the_sweeps_own_default(capsys, monkeypatch)
     _stub_sweep(monkeypatch, "thm3.3", run=True)
     code, rep, _ = run_json(capsys, "grid", "thm3.3", "--cap", "256")
     assert code == 0 and rep["token"] == "thm3.3"
+
+
+def _no_per_tower_work(*args, **kwargs):
+    raise AssertionError("a sweep ran per-tower work before the bulk cap refused it")
+
+
+@pytest.mark.parametrize("token", list(GRID_DIGESTS_64))
+def test_grid_refuses_a_tower_past_the_bulk_cap_before_the_first_tower(
+        capsys, monkeypatch, token):
+    # 2^18 is past BULK_TOWER_CAP = 2^16, and every walk up to it reaches a
+    # tower past the cap: for cor2.5 that is F_(4^9)/F_(2^9). The walk is
+    # refused whole, before any sweep builds a table or runs a builder
+    from cppforge import grids
+
+    for name in ("tower_tables", "base_tables", "trace_lift_general"):
+        monkeypatch.setattr(grids, name, _no_per_tower_work)
+    code, out, err = run(capsys, "grid", token, "--max-order", "262144", "--cap", "262144")
+    _assert_refused(code, out, err)
+    assert err.startswith("cppforge: bulk tower tables refused: order 262144 exceeds cap 65536")
 
 
 def test_the_default_cap_passes_every_default_sweep():
