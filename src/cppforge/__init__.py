@@ -89,25 +89,20 @@ def __getattr__(name: str):
 
 
 def clear_caches() -> None:
-    """Empty every per-process cache of the package.
+    """Empty the package memo (fields._MEMO) and the CLI parser's cache.
 
-    That is the shared exp/log lists (fields._LOG_CACHE) and every
-    functools.lru_cache of a loaded module: the canonical moduli, the odd-p
-    addition tables, the numpy tables, the trace kernels, the kernel
-    verdicts, the Lagrange bases, the sweep towers and the CLI parser. No
-    result depends on them: later calls rebuild what they need. A module
-    that is not loaded yet has nothing cached, so none is imported here.
+    No result depends on them. The odd-p addition tables (69 at most) stay:
+    a level built before the clear keeps its table, so a rebuilt one would
+    be a second copy. A module that is not loaded yet is not imported here.
     """
     import sys
 
     from . import fields
 
-    fields._LOG_CACHE.clear()
-    for name, module in list(sys.modules.items()):
-        if name.startswith(f"{__name__}."):
-            for value in vars(module).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
+    fields._MEMO.clear()
+    cli = sys.modules.get(f"{__name__}.cli")
+    if cli is not None:
+        cli._build_parser.cache_clear()
 
 
 __all__ = [

@@ -25,16 +25,16 @@ of two entries (see _build_log_tables). They are kept in sentinel form
 (log_tables): mexp = exp + exp + zeros and lg = log with the log of 0 read
 as 2m (m = order - 1), so that mexp[lg[a] + lg[b]] is the product of any
 two codes, zero included, by one lookup. The lists are built lazily, on a
-level's first multiply, and shared per field: one module cache keyed by
-descriptor() serves every instance of the same field, so a field rebuilt
-per call (as the CLI does) builds them once per process. The cache is
-bounded by _LOG_CACHE_CELLS and evicts its oldest entry first.
+level's first multiply, and shared per field through the memo, so a field
+rebuilt per call (as the CLI does) builds them once per process. The memo
+(memo) holds every value the package reuses; each entry costs the order of
+the field it keeps alive, and the summed cost stays within _MEMO_CELLS.
 
 For odd p on a level of full degree f > 1, a code splits at lo = p^w, w =
 ceil(f/2), and one table of the digitwise sums of two w-digit codes adds
 both halves: two lookups per addition. The table depends only on (p, w),
-so one bounded module cache (_half_add_table) serves every level of that
-shape; a level fetches it on its first addition.
+so one module cache (_half_add_table), which keeps every shape, serves
+every level of that shape; a level fetches it on its first addition.
 
 Beside the per-element _cmul/_cadd/_cpow, a level has whole-field list
 passes from the same lists and the same addition rule: _cadd_each and
@@ -77,11 +77,45 @@ MAX_FIELD_ORDER = 1 << 20
 # for odd p and full degree > 1, a half-width addition table on first add.
 _LOG_TABLE_MAX = 1 << 16
 
-# descriptor() -> (mexp, lg), the sentinel lists shared by every instance of
-# a field; the summed order of the cached fields stays <= _LOG_CACHE_CELLS,
-# oldest evicted first
-_LOG_CACHE: dict[str, tuple[list[int], list[int]]] = {}
-_LOG_CACHE_CELLS = 1 << 18
+
+class _Memo(dict):
+    """(function, arguments) -> (value, cost), least recently used first."""
+
+    cells = 0  # the summed cost, which memo keeps <= _MEMO_CELLS
+
+    def clear(self):
+        super().clear()
+        self.cells = 0
+
+
+_MEMO = _Memo()
+_MEMO_CELLS = 1 << 19
+
+
+def memo(cells):
+    """Memoize a function in _MEMO by its arguments' equality; an entry costs
+    cells(*args), the order of the field it keeps alive. misses counts runs."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def memoized(*args):
+            key = (fn, args)
+            entry = _MEMO.pop(key, None)  # reinserted below as the newest
+            if entry is None:
+                memoized.misses += 1
+                entry = fn(*args), cells(*args)
+                if entry[1] > _MEMO_CELLS:
+                    return entry[0]
+                while _MEMO.cells + entry[1] > _MEMO_CELLS:
+                    _MEMO.cells -= _MEMO.pop(next(iter(_MEMO)))[1]
+                _MEMO.cells += entry[1]
+            _MEMO[key] = entry
+            return entry[0]
+
+        memoized.misses = 0
+        return memoized
+
+    return wrap
 
 
 def _is_prime(p: int) -> bool:
@@ -124,9 +158,9 @@ def _digit_add(p: int, a: int, b: int) -> int:
     return out
 
 
-# 69 (p, w) shapes have a table (the odd-p levels of full degree > 1 up to
-# _LOG_TABLE_MAX), 10.0 MiB in all, so this bound never evicts one
-@functools.lru_cache(maxsize=128)
+# unbounded: 69 (p, w) shapes have a table (the odd-p levels of full degree
+# > 1 up to _LOG_TABLE_MAX), 10.0 MiB in all
+@functools.lru_cache(maxsize=None)
 def _half_add_table(p: int, w: int) -> array:
     """t[x * p^w + y] = _digit_add(p, x, y) for codes x, y below p^w.
 
@@ -350,29 +384,23 @@ class FieldDesc:
         Built from the convolution on first use, never by the constructor:
         about 2*sqrt(order) convolutions fill two half-width product tables,
         and each power follows by one code addition (_build_log_tables).
-        Shared through the module cache: an equal field (same descriptor())
-        built later reuses the same lists, and tables.py reads them too. The
-        cache holds fields of summed order at most _LOG_CACHE_CELLS and
-        drops its oldest field first. None when the order exceeds
-        _LOG_TABLE_MAX.
+        Shared through the memo (_sentinel_lists): an equal field built
+        later reuses the same lists, and tables.py reads them too. None when
+        the order exceeds _LOG_TABLE_MAX.
         """
         if self._exp is None:
             if self.order > _LOG_TABLE_MAX:
                 return None
-            key = self.descriptor()
-            tabs = _LOG_CACHE.get(key)
-            if tabs is None:
-                exp, lg = self._build_log_tables()
-                m = self.order - 1
-                lg[0] = 2 * m
-                tabs = exp + exp + [0] * (2 * m + 1), lg
-                # make room, oldest first; instances keep the lists they hold
-                used = sum(len(log) for _, log in _LOG_CACHE.values())
-                while _LOG_CACHE and used + self.order > _LOG_CACHE_CELLS:
-                    used -= len(_LOG_CACHE.pop(next(iter(_LOG_CACHE)))[1])
-                _LOG_CACHE[key] = tabs
-            self._exp, self._log = tabs
+            # the instance keeps the lists after the memo drops them
+            self._exp, self._log = self._sentinel_lists()
         return self._exp, self._log
+
+    @memo(lambda self: self.order)
+    def _sentinel_lists(self) -> tuple[list[int], list[int]]:
+        exp, lg = self._build_log_tables()
+        m = self.order - 1
+        lg[0] = 2 * m
+        return exp + exp + [0] * (2 * m + 1), lg
 
     def _build_log_tables(self) -> tuple[list[int], list[int]]:
         """The powers of the generator g, and their logs.
@@ -790,18 +818,13 @@ def _poly_is_irreducible(home: FieldDesc, m: Sequence[int]) -> bool:
     return True
 
 
-# the seven default sweeps in one process ask for 57 distinct moduli
-_MODULUS_CACHE_SIZE = 128
-
-
-@functools.lru_cache(maxsize=_MODULUS_CACHE_SIZE)
+@memo(lambda home, degree: home.order)
 def _canonical_modulus(home: FieldDesc, degree: int) -> tuple[int, ...]:
     """First irreducible monic in ascending code order, c_0 fastest.
 
     The scan is deterministic in (home, degree), so results are memoized
-    per equal field, up to _MODULUS_CACHE_SIZE of them; repeated tower
-    construction otherwise dominates workloads that build the same field
-    in a loop.
+    per equal field; repeated tower construction otherwise dominates
+    workloads that build the same field in a loop.
     """
     order = home.order
     for k in range(order**degree):

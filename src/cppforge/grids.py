@@ -8,8 +8,9 @@ the equivalence bookkeeping is wrong, and the tests fail loudly on it.
 
 Each sweep is a per-tower body registered with _sweep(token,
 default_max_order, towers, extras): towers maps max_order to the ordered
-towers the sweep walks, and extras is the zero dict its report's extras
-start from. _sweep alone walks the towers.
+(p, r, n) shapes of the towers F_(p^(rn))/F_(p^r) the sweep walks, and
+extras is the zero dict its report's extras start from. _sweep alone walks
+the towers, and builds each one (_tower) only when its body runs.
 
 The heavy sweeps run on the numpy tables; each one also replays a seeded
 sample of its cases through the scalar builders so the fast path and the
@@ -41,7 +42,6 @@ sound tables have no failing cell.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 import time
 from dataclasses import dataclass, field as dc_field
@@ -57,6 +57,7 @@ from .fields import (
     make_extension,
     make_prime_field,
     make_tower,
+    memo,
 )
 from .lifts import (
     cppeg_construct,
@@ -86,11 +87,8 @@ _PREFIX = 64
 # the three ran within noise of each other, and 64 ran 0.1 s slower
 _WITNESS_PREFIX = 32
 
-# the seven default sweeps in one process walk 57 distinct towers
-_TOWERS_SIZE = 64
 
-
-@functools.lru_cache(maxsize=_TOWERS_SIZE)
+@memo(lambda p, r, n: p ** (r * n))
 def _tower(p: int, r: int, n: int) -> TowerDesc:
     base = make_prime_field(p) if r == 1 else make_extension(make_prime_field(p), r)
     return make_tower(base, n)
@@ -107,35 +105,39 @@ def _primes_upto(m: int) -> list[int]:
     return out
 
 
-def tower_grid(max_order: int = 4096) -> list[TowerDesc]:
-    """Every two-level tower F_{q^n}/F_q with n >= 2 and q^n <= max_order."""
+def _grid_shapes(max_order: int) -> list[tuple[int, int, int]]:
+    """The (p, r, n), q = p^r, of each tower of tower_grid, by (q^n, p, r)."""
     out = []
     for p in _primes_upto(int(math.isqrt(max_order))):
         r = 1
         while p ** (2 * r) <= max_order:
             n = 2
             while p ** (r * n) <= max_order:
-                out.append(_tower(p, r, n))
+                out.append((p, r, n))
                 n += 1
             r += 1
-    out.sort(key=lambda t: (t.order, t.p, t.base.r))
-    return out
+    return sorted(out, key=lambda s: (s[0] ** (s[1] * s[2]), s[0], s[1]))
 
 
-def _norm_lift_towers(max_order: int) -> list[TowerDesc]:
-    """Towers of tower_grid with gcd(n, q-1) = 1, sorted by (q, n)."""
-    towers = [t for t in tower_grid(max_order) if math.gcd(t.n, t.q - 1) == 1]
-    return sorted(towers, key=lambda t: (t.q, t.n))
+def tower_grid(max_order: int = 4096) -> list[TowerDesc]:
+    """Every two-level tower F_{q^n}/F_q with n >= 2 and q^n <= max_order."""
+    return [_tower(*shape) for shape in _grid_shapes(max_order)]
 
 
-def _quadratic_towers(max_order: int) -> list[TowerDesc]:
+def _norm_lift_shapes(max_order: int) -> list[tuple[int, int, int]]:
+    """Shapes of _grid_shapes with gcd(n, q-1) = 1, sorted by (q, n)."""
+    shapes = [(p, r, n) for p, r, n in _grid_shapes(max_order) if math.gcd(n, p**r - 1) == 1]
+    return sorted(shapes, key=lambda s: (s[0] ** s[1], s[2]))
+
+
+def _quadratic_shapes(max_order: int) -> list[tuple[int, int, int]]:
     """The quadratic towers F_(q^2)/F_q with q = 2^et, et >= 2, of cor2.5."""
-    return [_tower(2, et, 2) for et in range(2, 31) if 4**et <= max_order]
+    return [(2, et, 2) for et in range(2, 31) if 4**et <= max_order]
 
 
 def norm_lift_pairs(max_order: int = 4096) -> list[tuple[int, int]]:
     """(q, n) pairs admissible for the norm lift: gcd(n, q-1) = 1, q^n <= cap."""
-    return [(t.q, t.n) for t in _norm_lift_towers(max_order)]
+    return [(p**r, n) for p, r, n in _norm_lift_shapes(max_order)]
 
 
 @dataclass
@@ -185,24 +187,24 @@ REGISTRY: dict = {}
 
 def _sweep(token: str, default_max_order: int, towers, extras: dict):
     """Register body(rep, tower, rng, **options) as the sweep `token`: it
-    walks towers(max_order), max_order defaulting to default_max_order
-    (exposed on the sweep), and refuses a walk with a tower past
-    BULK_TOWER_CAP before its first tower. Every tower draws from one seeded
-    rng in walk order; rep.extras starts as a copy of the zero dict extras,
-    whose counters each body advances in place."""
+    walks the (p, r, n) shapes towers(max_order), max_order defaulting to
+    default_max_order (exposed on the sweep), and refuses a walk with a
+    tower past BULK_TOWER_CAP before it builds any tower. Every tower draws
+    from one seeded rng in walk order; rep.extras starts as a copy of the
+    zero dict extras, whose counters each body advances in place."""
 
     def register(body):
         def sweep(max_order: Optional[int] = None, seed: int = DEFAULT_SEED,
                   **options) -> SweepReport:
             t0 = time.perf_counter()
             walk = towers(default_max_order if max_order is None else max_order)
-            top = max((t.order for t in walk), default=0)
+            top = max((p ** (r * n) for p, r, n in walk), default=0)
             if top > BULK_TOWER_CAP:
                 raise OrderCapExceeded(top, BULK_TOWER_CAP, "bulk tower tables")
             rng = np.random.default_rng(seed)
             rep = SweepReport(token, extras=copy.deepcopy(extras))
-            for tower in walk:
-                body(rep, tower, rng, **options)
+            for shape in walk:
+                body(rep, _tower(*shape), rng, **options)
             rep.elapsed = time.perf_counter() - t0
             return rep
 
@@ -318,7 +320,7 @@ def _random_h_coeffs(q: int, count: int, rng) -> np.ndarray:
     return out
 
 
-@_sweep("thm2.2", 4096, _norm_lift_towers,
+@_sweep("thm2.2", 4096, _norm_lift_shapes,
         {"pairs": [], "fiber_cases": 0, "fiber_agreements": 0, "builder_crosschecks": 0})
 def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100) -> None:
     """x*h(nor(x)) CPP on the tower vs x*h(x^n) CPP on the base.
@@ -409,7 +411,7 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
         rep.extras["builder_crosschecks"] += 1
 
 
-@_sweep("cor2.3", 4096, _norm_lift_towers, {"builder_crosschecks": 0})
+@_sweep("cor2.3", 4096, _norm_lift_shapes, {"builder_crosschecks": 0})
 def sweep_monomial_norm(rep: SweepReport, tower: TowerDesc, rng) -> None:
     """alpha*x^(1+s*(q^n-1)/(q-1)) vs alpha*x^(1+ns), all s in 0..q-2, all alpha."""
     q, n = tower.q, tower.n
@@ -431,7 +433,7 @@ def sweep_monomial_norm(rep: SweepReport, tower: TowerDesc, rng) -> None:
             rep.extras["builder_crosschecks"] += 1
 
 
-@_sweep("cor2.5", 4096, _quadratic_towers, {"builder_crosschecks": 0})
+@_sweep("cor2.5", 4096, _quadratic_shapes, {"builder_crosschecks": 0})
 def sweep_quadratic_monomials(rep: SweepReport, tower: TowerDesc, rng) -> None:
     """The unconditional quadratic-extension monomial family, all (e, t, k, alpha).
 
@@ -477,7 +479,7 @@ def sweep_quadratic_monomials(rep: SweepReport, tower: TowerDesc, rng) -> None:
                     rep.extras["builder_crosschecks"] += 1
 
 
-@_sweep("thm3.2", 1024, tower_grid, {"builder_crosschecks": 0})
+@_sweep("thm3.2", 1024, _grid_shapes, {"builder_crosschecks": 0})
 def sweep_trace_simple(rep: SweepReport, tower: TowerDesc, rng) -> None:
     """x*h(tr(x)) CPP on the tower vs x*h(x) CPP on the base, admissible h."""
     bt = base_tables(tower.base)
@@ -511,7 +513,7 @@ def _random_ppoly(tower: TowerDesc, rng) -> PPoly:
     return PPoly(tower, pairs)
 
 
-@_sweep("thm3.3", 256, tower_grid, {"hypothesis_failures": 0})
+@_sweep("thm3.3", 256, _grid_shapes, {"hypothesis_failures": 0})
 def sweep_trace_general(rep: SweepReport, tower: TowerDesc, rng) -> None:
     """The H(x) = h(tr x) + a*A(tr x) - a*A(x) lift, seeded L sample per tower.
 
@@ -544,7 +546,7 @@ def sweep_trace_general(rep: SweepReport, tower: TowerDesc, rng) -> None:
                           "L": L.text(), "a": a})
 
 
-@_sweep("thm3.7", 256, tower_grid, {"builder_crosschecks": 0, "identity_failures": 0})
+@_sweep("thm3.7", 256, _grid_shapes, {"builder_crosschecks": 0, "identity_failures": 0})
 def sweep_trace_binomial(rep: SweepReport, tower: TowerDesc, rng) -> None:
     """L = x^(p^k) lifts on every tower/k passing the arithmetic conditions.
 
@@ -599,7 +601,7 @@ def sweep_trace_binomial(rep: SweepReport, tower: TowerDesc, rng) -> None:
             rep.extras["builder_crosschecks"] += 1
 
 
-@_sweep("lemma3.4", 4096, tower_grid,
+@_sweep("lemma3.4", 4096, _grid_shapes,
         {"no_case_exhaustive_true": 0, "no_case_exhaustive_false": 0})
 def sweep_kernel_binomials(rep: SweepReport, tower: TowerDesc, rng) -> None:
     """x^(p^k) - c*x on ker(tr): criterion verdict vs exhaustive check.

@@ -13,13 +13,12 @@ kernel, which is what the kernel-permutation criterion speaks about.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import BadInput, FieldMismatch, MapEscapesKernel, PreconditionViolated
-from .fields import FieldElement, Poly, TowerDesc, _code_in
+from .fields import FieldElement, Poly, TowerDesc, _code_in, memo
 
 _CoeffMap = Union[Mapping[int, Union[int, FieldElement]], Iterable[tuple]]
 
@@ -96,23 +95,14 @@ def rel_norm(x: FieldElement) -> FieldElement:
     return _down(tower, tower._cpow(x.code, norm_exponent(tower)))
 
 
-# towers whose trace kernels are kept, each kernel of q^(n-1) elements. The
-# seven default sweeps in one process and the cli_session draw each ask for
-# 22 kernels; a bound below 20 rebuilds some of them in one or the other.
-_KERNEL_CACHE_SIZE = 24
-# (L, shift) verdicts kept; the seven default sweeps in one process ask for
-# 375 and the cli_session draw for 42
-_VERDICT_CACHE_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+@memo(lambda tower: tower.order // tower.q)
 def trace_kernel(tower: TowerDesc) -> tuple[FieldElement, ...]:
     """All trace-zero elements in ascending code order.
 
     The traces come from trace_list, in list passes over the whole tower.
-    Memoized per equal tower, for the last _KERNEL_CACHE_SIZE towers asked
-    for. The kernel is an F_q-subspace of size exactly q^(n-1); that count
-    is asserted rather than assumed.
+    Memoized per equal tower (fields.memo), at q^(n-1) cells. The kernel
+    is an F_q-subspace of size exactly q^(n-1); that count is asserted
+    rather than assumed.
     """
     tr = trace_list(tower)
     check_in_base(tower, tr)
@@ -272,7 +262,7 @@ def ppoly_permutes_kernel(L: PPoly, shift: Union[int, FieldElement, None] = None
     return _permutes_kernel(L, theta)
 
 
-@functools.lru_cache(maxsize=_VERDICT_CACHE_SIZE)
+@memo(lambda L, theta: L.tower.order // L.tower.q)
 def _permutes_kernel(L: PPoly, theta: int) -> bool:
     """ppoly_permutes_kernel on L's own tower with the shift code theta.
 

@@ -14,7 +14,6 @@ inverse of n mod (q-1), then proves the rewrite by exhaustive comparison.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ from .errors import (
     ReconstructionMismatch,
     SearchCapExceeded,
 )
-from .fields import FieldDesc, Poly
+from .fields import FieldDesc, Poly, memo
 from .maps import require_norm_coprime
 from .permcheck import _code_table, eval_poly
 
@@ -47,11 +46,7 @@ class CompleteMapping:
         }
 
 
-# fields whose bases are kept; the cli_session draw interpolates over 6
-_LAGRANGE_CACHE_SIZE = 16
-
-
-@functools.lru_cache(maxsize=_LAGRANGE_CACHE_SIZE)
+@memo(lambda home: home.order**2)  # q polynomials of q coefficients
 def _lagrange_basis(home):
     """Basis polynomials, memoized per equal field: basis[a] interpolates
     the indicator of a.

@@ -9,7 +9,8 @@ LOG are arrays of a level's cached sentinel exp/log lists
 odd-p tower addition reads the level's shared half-width addition table
 (fields._half_add_table) in place, and TR is maps.trace_list. Every other
 table is built from these or from the scalar ops, and test_tables.py pins
-each table to the scalar ops. Bulk code exists for speed only.
+each table to the scalar ops. Bulk code exists for speed only. A field's
+tables are memoized (fields.memo), a base's at q^2 cells, a tower's at q^n.
 
 The base-table kernels (BaseTables.horner, add_to_x, mul_by_x and
 bijective_rows) look each cell up through one flat index into the raveled
@@ -22,23 +23,23 @@ a table handed to add_to_x or mul_by_x) and raises IndexError itself.
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 import numpy as np
 
 from .errors import OrderCapExceeded
-from .fields import FieldDesc, TowerDesc
+from .fields import _LOG_TABLE_MAX, FieldDesc, TowerDesc, memo
 from .maps import norm_exponent, trace_list
 
 BULK_BASE_CAP = 1 << 10
-BULK_TOWER_CAP = 1 << 16
+# TowerTables wraps a level's exp/log lists, which stop at _LOG_TABLE_MAX
+BULK_TOWER_CAP = _LOG_TABLE_MAX
 
 
 class BaseTables:
     """Dense q x q operation tables for a base field."""
 
-    __slots__ = ("field", "q", "p", "ADD", "MUL")
+    __slots__ = ("field", "q", "ADD", "MUL")
 
     def __init__(self, field: FieldDesc):
         q = field.q
@@ -46,7 +47,6 @@ class BaseTables:
             raise OrderCapExceeded(q, BULK_BASE_CAP, "bulk base tables")
         self.field = field
         self.q = q
-        self.p = field.p
         add = np.empty((q, q), dtype=np.int32)
         for a in range(q):
             row = [field._cadd(a, b) for b in range(q)]
@@ -236,17 +236,11 @@ def cpp_rows(t, tabs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perm, cpp
 
 
-# distinct keys of the seven default sweeps in one process: 27 base fields
-# and 57 towers
-_BASE_TABLES_SIZE = 32
-_TOWER_TABLES_SIZE = 64
-
-
-@functools.lru_cache(maxsize=_BASE_TABLES_SIZE)
+@memo(lambda field: field.q**2)  # dense q x q tables
 def base_tables(field: FieldDesc) -> BaseTables:
     return BaseTables(field)
 
 
-@functools.lru_cache(maxsize=_TOWER_TABLES_SIZE)
+@memo(lambda tower: tower.order)
 def tower_tables(tower: TowerDesc) -> TowerTables:
     return TowerTables(tower, base_tables(tower.base))

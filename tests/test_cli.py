@@ -485,6 +485,21 @@ def test_grid_refuses_a_tower_past_the_bulk_cap_before_the_first_tower(
     assert err.startswith("cppforge: bulk tower tables refused: order 262144 exceeds cap 65536")
 
 
+@pytest.mark.parametrize("token", list(GRID_DIGESTS_64))
+def test_grid_refuses_an_over_cap_walk_before_it_builds_a_tower(capsys, monkeypatch, token):
+    # the driver reads each order off the walk's (p, r, n) shapes, so a walk
+    # whose towers are past 2^20, where no field can be built, is refused by
+    # the bulk cap with its largest order, and no tower is built
+    from cppforge import grids
+
+    monkeypatch.setattr(grids, "_tower", _no_per_tower_work)
+    code, out, err = run(capsys, "grid", token, "--max-order", "10000000", "--cap", "10000000")
+    _assert_refused(code, out, err)
+    # 3137^2, 25^5 (gcd(5, 24) = 1) and 4^11 for cor2.5
+    top = {"thm2.2": 9765625, "cor2.3": 9765625, "cor2.5": 4194304}.get(token, 9840769)
+    assert err.startswith(f"cppforge: bulk tower tables refused: order {top} exceeds cap 65536")
+
+
 def test_the_default_cap_passes_every_default_sweep():
     from cppforge import REGISTRY
 

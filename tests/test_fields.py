@@ -16,6 +16,7 @@ from cppforge import (
     FieldDesc,
     FieldElement,
     Poly,
+    clear_caches,
     embed_poly,
     eval_poly,
     make_extension,
@@ -265,7 +266,8 @@ def test_translation_lists_are_the_addition_of_every_constant_up_to_729():
 
 def test_the_half_table_cache_holds_every_shape_up_to_the_log_table_max():
     # one table per (p, w), w = ceil(f/2), over the odd-p levels of full
-    # degree f > 1 up to _LOG_TABLE_MAX: the bound must never evict one
+    # degree f > 1 up to _LOG_TABLE_MAX: a finite domain, so the cache is
+    # unbounded and never evicts one
     shapes = set()
     for p in filter(fields._is_prime, range(3, 257)):
         f = 2
@@ -273,9 +275,20 @@ def test_the_half_table_cache_holds_every_shape_up_to_the_log_table_max():
             shapes.add((p, (f + 1) // 2))
             f += 1
     assert len(shapes) == 69
-    assert len(shapes) <= fields._half_add_table.cache_parameters()["maxsize"]
+    assert fields._half_add_table.cache_parameters()["maxsize"] is None
     # two bytes per cell, p^(2w) cells per table: the 10.0 MiB of the comment
     assert round(sum(2 * p ** (2 * w) for p, w in shapes) / 2**20, 1) == 10.0
+
+
+def test_a_level_built_after_clear_caches_shares_its_half_table():
+    # the (p, w) tables outlive clear_caches: one copy of each, shared by the
+    # levels built before the clear and after it
+    before = make_tower(make_prime_field(3), 3)
+    assert before._cadd(5, 7) == fields._digit_add(3, 5, 7)
+    clear_caches()
+    after = make_tower(make_prime_field(3), 3)
+    assert after._cadd(5, 7) == fields._digit_add(3, 5, 7)
+    assert after is not before and after._add_tab is before._add_tab
 
 
 def test_monomial_refuses_a_foreign_coefficient(f4, f9):
@@ -497,7 +510,7 @@ def test_log_tables_match_convolution_sampled_up_to_4096():
         _check_ops_against_convolution(tw, pairs, powers)
 
 
-def test_log_tables_match_convolution_sampled_on_the_largest_tabled_fields(log_cache, f2, f3):
+def test_log_tables_match_convolution_sampled_on_the_largest_tabled_fields(memo, f2, f3):
     # orders at _LOG_TABLE_MAX scale: F_65536 over F_2 and over F_256, F_59049/F_3
     rng = random.Random(1 << 16)
     for tw in (make_tower(f2, 16), make_tower(make_extension(f2, 8), 2), make_tower(f3, 10)):
@@ -555,7 +568,7 @@ def test_log_tables_equal_the_walk_by_convolution_under_other_moduli(f2, f3):
         assert f._build_log_tables() == _walk_by_convolution(f), f
 
 
-def test_log_tables_take_two_half_width_tables_of_convolutions(log_cache, monkeypatch, f2):
+def test_log_tables_take_two_half_width_tables_of_convolutions(memo, monkeypatch, f2):
     tw = make_tower(f2, 12)
     calls = []
     mul_vec = FieldDesc._mul_vec
@@ -642,32 +655,41 @@ def test_multiplicative_generator_is_smallest_code_on_every_kind_of_level(f2, f3
 
 
 @pytest.fixture
-def log_cache(monkeypatch):
-    """An empty shared log-table cache for one test; the real one returns after."""
-    cache = {}
-    monkeypatch.setattr(fields, "_LOG_CACHE", cache)
+def memo(monkeypatch):
+    """An empty package memo for one test; the real one returns after."""
+    cache = fields._Memo()
+    monkeypatch.setattr(fields, "_MEMO", cache)
     return cache
 
 
-def _cells(cache):
-    return sum(len(log) for _, log in cache.values())
+def _cells(memo):
+    """The entries' summed cost, which the memo's running total must equal."""
+    cells = sum(cost for _, cost in memo.values())
+    assert memo.cells == cells
+    return cells
 
 
-def test_equal_fields_built_apart_share_one_exp_list(log_cache):
+def _listed(memo):
+    """The fields whose exp/log lists the memo holds, least recently used first."""
+    build = FieldDesc._sentinel_lists.__wrapped__
+    return [args[0] for fn, args in memo if fn is build]
+
+
+def test_equal_fields_built_apart_share_one_exp_list(memo):
     a = make_tower(make_prime_field(2), 12)
     b = make_tower(make_prime_field(2), 12)
     assert a is not b and a == b
     assert a.log_tables()[0] is b.log_tables()[0]
-    assert list(log_cache) == [a.descriptor()]
+    assert _listed(memo) == [a]
 
 
-def test_a_second_instance_builds_nothing(log_cache, monkeypatch):
+def test_a_second_instance_builds_nothing(memo, monkeypatch):
     def build():
         return make_tower(make_extension(make_prime_field(2), 3), 2)
 
     first = build()
     want = (first._cmul(3, 50), first._cinv(7), first._cpow(6, 9))
-    assert len(log_cache) == 2  # F_64/F_8 and its base F_8
+    assert len(_listed(memo)) == 2  # F_64/F_8 and its base F_8
 
     def no_generator(self):
         raise AssertionError(f"exp/log lists of {self!r} rebuilt")
@@ -678,15 +700,15 @@ def test_a_second_instance_builds_nothing(log_cache, monkeypatch):
     assert second.base._cmul(3, 5) == first.base._cmul(3, 5)
 
 
-def test_flat_and_tower_f8_keep_separate_entries(log_cache, f2):
+def test_flat_and_tower_f8_keep_separate_entries(memo, f2):
     flat, tower = make_extension(f2, 3), make_tower(f2, 3)
     assert flat.log_tables()[0] is not tower.log_tables()[0]
-    assert set(log_cache) == {flat.descriptor(), tower.descriptor()}
+    assert _listed(memo) == [flat, tower] and flat != tower
     # one modulus, one encoding: equal lists, kept apart like the fields
     assert flat.log_tables() == tower.log_tables()
 
 
-def test_each_modulus_of_f16_gets_its_own_tables(log_cache, f2, f4):
+def test_each_modulus_of_f16_gets_its_own_tables(memo, f2, f4):
     pairs = [
         (make_extension(f2, 4), make_extension(f2, 4, [1, 0, 0, 1, 1])),
         (make_tower(f4, 2), make_tower(f4, 2, [3, 1, 1])),
@@ -699,25 +721,42 @@ def test_each_modulus_of_f16_gets_its_own_tables(log_cache, f2, f4):
             _check_ops_against_convolution(
                 f, itertools.product(codes, codes), itertools.product(codes, (0, 1, 2, 14, 19))
             )
-    keys = {f.descriptor() for pair in pairs for f in pair}
-    assert len(keys) == 4 and keys <= set(log_cache)
+    keys = {f for pair in pairs for f in pair}
+    assert len(keys) == 4 and keys <= set(_listed(memo))
 
 
-def test_log_cache_keeps_its_cell_bound_and_evicts_oldest_first(log_cache, monkeypatch, f2):
-    monkeypatch.setattr(fields, "_LOG_CACHE_CELLS", 100)
-    towers = [make_tower(f2, n) for n in (2, 3, 4, 5, 6)]  # 124 cells in all
+def test_memo_keeps_its_cell_bound_and_evicts_least_recently_used_first(memo, monkeypatch, f2):
+    monkeypatch.setattr(fields, "_MEMO_CELLS", 100)
+    towers = [make_tower(f2, n) for n in (2, 3, 4, 5, 6)]  # lists of 124 cells in all
     for tw in towers:
         tw.log_tables()
-        assert _cells(log_cache) <= 100
-    # F_64/F_2 pushed out F_4, F_8 and F_16, oldest first
-    assert list(log_cache) == [tw.descriptor() for tw in towers[3:]]
+        assert _cells(memo) <= 100
+    # F_64/F_2 pushed out the five moduli, F_4, F_8 and F_16, in that order
+    assert list(memo.values()) == [(towers[3].log_tables(), 32), (towers[4].log_tables(), 64)]
+    # a second F_32 reads the held lists, which makes them the most recently
+    # used: F_4 then pushes out F_64, the older insertion kept
+    assert make_tower(f2, 5).log_tables()[0] is towers[3].log_tables()[0]
+    make_tower(f2, 2).log_tables()
+    assert _listed(memo) == [towers[3], towers[0]]
     rng = random.Random(100)
     # an evicted field still computes with the lists it holds, and a new
     # instance of it builds them again
-    for tw in towers[:3] + [make_tower(f2, 2)]:
+    for tw in towers + [make_tower(f2, 3)]:
         n = tw.order
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(50)]
         powers = [(rng.randrange(n), rng.randrange(3 * n)) for _ in range(10)]
         _check_ops_against_convolution(tw, pairs, powers)
-        assert _cells(log_cache) <= 100
-    assert list(log_cache)[-1] == towers[0].descriptor()
+        assert _cells(memo) <= 100
+    assert _listed(memo)[-1] == towers[1]
+
+
+def test_an_entry_past_the_budget_is_not_kept(memo, monkeypatch, f2):
+    monkeypatch.setattr(fields, "_MEMO_CELLS", 100)
+    small, big = make_tower(f2, 6), make_tower(f2, 7)
+    small.log_tables()
+    held = dict(memo)
+    builds = FieldDesc._sentinel_lists.misses
+    # F_128 costs more than the whole budget: it computes, and evicts nothing
+    assert big.log_tables() is not None and memo == held
+    assert make_tower(f2, 7).log_tables() is not None
+    assert FieldDesc._sentinel_lists.misses == builds + 2

@@ -152,30 +152,37 @@ def test_clear_caches_changes_no_report():
         return out
 
     def sizes():
-        memos = (fields._canonical_modulus, fields._half_add_table, tables.base_tables,
+        memos = (fields.FieldDesc._sentinel_lists, fields._canonical_modulus, tables.base_tables,
                  tables.tower_tables, maps.trace_kernel, maps._permutes_kernel, grids._tower)
-        return [len(fields._LOG_CACHE)] + [m.cache_info().currsize for m in memos]
+        return [sum(fn is m.__wrapped__ for fn, _ in fields._MEMO) for m in memos]
 
     first = reports()
+    half_tables = fields._half_add_table.cache_info().currsize
     clear_caches()
     assert not any(sizes())
+    # the (p, w) half tables outlive the clear, and every level shares them
+    assert fields._half_add_table.cache_info().currsize == half_tables > 0
     assert reports() == first
     assert all(sizes())
 
 
 def test_every_cleared_cache_is_bounded():
-    # every memo clear_caches() empties, bar the one-entry CLI parser, keeps
-    # a fixed number of entries (fields._LOG_CACHE is bounded by cells)
+    # every value the package reuses sits in the one memo, whose summed
+    # cells stay within _MEMO_CELLS; the only lru_caches left are unbounded
+    # over finite domains: the (p, w) half tables and the one CLI parser
     sweep_trace_general(max_order=64)
-    memos = {value for name, module in sys.modules.items() if name.startswith("cppforge.")
-             for value in vars(module).values() if hasattr(value, "cache_clear")}
-    assert {m.__name__ for m in memos} == {"_canonical_modulus", "_half_add_table", "base_tables",
+    values = [value for name, module in sys.modules.items() if name.startswith("cppforge.")
+              for value in vars(module).values()]
+    memos = {v for v in values if hasattr(v, "misses")} | {fields.FieldDesc._sentinel_lists}
+    assert {m.__name__ for m in memos} == {"_sentinel_lists", "_canonical_modulus", "base_tables",
                                            "tower_tables", "trace_kernel", "_permutes_kernel",
-                                           "_lagrange_basis", "_tower", "_build_parser"}
-    for memo in memos - {cli._build_parser}:
-        assert memo.cache_info().maxsize is not None, memo.__name__
+                                           "_lagrange_basis", "_tower"}
+    assert {v for v in values if hasattr(v, "cache_clear")} == {fields._half_add_table,
+                                                                cli._build_parser}
+    assert {fn for fn, _ in fields._MEMO} <= {m.__wrapped__ for m in memos}
+    assert sum(cost for _, cost in fields._MEMO.values()) <= fields._MEMO_CELLS
     clear_caches()
-    assert not any(m.cache_info().currsize for m in memos)
+    assert not fields._MEMO and fields._MEMO.cells == 0
 
 
 def test_seed_changes_random_draws_but_not_cleanliness():
@@ -203,6 +210,59 @@ def test_no_sweep_depends_on_the_default_cap(monkeypatch):
     monkeypatch.setattr(permcheck, "DEFAULT_EXHAUSTIVE_CAP", 16)
     for token, sweep in REGISTRY.items():
         assert _report_json(sweep(max_order=64)) == want[token], token
+
+
+def test_a_walk_keeps_the_memo_within_its_budget(monkeypatch):
+    # a budget below the entries of one F_64/F_8 tower: each sweep evicts
+    # inside its towers and rebuilds what it needs again, the summed cells are within
+    # the budget before every tower and after the walk, and no report changes
+    want = {token: _report_json(sweep(max_order=64)) for token, sweep in REGISTRY.items()}
+    monkeypatch.setattr(fields, "_MEMO", fields._Memo())
+    monkeypatch.setattr(fields, "_MEMO_CELLS", 256)
+    used = []
+    real_tower = grids._tower
+
+    def cells():
+        total = sum(cost for _, cost in fields._MEMO.values())
+        assert fields._MEMO.cells == total
+        return total
+
+    def tower(*shape):
+        used.append(cells())
+        return real_tower(*shape)
+
+    monkeypatch.setattr(grids, "_tower", tower)
+    for token, sweep in REGISTRY.items():
+        assert _report_json(sweep(max_order=64)) == want[token], token
+        used.append(cells())
+    assert len(used) > 7 and 0 < max(used) <= 256
+
+
+_HELD_SLOTS = """
+import gc
+from cppforge import REGISTRY, fields
+fields._MEMO_CELLS = 1 << 14
+REGISTRY["lemma3.4"](max_order=16384)
+gc.collect()
+lists = {id(x): len(x) for f in gc.get_objects() if isinstance(f, fields.FieldDesc)
+         and f._log is not None for x in (f._exp, f._log)}
+used = sum(cost for _, cost in fields._MEMO.values())
+print(sum(lists.values()), used, fields._MEMO_CELLS)
+"""
+
+
+def test_the_exp_log_lists_held_after_a_walk_stay_bounded():
+    # a level keeps its lists while an entry keeps it alive, and the entry
+    # costs that level's order: after a walk of 85 towers up to 2^14, whose
+    # levels' lists take 1.8M slots in all, the lists still held in a fresh
+    # process take five slots per cell of the budget (mexp 4m + 1, lg
+    # m + 1), plus the lists of a held tower's base
+    import subprocess
+
+    proc = subprocess.run([sys.executable, "-c", _HELD_SLOTS], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    slots, used, budget = map(int, proc.stdout.split())
+    assert used <= budget and slots <= 6 * budget
 
 
 def test_prefix_width_changes_no_verdict(monkeypatch):

@@ -400,16 +400,21 @@ def test_table_caches_return_same_object():
     assert trace_kernel(other) is trace_kernel(tw)
 
 
-def test_tower_tables_cache_stays_at_its_bound():
-    # F_13 has 78 monic irreducible quadratics, each a distinct tower
+def test_tower_tables_cache_stays_at_its_bound(monkeypatch):
+    # F_13 has 78 monic irreducible quadratics, each a distinct tower; a
+    # budget of 64 towers' cells cannot hold all 78 tables with their lists
+    monkeypatch.setattr(fields, "_MEMO", fields._Memo())
+    monkeypatch.setattr(fields, "_MEMO_CELLS", 64 * 169)
     f13 = make_prime_field(13)
     towers = []
     for b in range(13):
         for c in range(13):
             if all((x * x + b * x + c) % 13 for x in range(13)):
                 towers.append(make_tower(f13, 2, [c, b, 1]))
-    bound = tower_tables.cache_info().maxsize
-    assert len(set(towers)) == 78 > bound
+    assert len(set(towers)) == 78
     for tw in towers:
         assert tower_tables(tw).tower == tw
-    assert tower_tables.cache_info().currsize == bound
+        assert sum(cost for _, cost in fields._MEMO.values()) <= fields._MEMO_CELLS
+    # the most recent towers' tables are held, in the order they were built
+    held = [args[0] for fn, args in fields._MEMO if fn is tower_tables.__wrapped__]
+    assert 0 < len(held) < 78 and held == towers[-len(held):]
