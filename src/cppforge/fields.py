@@ -13,10 +13,10 @@ the prime field as the base case. Its convolution over the subfield
 (_mul_vec) defines multiplication, and the digit loop _digit_add, digitwise
 mod p on a code's base-p expansion, defines addition. One threshold decides
 a level's lookup data: a level of order up to _LOG_TABLE_MAX gets exp/log
-lists, and if it also has odd p and full degree > 1, a half-width addition
-table. A larger level keeps the convolution and the digit loop. This
-module owns that data; tables.py wraps it in numpy arrays rather than
-deriving its own.
+lists, and if it also has odd p, a half-width addition table, which _cadd
+reads at full degree > 1. A larger level keeps the convolution and the
+digit loop. This module owns that data; tables.py wraps it in numpy arrays
+rather than deriving its own.
 
 The exp/log lists are derived from the convolution: it fills two
 half-width tables of products by the generator, one for each half of a
@@ -34,7 +34,8 @@ For odd p on a level of full degree f > 1, a code splits at lo = p^w, w =
 ceil(f/2), and one table of the digitwise sums of two w-digit codes adds
 both halves: two lookups per addition. The table depends only on (p, w),
 so one module cache (_half_add_table), which keeps every shape, serves
-every level of that shape; a level fetches it on its first addition.
+every level of that shape. A level reads it as _add_tab, looked up on the
+first read, and splits codes at _add_lo.
 
 Beside the per-element _cmul/_cadd/_cpow, a level has whole-field list
 passes from the same lists and the same addition rule: _cadd_each and
@@ -74,7 +75,7 @@ from .errors import (
 MAX_FIELD_ORDER = 1 << 20
 
 # Levels at or below this order get exp/log tables on first multiply and,
-# for odd p and full degree > 1, a half-width addition table on first add.
+# for odd p, a half-width addition table on first read.
 _LOG_TABLE_MAX = 1 << 16
 
 
@@ -288,7 +289,7 @@ class FieldDesc:
         self._radix = p if sub is None else sub.order
         self.order = self._radix**degree
         self.full_degree = degree if sub is None else degree * sub.full_degree
-        self._add_tab = None  # fetched by the level's first _cadd
+        self._add_lo = p ** ((self.full_degree + 1) // 2)  # where _add_tab splits a code
         self._red_rows = self._make_red_rows() if degree > 1 else None
         self._exp = None
         self._log = None
@@ -458,21 +459,19 @@ class FieldDesc:
         if self.full_degree == 1:
             return (a + b) % p
         tab = self._add_tab
-        if tab:
-            lo = self._add_lo
-            return tab[a % lo * lo + b % lo] + lo * tab[a // lo * lo + b // lo]
         if tab is None:
-            self._fetch_add_tab()
-            return self._cadd(a, b)
-        return _digit_add(p, a, b)
+            return _digit_add(p, a, b)
+        lo = self._add_lo
+        return tab[a % lo * lo + b % lo] + lo * tab[a // lo * lo + b // lo]
 
-    def _fetch_add_tab(self) -> Union[array, bytes]:
-        """The level's first addition: fetch the shared table, b"" past
-        _LOG_TABLE_MAX."""
-        p, w = self.p, (self.full_degree + 1) // 2
-        self._add_lo = p**w
-        self._add_tab = _half_add_table(p, w) if self.order <= _LOG_TABLE_MAX else b""
-        return self._add_tab
+    @functools.cached_property
+    def _add_tab(self) -> Optional[array]:
+        """The shared (p, w) table of an odd-p level up to _LOG_TABLE_MAX,
+        None for p = 2 or past it; at full degree 1 only TowerTables reads
+        it. Looked up on the first read, so only a level that adds holds one."""
+        if self.p == 2 or self.order > _LOG_TABLE_MAX:
+            return None
+        return _half_add_table(self.p, (self.full_degree + 1) // 2)
 
     def _cadd_each(self, us: Iterable[int], vs: Iterable[int]) -> list[int]:
         """[_cadd(u, v) for u, v in zip(us, vs)], with _cadd's rule inlined
@@ -483,12 +482,9 @@ class FieldDesc:
             return [u ^ v for u, v in zip(us, vs)]
         if self.full_degree == 1:
             return [(u + v) % p for u, v in zip(us, vs)]
-        tab = self._add_tab
+        tab, lo = self._add_tab, self._add_lo
         if tab is None:
-            tab = self._fetch_add_tab()
-        if not tab:
             return list(map(self._cadd, us, vs))
-        lo = self._add_lo
         return [tab[u % lo * lo + v % lo] + lo * tab[u // lo * lo + v // lo]
                 for u, v in zip(us, vs)]
 
@@ -498,10 +494,7 @@ class FieldDesc:
         lo*(uh + ch) + (ul + cl), and the two half-table rows of ch and cl
         give every term. Only a level with exp/log lists asks for one, and
         every such level has a table."""
-        tab = self._add_tab
-        if tab is None:
-            tab = self._fetch_add_tab()
-        lo = self._add_lo
+        tab, lo = self._add_tab, self._add_lo
         ch, cl = divmod(c, lo)
         high = [lo * v for v in tab[ch * lo : ch * lo + self.order // lo]]
         low = tab[cl * lo : cl * lo + lo]
@@ -765,7 +758,8 @@ def _peval_all(home: FieldDesc, cs: Sequence[int]) -> list[int]:
     """[_peval(home, cs, x) for x in range(home.order)], by Horner one
     coefficient at a time over every x, from the top coefficient down.
 
-    A prime field takes (a*x + c) % p per x. A level with exp/log lists
+    A level of full degree 1 (F_p, or F_p over itself: F_p's codes and
+    products) takes (a*x + c) % p per x. A level with exp/log lists
     multiplies by one lookup per x in the sentinel lists (log_tables).
     For p = 2 the same pass XORs the coefficient in; odd p reads the sum
     from the coefficient's translation list (FieldDesc._translation) in the
@@ -775,7 +769,7 @@ def _peval_all(home: FieldDesc, cs: Sequence[int]) -> list[int]:
     if not cs:
         return [0] * order
     acc, rest = [cs[-1]] * order, cs[-2::-1]
-    if home._sub is None:
+    if home.full_degree == 1:
         p = home.p
         for c in rest:
             acc = [(a * x + c) % p for x, a in enumerate(acc)]

@@ -51,6 +51,7 @@ import numpy as np
 
 from .errors import HypothesisFails, OrderCapExceeded, PreconditionViolated
 from .fields import (
+    MAX_FIELD_ORDER,
     FieldElement,
     Poly,
     TowerDesc,
@@ -146,7 +147,6 @@ class SweepReport:
     cases: int = 0
     agreements: int = 0
     true_outcomes: int = 0
-    false_outcomes: int = 0
     skipped: int = 0
     counterexamples: list = dc_field(default_factory=list)
     extras: dict = dc_field(default_factory=dict)
@@ -156,14 +156,16 @@ class SweepReport:
     def clean(self) -> bool:
         return not self.counterexamples and self.agreements == self.cases
 
+    @property
+    def false_outcomes(self) -> int:
+        return self.cases - self.true_outcomes
+
     def note(self, ok, outcome, detail=None):
         """Tally one case, or a batch: bool arrays ok and outcome, with
         detail a function from row index to that row's counterexample."""
         ok, outcome = np.atleast_1d(ok), np.atleast_1d(outcome)
-        trues = int(outcome.sum())
         self.cases += ok.size
-        self.true_outcomes += trues
-        self.false_outcomes += outcome.size - trues
+        self.true_outcomes += int(outcome.sum())
         self.agreements += int(ok.sum())
         for i in np.flatnonzero(~ok):
             self.counterexamples.append(detail(int(i)) if callable(detail) else detail or {})
@@ -189,7 +191,8 @@ def _sweep(token: str, default_max_order: int, towers, extras: dict):
     """Register body(rep, tower, rng, **options) as the sweep `token`: it
     walks the (p, r, n) shapes towers(max_order), max_order defaulting to
     default_max_order (exposed on the sweep), and refuses a walk with a
-    tower past BULK_TOWER_CAP before it builds any tower. Every tower draws
+    tower past BULK_TOWER_CAP before it builds any tower (a max_order past
+    MAX_FIELD_ORDER before it lists the walk). Every tower draws
     from one seeded rng in walk order; rep.extras starts as a copy of the
     zero dict extras, whose counters each body advances in place."""
 
@@ -197,7 +200,13 @@ def _sweep(token: str, default_max_order: int, towers, extras: dict):
         def sweep(max_order: Optional[int] = None, seed: int = DEFAULT_SEED,
                   **options) -> SweepReport:
             t0 = time.perf_counter()
-            walk = towers(default_max_order if max_order is None else max_order)
+            if max_order is None:
+                max_order = default_max_order
+            # every walk past 2^20 holds F_(2^20)/F_2, or F_(4^10)/F_(2^10)
+            # for cor2.5, past the bulk cap: refused before it is listed
+            if max_order > MAX_FIELD_ORDER:
+                raise OrderCapExceeded(max_order, BULK_TOWER_CAP, "bulk tower tables")
+            walk = towers(max_order)
             top = max((p ** (r * n) for p, r, n in walk), default=0)
             if top > BULK_TOWER_CAP:
                 raise OrderCapExceeded(top, BULK_TOWER_CAP, "bulk tower tables")

@@ -6,11 +6,13 @@ cheap at desk scale (orders up to 2^16). Nothing here is an independent
 source of truth, and the lookup data is the scalar route's own: MEXP and
 LOG are arrays of a level's cached sentinel exp/log lists
 (FieldDesc.log_tables), EXP is the first order - 1 entries of MEXP, the
-odd-p tower addition reads the level's shared half-width addition table
-(fields._half_add_table) in place, and TR is maps.trace_list. Every other
-table is built from these or from the scalar ops, and test_tables.py pins
-each table to the scalar ops. Bulk code exists for speed only. A field's
-tables are memoized (fields.memo), a base's at q^2 cells, a tower's at q^n.
+odd-p tower addition reads the level's half table (FieldDesc._add_tab)
+in place, TR is maps.trace_list, ADD is a FieldDesc._cadd_each row per
+code and BaseTables.pow_all is FieldDesc._cpow_all. Every other table is
+built from these: beyond the batched kernels, no arithmetic is the
+module's own, and test_tables.py pins each table to the scalar ops. A
+field's tables are memoized (fields.memo), a base's at q^2 cells, a
+tower's at q^n.
 
 The base-table kernels (BaseTables.horner, add_to_x, mul_by_x and
 bijective_rows) look each cell up through one flat index into the raveled
@@ -47,27 +49,13 @@ class BaseTables:
             raise OrderCapExceeded(q, BULK_BASE_CAP, "bulk base tables")
         self.field = field
         self.q = q
-        add = np.empty((q, q), dtype=np.int32)
-        for a in range(q):
-            row = [field._cadd(a, b) for b in range(q)]
-            add[a] = row
-        self.ADD = add
+        self.ADD = np.array([field._cadd_each([a] * q, range(q)) for a in range(q)], dtype=np.int32)
         mexp, lg = (np.array(t, dtype=np.int32) for t in field.log_tables())
         self.MUL = mexp[lg[:, None] + lg[None, :]]
 
     def pow_all(self, e: int) -> np.ndarray:
         """x^e for every x, with 0^0 = 1 to match the scalar rule."""
-        q = self.q
-        out = np.ones(q, dtype=np.int32)
-        b = np.arange(q, dtype=np.int32)
-        e = int(e)
-        while e:
-            if e & 1:
-                out = self.MUL[out, b]
-            e >>= 1
-            if e:
-                b = self.MUL[b, b]
-        return out
+        return np.array(self.field._cpow_all(int(e)), dtype=np.int32)
 
     def horner(self, coeffs: np.ndarray, points: Optional[np.ndarray] = None) -> np.ndarray:
         """Row i's polynomial at every x, or at each of the given points in
@@ -147,9 +135,8 @@ class TowerTables:
         # addition never carries, so codes split at the level's lo = p^w
         # into a low and a high half, and the table adds both halves
         self._half_add = None
-        if self.p != 2:
-            tab = tower._add_tab or tower._fetch_add_tab()
-            self._half_add = np.frombuffer(memoryview(tab).toreadonly(), dtype=np.uint16)
+        if tower._add_tab is not None:
+            self._half_add = np.frombuffer(memoryview(tower._add_tab).toreadonly(), dtype=np.uint16)
         self.TR = np.array(trace_list(tower), dtype=np.int32)
         if not (self.TR < self.q).all():
             raise AssertionError("trace left the base field")
@@ -164,9 +151,9 @@ class TowerTables:
     # -- arithmetic on index arrays -------------------------------------
 
     def add(self, a: np.ndarray, b) -> np.ndarray:
-        if self.p == 2:
-            return a ^ b
         half, lo = self._half_add, self.tower._add_lo
+        if half is None:  # p = 2
+            return a ^ b
         # widen before multiplying: in uint16, lo times an entry wraps past
         # 65535, and the uint16 sum would wrap the next addition's indices
         high = half[a // lo * lo + b // lo].astype(np.int32)

@@ -234,6 +234,18 @@ def test_whole_field_passes_match_the_per_point_route_on_seeded_lists(p, r, n):
     assert p == 2 or bool(tw._add_tab)
 
 
+@pytest.mark.parametrize("p", [3, 7, 1021])
+def test_value_table_on_a_degree_one_odd_tower_is_the_per_point_horner(p):
+    # F_p/F_p has full degree 1: its codes and products are F_p's, and
+    # its whole-field pass needs no p^2-cell addition table
+    tw = make_tower(make_prime_field(p), 1)
+    rng = random.Random(p)
+    for cs in ([1, 1], [0, 0, 1], [rng.randrange(p) for _ in range(5)]):
+        want = [fields._peval(tw, cs, x) for x in range(p)]
+        assert value_table(Poly(tw, cs)) == want, cs
+        assert value_table(Poly(tw.base, cs)) == want, cs
+
+
 def test_value_table_past_the_log_lists_is_the_per_point_horner():
     # F_131072/F_2 has no exp/log lists: each point runs _peval, under a cap
     # raised to its order. x + c keeps it to one cheap convolution per point

@@ -373,6 +373,15 @@ def test_odd_tower_tables_read_the_scalar_half_table_in_place():
         assert all(np.shares_memory(halves[0], half) for half in halves)
 
 
+def test_a_degree_one_odd_tower_adds_through_the_p_by_p_half_table():
+    # F_7/F_7 has full degree 1: its tables read the shared (7, 1) table
+    tw = make_tower(make_prime_field(7), 1)
+    tt = TowerTables(tw, base_tables(tw.base))
+    assert tw._add_tab is fields._half_add_table(7, 1)
+    a, b = np.meshgrid(np.arange(7), np.arange(7))
+    assert tt.add(a, b).tolist() == [[tw._cadd(x, y) for x in range(7)] for y in range(7)]
+
+
 def test_zero_operand_products_are_zero(tt):
     zs = np.zeros(tt.order, dtype=np.int64)
     xs = np.arange(tt.order, dtype=np.int64)
