@@ -292,7 +292,7 @@ def _norm_lift_verdicts(tt, hv: np.ndarray, scan: np.ndarray, lam_scaled: np.nda
     and False elsewhere."""
     perm = np.zeros(len(hv), dtype=bool)
     cpp, pairs = perm.copy(), perm.copy()
-    step = max(1, _ROW_CELLS // tt.order)
+    step = max(1, _ROW_CELLS // tt.tower.order)
     for lo in range(0, len(hv), step):
         rows = slice(lo, lo + step)
         lifted = _lift_rows(tt, hv[rows], tt.NOR)
@@ -312,10 +312,8 @@ def _all_h_coeffs(q: int, max_degree: int) -> np.ndarray:
     [2,0,0], [3,0,0], [0,1,0].
     """
     m = max_degree + 1
-    grids = np.meshgrid(*[np.arange(q, dtype=np.int32)] * m, indexing="ij")
-    cols = [g.reshape(-1) for g in reversed(grids)]  # the last axis, c0, varies fastest
-    mat = np.stack(cols, axis=1)
-    return mat[(mat != 0).any(axis=1)]
+    codes = np.arange(1, q**m, dtype=np.int32)[:, None]
+    return codes // q ** np.arange(m, dtype=np.int32) % q
 
 
 def _random_h_coeffs(q: int, count: int, rng) -> np.ndarray:
@@ -437,7 +435,7 @@ def sweep_monomial_norm(rep: SweepReport, tower: TowerDesc, rng) -> None:
         if replays < 3 and rng.integers(0, 4) == 0:
             alpha = int(rng.integers(1, q))
             res = monomial_cpp_check(alpha, s, tower)
-            assert res.verified_cpp(tt.order) == res.predicted_cpp == lcpp[alpha - 1]
+            assert res.verified_cpp(tower.order) == res.predicted_cpp == lcpp[alpha - 1]
             replays += 1
             rep.extras["builder_crosschecks"] += 1
 
@@ -484,7 +482,7 @@ def sweep_quadratic_monomials(rep: SweepReport, tower: TowerDesc, rng) -> None:
                      lambda i: {"e": e, "t": t, "k": k, "alpha": alphas[i]})
             for res, v in zip(built, ver):
                 if rep.extras["builder_crosschecks"] < 4 and rng.integers(0, 5) == 0:
-                    assert res.verified_cpp(tt.order) == v
+                    assert res.verified_cpp(tower.order) == v
                     rep.extras["builder_crosschecks"] += 1
 
 
@@ -573,7 +571,7 @@ def sweep_trace_binomial(rep: SweepReport, tower: TowerDesc, rng) -> None:
         return
     bt = base_tables(tower.base)
     tt = tower_tables(tower)
-    order = tt.order
+    order = tower.order
     xs = np.arange(order)[None, :]
     minus = tt.scale_row(tower.base._cneg(1))
     all_h = _all_h_coeffs(q, H_DEGREE)

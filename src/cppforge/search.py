@@ -83,9 +83,7 @@ def lagrange_interpolate(field, table) -> Poly:
     return Poly._raw(field, out)
 
 
-def enumerate_complete_mappings(
-    field: FieldDesc, normalized_only: bool = False, cap_q: int = SEARCH_CAP_Q
-) -> list[CompleteMapping]:
+def enumerate_complete_mappings(field: FieldDesc) -> list[CompleteMapping]:
     """All complete mappings of the field with f(0) = 0, in lex table order.
 
     The walk extends the table one position at a time and prunes as soon as
@@ -94,8 +92,8 @@ def enumerate_complete_mappings(
     permutations, so output order matches a full enumerate-then-filter run.
     """
     q = field.order
-    if q > cap_q:
-        raise SearchCapExceeded(q, cap_q)
+    if q > SEARCH_CAP_Q:
+        raise SearchCapExceeded(q, SEARCH_CAP_Q)
     add = field._cadd
     results: list[CompleteMapping] = []
     table = [0] * q
@@ -108,9 +106,7 @@ def enumerate_complete_mappings(
         if x == q:
             tab = tuple(table)
             poly = lagrange_interpolate(field, tab)
-            normalized = poly.is_monic()
-            if normalized or not normalized_only:
-                results.append(CompleteMapping(field, tab, poly, normalized))
+            results.append(CompleteMapping(field, tab, poly, poly.is_monic()))
             return
         for v in range(1, q):
             if used[v]:
@@ -128,7 +124,7 @@ def enumerate_complete_mappings(
     return results
 
 
-def brute_complete_mappings(field: FieldDesc, cap_q: int = BRUTE_CAP_Q) -> list[tuple[int, ...]]:
+def brute_complete_mappings(field: FieldDesc) -> list[tuple[int, ...]]:
     """Filter raw permutations instead of walking the pruned tree.
 
     Deliberately independent slow path for crosschecking the search above:
@@ -137,8 +133,8 @@ def brute_complete_mappings(field: FieldDesc, cap_q: int = BRUTE_CAP_Q) -> list[
     bijects. Factorial in q, hence the tighter cap.
     """
     q = field.order
-    if q > cap_q:
-        raise SearchCapExceeded(q, cap_q)
+    if q > BRUTE_CAP_Q:
+        raise SearchCapExceeded(q, BRUTE_CAP_Q)
     add = field._cadd
     out: list[tuple[int, ...]] = []
     for tail in itertools.permutations(range(1, q)):

@@ -5,14 +5,15 @@ re-expresses it as numpy index arithmetic so that whole-field scans stay
 cheap at desk scale (orders up to 2^16). Nothing here is an independent
 source of truth, and the lookup data is the scalar route's own: MEXP and
 LOG are arrays of a level's cached sentinel exp/log lists
-(FieldDesc.log_tables), EXP is the first order - 1 entries of MEXP, the
-odd-p tower addition reads the level's half table (FieldDesc._add_tab)
-in place, TR is maps.trace_list, ADD is a FieldDesc._cadd_each row per
-code and BaseTables.pow_all is FieldDesc._cpow_all. Every other table is
-built from these: beyond the batched kernels, no arithmetic is the
-module's own, and test_tables.py pins each table to the scalar ops. A
-field's tables are memoized (fields.memo), a base's at q^2 cells, a
-tower's at q^n.
+(FieldDesc.log_tables), the odd-p tower addition reads the level's half
+table (FieldDesc._add_tab) in place, TR is maps.trace_list, ADD is a
+FieldDesc._cadd_each row per code and BaseTables.pow_all is
+FieldDesc._cpow_all. Every other table is built from these: beyond the
+batched kernels, no arithmetic is the module's own, and test_tables.py
+pins each table to the scalar ops. TowerTables holds arrays only and
+reads every scalar off its tower. A field's tables are memoized
+(fields.memo), a base's at q^2 cells, a tower's at q^n; a tower's base
+tables are built only when norm_square_table reads them.
 
 The base-table kernels (BaseTables.horner, add_to_x, mul_by_x and
 bijective_rows) look each cell up through one flat index into the raveled
@@ -96,41 +97,18 @@ class BaseTables:
 class TowerTables:
     """Log/exp driven whole-tower maps for a two-level extension."""
 
-    __slots__ = (
-        "tower",
-        "base",
-        "order",
-        "q",
-        "n",
-        "p",
-        "EXP",
-        "LOG",
-        "MEXP",
-        "TR",
-        "NOR",
-        "KERNEL",
-        "_half_add",
-    )
+    __slots__ = ("tower", "LOG", "MEXP", "TR", "NOR", "KERNEL", "_half_add")
 
-    def __init__(self, tower: TowerDesc, base_tables: BaseTables):
-        order = tower.order
-        if order > BULK_TOWER_CAP:
-            raise OrderCapExceeded(order, BULK_TOWER_CAP, "bulk tower tables")
+    def __init__(self, tower: TowerDesc):
+        if tower.order > BULK_TOWER_CAP:
+            raise OrderCapExceeded(tower.order, BULK_TOWER_CAP, "bulk tower tables")
         self.tower = tower
-        self.base = base_tables
-        if self.base.field != tower.base:
-            raise AssertionError("base tables belong to a different field")
-        self.order = order
-        self.q = tower.q
-        self.n = tower.n
-        self.p = tower.p
         # LOG[0] = 2m keeps every log sum of a zero operand at >= 2m, past
         # the reach of any nonzero product (<= 2m - 2), where MEXP holds 0:
         # products need no separate zero mask
         mexp, lg = tower.log_tables()
         self.MEXP = np.array(mexp, dtype=np.int32)
         self.LOG = np.array(lg, dtype=np.int32)
-        self.EXP = self.MEXP[: order - 1]
         # the level's own (p, w) table, read in place and read-only: digit
         # addition never carries, so codes split at the level's lo = p^w
         # into a low and a high half, and the table adds both halves
@@ -138,14 +116,14 @@ class TowerTables:
         if tower._add_tab is not None:
             self._half_add = np.frombuffer(memoryview(tower._add_tab).toreadonly(), dtype=np.uint16)
         self.TR = np.array(trace_list(tower), dtype=np.int32)
-        if not (self.TR < self.q).all():
+        if not (self.TR < tower.q).all():
             raise AssertionError("trace left the base field")
         nor = self.pow_all(norm_exponent(tower))
-        if not (nor < self.q).all():
+        if not (nor < tower.q).all():
             raise AssertionError("norm left the base field")
         self.NOR = nor.astype(np.int32)
         self.KERNEL = np.flatnonzero(self.TR == 0).astype(np.int64)
-        if len(self.KERNEL) != self.q ** (self.n - 1):
+        if len(self.KERNEL) != tower.q ** (tower.n - 1):
             raise AssertionError("trace kernel has the wrong size")
 
     # -- arithmetic on index arrays -------------------------------------
@@ -163,7 +141,7 @@ class TowerTables:
 
     def add_to_x(self, tab: np.ndarray) -> np.ndarray:
         """tab[..., x] + x rowwise, the shifted map behind CPP checks."""
-        return self._add(tab, np.arange(self.order, dtype=tab.dtype))
+        return self._add(tab, np.arange(self.tower.order, dtype=tab.dtype))
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.MEXP[self.LOG[a] + self.LOG[b]]
@@ -172,11 +150,11 @@ class TowerTables:
         """a^e elementwise (e >= 1); zero stays zero."""
         e = int(e)
         # the exponent product needs 64-bit room before reduction
-        out = self.EXP[(self.LOG[a].astype(np.int64) * e) % (self.order - 1)]
+        out = self.MEXP[(self.LOG[a].astype(np.int64) * e) % (self.tower.order - 1)]
         return np.where(a == 0, 0, out)
 
     def pow_all(self, e: int) -> np.ndarray:
-        return self.pow_map(np.arange(self.order, dtype=np.int64), e)
+        return self.pow_map(np.arange(self.tower.order, dtype=np.int64), e)
 
     def scale_row(self, b: int) -> np.ndarray:
         """embed(b) * x for every x."""
@@ -187,8 +165,9 @@ class TowerTables:
         norm multiplicativity with one factor in the base, whose norm is
         c^n. x*c takes the lift's log path and the right side the base
         tables, so a corrupted cell shows; built afresh on each call."""
-        lhs = self.NOR[self.MEXP[self.LOG[:, None] + self.LOG[None, : self.q]]]
-        rhs = self.base.MUL[self.NOR[:, None], self.base.pow_all(self.n)[None, :]]
+        bt = base_tables(self.tower.base)
+        lhs = self.NOR[self.MEXP[self.LOG[:, None] + self.LOG[None, : bt.q]]]
+        rhs = bt.MUL[self.NOR[:, None], bt.pow_all(self.tower.n)[None, :]]
         return lhs == rhs
 
 
@@ -230,4 +209,4 @@ def base_tables(field: FieldDesc) -> BaseTables:
 
 @memo(lambda tower: tower.order)
 def tower_tables(tower: TowerDesc) -> TowerTables:
-    return TowerTables(tower, base_tables(tower.base))
+    return TowerTables(tower)

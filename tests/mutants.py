@@ -59,7 +59,26 @@ MUTANTS = [
      "high = half[a // lo * lo + b // lo]", ["tests/test_tables.py"]),
     # the tower split at q^ceil(n/2), not at the level's p^ceil(full_degree/2)
     ("cppforge/tables.py", "half, lo = self._half_add, self.tower._add_lo",
-     "half, lo = self._half_add, self.q ** ((self.n + 1) // 2)", ["tests/test_tables.py"]),
+     "half, lo = self._half_add, self.tower.q ** ((self.tower.n + 1) // 2)",
+     ["tests/test_tables.py"]),
+    # a row with values outside its field's codes scatters into the next row
+    ("cppforge/tables.py", '_check_range(tabs, w, "table value")', "pass",
+     ["tests/test_tables.py"]),
+    # a row with one pair of distinct values taken as distinct throughout
+    ("cppforge/grids.py", "return (keys[:, 1:] != keys[:, :-1]).all(axis=1)",
+     "return (keys[:, 1:] != keys[:, :-1]).any(axis=1)", ["tests/test_grids.py"]),
+    # the witness prefix evaluates h one point late
+    ("cppforge/grids.py", "bt.horner(coeffs, subst[:width])", "bt.horner(coeffs, subst[1 : width + 1])",
+     ["tests/test_grids.py"]),
+    # the lift's first q columns taken as the witness without checking
+    ("cppforge/grids.py", "sub_ok = ((tt.NOR[:q] == pow_n).all()",
+     "sub_ok = True or ((tt.NOR[:q] == pow_n).all()", ["tests/test_grids.py"]),
+    # x -> x^n taken to carry the witness onto the induced map unchecked
+    ("cppforge/grids.py", "pow_ok = (bijective_rows(pow_n[None, :])[0]",
+     "pow_ok = True or (bijective_rows(pow_n[None, :])[0]", ["tests/test_grids.py"]),
+    # the square table's failing cells dropped, so no row's square fails
+    ("cppforge/grids.py", "bad_x, bad_c = np.nonzero(~tt.norm_square_table())",
+     "bad_x, bad_c = np.nonzero(~tt.norm_square_table() & False)", ["tests/test_grids.py"]),
 ]
 
 

@@ -645,6 +645,9 @@ def _order_by_convolution(f, c):
     v = f._vec(c)
     x, k = v, 1
     while x != one:
+        # a sound field returns to 1 within order - 1 steps; a broken
+        # multiplication may never return, so fail instead of hanging
+        assert k < f.order, (f, c)
         x, k = f._mul_vec(x, v), k + 1
     return k
 

@@ -57,10 +57,6 @@ def test_normalized_flag_matches_monicity():
     field = _field(5)
     for m in enumerate_complete_mappings(field):
         assert m.normalized == m.poly.is_monic()
-    only_normal = enumerate_complete_mappings(field, normalized_only=True)
-    assert [m.table for m in only_normal] == [
-        m.table for m in enumerate_complete_mappings(field) if m.normalized
-    ]
 
 
 def test_search_caps():

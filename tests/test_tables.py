@@ -1,7 +1,7 @@
 """Bulk table layer against the scalar arithmetic it accelerates.
 
 The numpy tables are a speed path, not an independent source of truth:
-their EXP/LOG are the scalar exp/log lists of FieldDesc.log_tables. Every
+their MEXP/LOG are the scalar exp/log lists of FieldDesc.log_tables. Every
 public entry point is pinned to the scalar ops on FieldDesc/TowerDesc,
 exhaustively on small fields and on seeded samples where a full cross
 product would be slow; test_fields.py pins the scalar log tables to the
@@ -188,28 +188,28 @@ def tt(request):
 
 
 def test_tower_exp_log_are_inverse(tt):
-    m = tt.order - 1
-    assert np.array_equal(np.sort(tt.EXP), np.arange(1, tt.order))
-    for x in range(1, tt.order):
-        assert tt.EXP[tt.LOG[x]] == x
+    m = tt.tower.order - 1
+    assert np.array_equal(np.sort(tt.MEXP[:m]), np.arange(1, tt.tower.order))
+    for x in range(1, tt.tower.order):
+        assert tt.MEXP[tt.LOG[x]] == x
     # the zero sentinel sits beyond every reachable product log
     assert tt.LOG[0] == 2 * m
 
 
 def test_tower_mul_matches_scalar_exhaustive(tt):
     tw = tt.tower
-    xs = np.arange(tt.order, dtype=np.int64)
+    xs = np.arange(tt.tower.order, dtype=np.int64)
     prods = tt.mul(xs[:, None], xs[None, :])
-    for a in range(tt.order):
-        for b in range(tt.order):
+    for a in range(tt.tower.order):
+        for b in range(tt.tower.order):
             assert prods[a, b] == tw._cmul(a, b)
 
 
 def test_tower_add_matches_scalar_sampled(tt):
     tw = tt.tower
     rng = np.random.default_rng(11)
-    a = rng.integers(0, tt.order, size=300)
-    b = rng.integers(0, tt.order, size=300)
+    a = rng.integers(0, tt.tower.order, size=300)
+    b = rng.integers(0, tt.tower.order, size=300)
     got = tt.add(a, b)
     for i in range(300):
         assert got[i] == tw._cadd(int(a[i]), int(b[i]))
@@ -217,18 +217,18 @@ def test_tower_add_matches_scalar_sampled(tt):
 
 def test_tower_pow_map_matches_scalar(tt):
     tw = tt.tower
-    xs = np.arange(tt.order, dtype=np.int64)
-    for e in (1, 2, tt.p, tt.order - 1):
+    xs = np.arange(tt.tower.order, dtype=np.int64)
+    for e in (1, 2, tt.tower.p, tt.tower.order - 1):
         pm = tt.pow_map(xs, e)
-        for a in range(tt.order):
+        for a in range(tt.tower.order):
             assert pm[a] == tw._cpow(a, e)
 
 
 def test_tower_scale_row_is_mul_by_embedded_base(tt):
     tw = tt.tower
-    for b in range(tt.q):
+    for b in range(tt.tower.q):
         row = tt.scale_row(b)
-        for x in (0, 1, tt.order // 2, tt.order - 1):
+        for x in (0, 1, tt.tower.order // 2, tt.tower.order - 1):
             assert row[x] == tw._cmul(b, x)
 
 
@@ -249,30 +249,30 @@ def test_tower_structural_checks_hold(tt):
 def test_norm_square_table_matches_scalar_norm(tt):
     tw = tt.tower
     square = tt.norm_square_table()
-    assert square.shape == (tt.order, tt.q)
+    assert square.shape == (tt.tower.order, tt.tower.q)
     for x in tw.elements():
         for c in tw.base.elements():
             want = rel_norm(x * tw.embed(c)) == rel_norm(x) * c**tw.n
             assert square[x.code, c.code] == want
     assert square.all()
     # built afresh from the tables it is asked on, so a bad cell shows
-    bad = TowerTables(tw, tt.base)
-    bad.NOR[1] = (bad.NOR[1] + 1) % tt.q
+    bad = TowerTables(tw)
+    bad.NOR[1] = (bad.NOR[1] + 1) % tt.tower.q
     assert not bad.norm_square_table()[1].all()
 
 
 def test_tower_add_to_x_and_cpp_status(tt):
-    xs = np.arange(tt.order, dtype=np.int32)
-    assert np.array_equal(tt.add_to_x(np.zeros(tt.order, dtype=np.int32)), xs)
-    tabs = np.random.default_rng(13).integers(0, tt.order, size=(3, tt.order), dtype=np.int32)
+    xs = np.arange(tt.tower.order, dtype=np.int32)
+    assert np.array_equal(tt.add_to_x(np.zeros(tt.tower.order, dtype=np.int32)), xs)
+    tabs = np.random.default_rng(13).integers(0, tt.tower.order, size=(3, tt.tower.order), dtype=np.int32)
     shifted = tt.add_to_x(tabs)
-    for i, x in np.random.default_rng(17).integers(0, [3, tt.order], size=(200, 2)):
+    for i, x in np.random.default_rng(17).integers(0, [3, tt.tower.order], size=(200, 2)):
         assert shifted[i, x] == tt.tower._cadd(int(tabs[i, x]), int(x))
     perm, cpp = cpp_rows(tt, xs[None, :])
-    assert perm[0] and cpp[0] == (tt.p != 2)
+    assert perm[0] and cpp[0] == (tt.tower.p != 2)
     # scaling by a generator g is a bijection; complete exactly when g != -1
     g = tt.tower.multiplicative_generator().code
-    tab = tt.mul(np.full(tt.order, g, dtype=np.int64), xs.astype(np.int64))
+    tab = tt.mul(np.full(tt.tower.order, g, dtype=np.int64), xs.astype(np.int64))
     perm, cpp = cpp_rows(tt, tab.astype(np.int32)[None, :])
     assert perm[0]
     assert cpp[0] == (tt.tower._cadd(g, 1) != 0)
@@ -316,19 +316,18 @@ def test_odd_add_to_x_memory_is_bounded():
     # a full order x order addition table would be 3125^2 * 4 B = 39 MB here
     # (and ~13.9 GB for the 3^10 towers that BULK_TOWER_CAP admits)
     tw = make_tower(make_prime_field(5), 5)
-    bt = base_tables(tw.base)
     tabs = np.arange(8 * tw.order, dtype=np.int32).reshape(8, -1) % tw.order
     # the addition table is built with the TowerTables, so the window
     # covers the construction as well as the add_to_x call
     tracemalloc.start()
     try:
-        tt = TowerTables(tw, bt)
+        tt = TowerTables(tw)
         out = tt.add_to_x(tabs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20, peak
-    for i, x in np.random.default_rng(19).integers(0, [8, tt.order], size=(200, 2)):
+    for i, x in np.random.default_rng(19).integers(0, [8, tt.tower.order], size=(200, 2)):
         assert out[i, x] == tw._cadd(int(tabs[i, x]), int(x))
 
 
@@ -365,7 +364,7 @@ def test_odd_tower_tables_read_the_scalar_half_table_in_place():
         w = (towers[0].full_degree + 1) // 2
         shared = fields._half_add_table(towers[0].p, w)
         # fresh towers, built apart from the tower_tables cache
-        halves = [TowerTables(tw, base_tables(tw.base))._half_add for tw in towers]
+        halves = [TowerTables(tw)._half_add for tw in towers]
         for tw, half in zip(towers, halves):
             assert tw._add_tab is shared, tw
             assert np.shares_memory(half, np.frombuffer(shared, dtype=np.uint16)), tw
@@ -376,15 +375,15 @@ def test_odd_tower_tables_read_the_scalar_half_table_in_place():
 def test_a_degree_one_odd_tower_adds_through_the_p_by_p_half_table():
     # F_7/F_7 has full degree 1: its tables read the shared (7, 1) table
     tw = make_tower(make_prime_field(7), 1)
-    tt = TowerTables(tw, base_tables(tw.base))
+    tt = TowerTables(tw)
     assert tw._add_tab is fields._half_add_table(7, 1)
     a, b = np.meshgrid(np.arange(7), np.arange(7))
     assert tt.add(a, b).tolist() == [[tw._cadd(x, y) for x in range(7)] for y in range(7)]
 
 
 def test_zero_operand_products_are_zero(tt):
-    zs = np.zeros(tt.order, dtype=np.int64)
-    xs = np.arange(tt.order, dtype=np.int64)
+    zs = np.zeros(tt.tower.order, dtype=np.int64)
+    xs = np.arange(tt.tower.order, dtype=np.int64)
     assert not tt.mul(zs, xs).any()
     assert not tt.mul(xs, zs).any()
     assert not tt.mul(zs, zs).any()
@@ -407,6 +406,18 @@ def test_table_caches_return_same_object():
     assert other is not tw and other == tw
     assert tower_tables(other) is tower_tables(tw)
     assert trace_kernel(other) is trace_kernel(tw)
+
+
+def test_tower_tables_build_no_base_tables(monkeypatch):
+    # only norm_square_table reads the base tables, so only it builds them
+    monkeypatch.setattr(fields, "_MEMO", fields._Memo())
+    f9 = make_extension(make_prime_field(3), 2)
+    for tw in (make_tower(f9, 2), make_tower(make_prime_field(2), 4)):
+        built, misses = tower_tables.misses, base_tables.misses
+        tt = tower_tables(tw)
+        assert (tower_tables.misses, base_tables.misses) == (built + 1, misses), tw
+        assert tt.norm_square_table().all()
+        assert base_tables.misses == misses + 1, tw
 
 
 def test_tower_tables_cache_stays_at_its_bound(monkeypatch):
