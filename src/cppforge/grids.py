@@ -29,20 +29,29 @@ x*h(x^n) that the witness pass has already checked, and x -> x^n carries
 the witness onto the fiber criterion's induced map v*h(v)^n. Two checks
 of q x q cells per tower confirm both facts on the tables themselves; a
 tower that passes lifts in full only the rows whose witness permutes, and
-takes the induced-map verdicts from the witness. Its witness pass then
-has a prefix of its own: h is evaluated at x^n for the first
-_WITNESS_PREFIX x only, and in full only for the rows whose witness is
-distinct there. The thm2.2 commuting square at a row and x depends only
-on x and c = h(nor x), so one order x q table per tower
-(TowerTables.norm_square_table) decides it: a row's square fails exactly
-when the row takes the value c at nor x for some failing cell (x, c), and
-sound tables have no failing cell.
+takes the induced-map verdicts from the witness. The thm2.2 commuting
+square at a row and x depends only on x and c = h(nor x), so one order x
+q table per tower (TowerTables.norm_square_table) decides it: a row's
+square fails exactly when the row takes the value c at nor x for some
+failing cell (x, c), and sound tables have no failing cell.
+
+The exhaustive h of thm2.2, thm3.2, thm3.3 and thm3.7 come from one lazy
+grid (HGrid): the nonzero coefficient vectors in code order, each a pair
+(top, c0) with c0 fastest, built a block at a time from their indices, so
+the q^3 rows of a degree-2 grid are never all in memory. The witness pass
+walks it in blocks. On a thm2.2 tower that passes both checks, the pass
+first evaluates each block at x^n for the first _WITNESS_PREFIX x only,
+and in full only the rows whose witness is distinct there. That prefix is
+Horner's last step over the block (BaseTables.horner_product): each top
+is evaluated once, and the q rows that share it differ only in the final
+ADD with c0, which reads the same table cells as per-row Horner.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import operator
 import time
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -260,24 +269,30 @@ def _lift_verdicts(tt, hv: np.ndarray, sel: np.ndarray):
     return perm, cpp
 
 
-def _witness_blocks(bt, h_rows: np.ndarray, subst: np.ndarray, width: int, step: int):
-    """The witness pass of every lift: blocks of step h rows, each with a
-    mask alive, h's values on the base for the alive rows, and the verdicts
-    (perm, cpp) per row of the witness x*h(subst[x]). The norm lift (thm2.2)
-    substitutes x^n; the trace lifts (thm3.2, thm3.7) pass the identity.
+def _witness_blocks(bt, h, subst: np.ndarray, width: int, step: int):
+    """The witness pass of every lift: blocks of step rows of h (an HGrid,
+    or an array of coefficient rows), each with its coefficient rows, a
+    mask alive, h's values on the base for the alive rows, and the
+    verdicts (perm, cpp) per row of the witness x*h(subst[x]). The norm
+    lift (thm2.2) substitutes x^n; the trace lifts (thm3.2, thm3.7) pass
+    the identity.
 
     With a width, h is first evaluated at the points subst[x] of the
-    witness's first width columns only; a row whose witness repeats a value
-    there neither permutes nor is a CPP, and only the other rows are alive
-    and evaluated in full. Width 0 keeps every row alive. thm2.2 sizes its
-    blocks by the base cells they touch; the trace lifts by tower cells,
-    since each of their blocks is lifted to the tower whole.
+    witness's first width columns only, on an HGrid by its shared Horner
+    step (HGrid.at); a row whose witness repeats a value there neither
+    permutes nor is a CPP, and only the other rows are alive and
+    evaluated in full, row by row. Width 0 keeps every row alive. thm2.2
+    sizes its blocks by the base cells they touch; the trace lifts by
+    tower cells, since each of their blocks is lifted to the tower whole.
     """
-    for lo in range(0, len(h_rows), step):
-        coeffs = h_rows[lo : lo + step]
+    for lo in range(0, len(h), step):
+        coeffs = h[lo : lo + step]
         alive = np.ones(len(coeffs), dtype=bool)
         if width:
-            alive = _distinct_rows(bt.mul_by_x(bt.horner(coeffs, subst[:width])))
+            points = subst[:width]
+            head = (h.at(bt, lo, lo + step, points) if isinstance(h, HGrid)
+                    else bt.horner(coeffs, points))
+            alive = _distinct_rows(bt.mul_by_x(head))
         hv = bt.horner(coeffs[alive])
         perm = np.zeros(len(coeffs), dtype=bool)
         cpp = perm.copy()
@@ -304,16 +319,60 @@ def _norm_lift_verdicts(tt, hv: np.ndarray, scan: np.ndarray, lam_scaled: np.nda
     return perm, cpp, pairs
 
 
-def _all_h_coeffs(q: int, max_degree: int) -> np.ndarray:
-    """Every nonzero coefficient vector of length max_degree+1, in code order.
+class HGrid:
+    """Every nonzero h of degree <= degree over F_q as a coefficient row,
+    in code order, each row built only when it is read.
 
-    Row i holds the base-q digits of the code i + 1, c0 the least
+    Row i holds the base-q digits of the i-th nonzero code, c0 the least
     significant, so c0 varies fastest: for q = 4 the rows start [1,0,0],
-    [2,0,0], [3,0,0], [0,1,0].
+    [2,0,0], [3,0,0], [0,1,0]. A row is a pair (top, c0), top the code of
+    its coefficients c1..c_degree. Given c0s, the grid keeps only the
+    rows whose c0 is in c0s, still in code order (thm3.2 drops c0 = 0 and
+    c0 = -1). h[i] is row i, h[lo:hi] a block of rows, and h.at a block's
+    values at given points.
     """
-    m = max_degree + 1
-    codes = np.arange(1, q**m, dtype=np.int32)[:, None]
-    return codes // q ** np.arange(m, dtype=np.int32) % q
+
+    def __init__(self, q: int, degree: int, c0s=None):
+        self.q, self.degree = q, degree
+        self.c0s = np.array(range(q) if c0s is None else sorted(c0s), dtype=np.int32)
+        # row i sits at position i + skip of the (top, c0) product: the
+        # zero code, top 0 with c0 0, is no row
+        self._skip = int(len(self.c0s) > 0 and self.c0s[0] == 0)
+        self._len = q**degree * len(self.c0s) - self._skip
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            lo, hi, stride = i.indices(self._len)
+            if stride != 1:
+                raise ValueError("an HGrid block has stride 1")
+            tops, cut = self._block(lo, hi)
+            rows = np.empty((len(tops), len(self.c0s), self.degree + 1), dtype=np.int32)
+            rows[:, :, 0] = self.c0s
+            rows[:, :, 1:] = tops[:, None, :]
+            return rows.reshape(-1, self.degree + 1)[cut]
+        i = operator.index(i)
+        if not 0 <= i < self._len:
+            raise IndexError(f"row {i} of {self._len}")
+        return self[i : i + 1][0]
+
+    def at(self, bt, lo: int, hi: int, points: np.ndarray) -> np.ndarray:
+        """Rows lo..hi-1 (hi clipped to the grid) at the points, by one
+        bt.horner_product of the tops the block touches."""
+        tops, cut = self._block(lo, min(hi, self._len))
+        return bt.horner_product(tops, self.c0s, points)[cut]
+
+    def _block(self, lo: int, hi: int) -> tuple[np.ndarray, slice]:
+        """The coefficient rows (c1..c_degree) of the tops that rows lo..hi-1
+        touch, and the cut of the block out of their product with c0s."""
+        nc = max(len(self.c0s), 1)
+        start, stop = lo + self._skip, max(lo, hi) + self._skip
+        first, last = start // nc, -(-stop // nc)
+        codes = np.arange(first, last, dtype=np.int32)[:, None]
+        tops = codes // self.q ** np.arange(self.degree, dtype=np.int32) % self.q
+        return tops, slice(start - first * nc, stop - first * nc)
 
 
 def _random_h_coeffs(q: int, count: int, rng) -> np.ndarray:
@@ -374,7 +433,7 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
     # with both, a row needs h in full only when its witness permutes,
     # and the witness prefix rejects most of the others
     width = min(_WITNESS_PREFIX, q) if sub_ok and pow_ok else 0
-    all_h = _all_h_coeffs(q, H_DEGREE)
+    all_h = HGrid(q, H_DEGREE)
     rand_h = _random_h_coeffs(q, random_h, rng)
     sample_idx = set(rng.integers(0, len(all_h), size=8).tolist())
     verdicts = []  # (witness, lift) CPP verdicts of the all_h rows
@@ -493,8 +552,7 @@ def sweep_trace_simple(rep: SweepReport, tower: TowerDesc, rng) -> None:
     tt = tower_tables(tower)
     q, order = tower.q, tower.order
     minus_one = tower.base._cneg(1)
-    all_h = _all_h_coeffs(q, H_DEGREE)
-    all_h = all_h[(all_h[:, 0] != 0) & (all_h[:, 0] != minus_one)]
+    all_h = HGrid(q, H_DEGREE, set(range(q)) - {0, minus_one})
     if len(all_h) == 0:
         return
     sample_idx = set(rng.integers(0, len(all_h), size=4).tolist())
@@ -532,7 +590,7 @@ def sweep_trace_general(rep: SweepReport, tower: TowerDesc, rng) -> None:
     q = tower.q
     ppolys = [PPoly.monomial(tower, k) for k in range(1, min(tower.full_degree, 4))]
     ppolys += [_random_ppoly(tower, rng) for _ in range(2)]
-    lin_h = _all_h_coeffs(q, 1)
+    lin_h = HGrid(q, 1)
     h_list = [lin_h[i] for i in rng.integers(0, len(lin_h), size=min(6, len(lin_h)))]
     a_list = sorted({int(a) for a in rng.integers(1, q, size=2)})
     for L in ppolys:
@@ -574,7 +632,7 @@ def sweep_trace_binomial(rep: SweepReport, tower: TowerDesc, rng) -> None:
     order = tower.order
     xs = np.arange(order)[None, :]
     minus = tt.scale_row(tower.base._cneg(1))
-    all_h = _all_h_coeffs(q, H_DEGREE)
+    all_h = HGrid(q, H_DEGREE)
     # h values on the trace and witness verdicts depend on neither k nor a
     blocks = [(coeffs, hv[:, tt.TR], wit_cpp)
               for coeffs, _, hv, _, wit_cpp in _witness_blocks(

@@ -68,8 +68,11 @@ MUTANTS = [
     ("cppforge/grids.py", "return (keys[:, 1:] != keys[:, :-1]).all(axis=1)",
      "return (keys[:, 1:] != keys[:, :-1]).any(axis=1)", ["tests/test_grids.py"]),
     # the witness prefix evaluates h one point late
-    ("cppforge/grids.py", "bt.horner(coeffs, subst[:width])", "bt.horner(coeffs, subst[1 : width + 1])",
+    ("cppforge/grids.py", "points = subst[:width]", "points = subst[1 : width + 1]",
      ["tests/test_grids.py"]),
+    # the shared Horner step adds each top's c0 values shifted by one row
+    ("cppforge/tables.py", ".transpose(0, 2, 1).take(c0s, axis=1)",
+     ".transpose(0, 2, 1).take(np.roll(c0s, 1), axis=1)", ["tests/test_tables.py"]),
     # the lift's first q columns taken as the witness without checking
     ("cppforge/grids.py", "sub_ok = ((tt.NOR[:q] == pow_n).all()",
      "sub_ok = True or ((tt.NOR[:q] == pow_n).all()", ["tests/test_grids.py"]),

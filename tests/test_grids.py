@@ -17,6 +17,7 @@ import pytest
 
 from cppforge import REGISTRY, SweepReport, clear_caches, norm_lift_pairs, tower_grid
 from cppforge import cli, fields, grids, maps, permcheck, tables
+from cppforge import make_extension, make_prime_field
 from cppforge.grids import (
     DEFAULT_SEED,
     sweep_kernel_binomials,
@@ -343,6 +344,67 @@ def test_witness_prefix_width_changes_no_verdict(monkeypatch):
     assert counts == sorted(counts, reverse=True)
     assert full_rows[16] < first["cases"] <= full_rows[1]
     assert full_rows[64] == full_rows[32]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_hgrid_rows_are_the_nonzero_codes_in_base_q(q, degree):
+    m = degree + 1
+    codes = np.arange(1, q**m, dtype=np.int32)[:, None]
+    want = codes // q ** np.arange(m, dtype=np.int32) % q
+    grid = grids.HGrid(q, degree)
+    assert len(grid) == len(want)
+    assert np.array_equal(grid[:], want) and grid[:].dtype == np.int32
+    for step in (1, q - 1, q + 1, 2 * q - 1):
+        blocks = [grid[lo : lo + step] for lo in range(0, len(grid), step)]
+        assert np.array_equal(np.concatenate(blocks), want)
+    for i in (0, len(grid) // 2, len(grid) - 1):
+        assert np.array_equal(grid[i], want[i])
+    for bad in (-1, len(grid)):
+        with pytest.raises(IndexError):
+            grid[bad]
+
+
+def _base_of_order(q):
+    p = next(p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23) if q % p == 0)
+    r = round(math.log(q, p))
+    return make_prime_field(p) if r == 1 else make_extension(make_prime_field(p), r)
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 11, 23])
+def test_hgrid_blocks_at_points_are_per_row_horner(q):
+    # block bounds off the multiples of q split a top's run of c0 rows
+    bt = tables.base_tables(_base_of_order(q))
+    points = bt.pow_all(2)[: min(32, q)]
+    minus_one = bt.field._cneg(1)
+    full = grids.HGrid(q, 2)
+    filtered = grids.HGrid(q, 2, set(range(q)) - {0, minus_one})
+    rows = full[:]
+    assert np.array_equal(filtered[:], rows[(rows[:, 0] != 0) & (rows[:, 0] != minus_one)])
+    for grid in (full, filtered):
+        for step in (q - 1, q + 1, 2 * q + 3):
+            for lo in range(0, len(grid), step):
+                coeffs = grid[lo : lo + step]
+                assert np.array_equal(grid.at(bt, lo, lo + step, points), bt.horner(coeffs, points))
+                assert np.array_equal(grid.at(bt, lo, lo + step, np.arange(q)), bt.horner(coeffs))
+
+
+def test_thm22_memory_peak_with_warm_tables():
+    # the exhaustive h rows are built one block at a time: F_4096/F_64's
+    # 262143 rows never sit in memory at once
+    import tracemalloc
+
+    for shape in grids._norm_lift_shapes(4096):
+        tables.base_tables(grids._tower(*shape).base)
+        tables.tower_tables(grids._tower(*shape))
+    tracemalloc.start()
+    try:
+        rep = sweep_norm_lift()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.cases == 305888
+    assert peak < 7 * 2**20, peak
 
 
 def _f1024_over_f4():

@@ -169,6 +169,51 @@ def test_base_horner_refuses_out_of_range_points(bt_small):
             bt_small.horner(coeffs, np.array([0, bad], dtype=np.int32))
 
 
+def _product_rows(tops, c0s):
+    """The rows [c0, *top] of horner_product, top by top with c0 fastest."""
+    return np.array([[c0, *top] for top in tops for c0 in c0s], dtype=np.int32).reshape(
+        -1, tops.shape[1] + 1)
+
+
+def _scrambled(bt, seed):
+    """A copy of bt whose ADD and MUL hold arbitrary codes."""
+    rng = np.random.default_rng(seed)
+    out = object.__new__(type(bt))
+    out.field, out.q = bt.field, bt.q
+    out.ADD, out.MUL = (rng.integers(0, bt.q, size=(bt.q, bt.q)).astype(np.int32) for _ in "am")
+    return out
+
+
+@pytest.mark.parametrize("scramble", [False, True], ids=["sound", "scrambled"])
+def test_horner_product_is_per_row_horner(bt_small, scramble):
+    # the shared last step reads the cells per-row horner reads, so the two
+    # agree on any table contents, at every x and at any points
+    bt = _scrambled(bt_small, 5) if scramble else bt_small
+    q = bt.q
+    rng = np.random.default_rng(13)
+    for width in (1, 2, 3):
+        tops = rng.integers(0, q, size=(4, width)).astype(np.int32)
+        for c0s in (np.arange(q), np.array([q - 1, 0, q // 2]), np.zeros(0, dtype=np.int32)):
+            want = bt.horner(_product_rows(tops, c0s))
+            got = bt.horner_product(tops, c0s, np.arange(q))
+            assert got.shape == want.shape and got.dtype == np.int32
+            assert np.array_equal(got, want)
+            points = rng.integers(0, q, size=q + 3)
+            assert np.array_equal(bt.horner_product(tops, c0s, points), want[:, points])
+
+
+def test_horner_product_refuses_out_of_range_inputs(bt_small):
+    q = bt_small.q
+    tops = np.array([[1]], dtype=np.int32)
+    for bad in (q, -1):
+        with pytest.raises(IndexError):
+            bt_small.horner_product(tops, np.array([0, bad]), np.arange(q))
+        with pytest.raises(IndexError):
+            bt_small.horner_product(tops, np.arange(q), np.array([0, bad]))
+        with pytest.raises(IndexError):
+            bt_small.horner_product(np.array([[bad]]), np.arange(q), np.arange(q))
+
+
 def test_base_mul_by_x_matches_scalar(bt):
     f = bt.field
     tabs = np.random.default_rng(23).integers(0, f.order, size=(3, f.order), dtype=np.int32)
