@@ -44,7 +44,9 @@ first evaluates each block at x^n for the first _WITNESS_PREFIX x only,
 and in full only the rows whose witness is distinct there. That prefix is
 Horner's last step over the block (BaseTables.horner_product): each top
 is evaluated once, and the q rows that share it differ only in the final
-ADD with c0, which reads the same table cells as per-row Horner.
+ADD with c0, which reads the same table cells as per-row Horner. The
+seeded random h, a hundred rows per tower, skip the prefix and are
+evaluated in full.
 """
 
 from __future__ import annotations
@@ -271,16 +273,16 @@ def _lift_verdicts(tt, hv: np.ndarray, sel: np.ndarray):
 
 def _witness_blocks(bt, h, subst: np.ndarray, width: int, step: int):
     """The witness pass of every lift: blocks of step rows of h (an HGrid,
-    or an array of coefficient rows), each with its coefficient rows, a
-    mask alive, h's values on the base for the alive rows, and the
-    verdicts (perm, cpp) per row of the witness x*h(subst[x]). The norm
-    lift (thm2.2) substitutes x^n; the trace lifts (thm3.2, thm3.7) pass
-    the identity.
+    or with width 0 an array of coefficient rows), each with its
+    coefficient rows, a mask alive, h's values on the base for the alive
+    rows, and the verdicts (perm, cpp) per row of the witness
+    x*h(subst[x]). The norm lift (thm2.2) substitutes x^n; the trace lifts
+    (thm3.2, thm3.7) pass the identity.
 
-    With a width, h is first evaluated at the points subst[x] of the
-    witness's first width columns only, on an HGrid by its shared Horner
-    step (HGrid.at); a row whose witness repeats a value there neither
-    permutes nor is a CPP, and only the other rows are alive and
+    With a width, the grid's block is first evaluated at the points
+    subst[x] of the witness's first width columns only, by its shared
+    Horner step (HGrid.at); a row whose witness repeats a value there
+    neither permutes nor is a CPP, and only the other rows are alive and
     evaluated in full, row by row. Width 0 keeps every row alive. thm2.2
     sizes its blocks by the base cells they touch; the trace lifts by
     tower cells, since each of their blocks is lifted to the tower whole.
@@ -290,9 +292,7 @@ def _witness_blocks(bt, h, subst: np.ndarray, width: int, step: int):
         alive = np.ones(len(coeffs), dtype=bool)
         if width:
             points = subst[:width]
-            head = (h.at(bt, lo, lo + step, points) if isinstance(h, HGrid)
-                    else bt.horner(coeffs, points))
-            alive = _distinct_rows(bt.mul_by_x(head))
+            alive = _distinct_rows(bt.mul_by_x(h.at(bt, lo, lo + step, points)))
         hv = bt.horner(coeffs[alive])
         perm = np.zeros(len(coeffs), dtype=bool)
         cpp = perm.copy()
@@ -408,12 +408,13 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
     check takes the direct route for it: every row lifted in full, or the
     induced map checked on its own. A tower that passes both needs h in
     full only for the rows whose witness permutes, so its witness pass
-    reads a prefix first: h at x^n for the first _WITNESS_PREFIX x (every x
-    when q is no wider), and a row whose witness repeats a value there is
-    never evaluated in full. The square at x, nor(x*c) == nor(x)*c^n with
-    c = h(nor x), is one cell of the tower's norm_square_table: a row's
-    square fails exactly when h(nor x) is c for one of the table's failing
-    cells (x, c), so h is evaluated at those points only.
+    over the exhaustive h reads a prefix first: h at x^n for the first
+    _WITNESS_PREFIX x (every x when q is no wider), and a row whose
+    witness repeats a value there is never evaluated in full. The square
+    at x, nor(x*c) == nor(x)*c^n with c = h(nor x), is one cell of the
+    tower's norm_square_table: a row's square fails exactly when h(nor x)
+    is c for one of the table's failing cells (x, c), so h is evaluated at
+    those points only.
     """
     q, n, order = tower.q, tower.n, tower.order
     rep.extras["pairs"].append((q, n))
@@ -437,9 +438,10 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
     rand_h = _random_h_coeffs(q, random_h, rng)
     sample_idx = set(rng.integers(0, len(all_h), size=8).tolist())
     verdicts = []  # (witness, lift) CPP verdicts of the all_h rows
-    for block in (all_h, rand_h):
+    # the random h are few, so they skip the prefix
+    for block, block_width in ((all_h, width), (rand_h, 0)):
         for coeffs, alive, hv, wit_perm, wit_cpp in _witness_blocks(
-                bt, block, pow_n, width, max(1, _WITNESS_CELLS // q)):
+                bt, block, pow_n, block_width, max(1, _WITNESS_CELLS // q)):
             # fiber criterion with induced v -> v*h(v)^n; the pair scan
             # only decides the conclusion when the induced map bijects.
             # hv holds the alive rows: every row without a width, and
