@@ -20,20 +20,23 @@ The norm and trace lifts cost only what their verdicts need, and every
 shortcut is exact for any table contents, so none takes a theorem on
 trust. Each lift reduces to a witness on the base field, x*h(x^n) for the
 norm lift and x*h(x) for the trace lifts, and one witness pass serves all
-three. A row whose lifted values repeat is not a permutation, so it is not
-a CPP either. The trace lift (thm3.2) lifts the first _PREFIX columns of
-every row and the rest only for the rows whose prefix is distinct. The
-norm lift (thm2.2) lifts no prefix: codes below q are the embedded F_q,
-where nor(x) = x^n, so the lift's first q columns are the witness map
-x*h(x^n) that the witness pass has already checked, and x -> x^n carries
-the witness onto the fiber criterion's induced map v*h(v)^n. Two checks
-of q x q cells per tower confirm both facts on the tables themselves; a
-tower that passes lifts in full only the rows whose witness permutes, and
-takes the induced-map verdicts from the witness. The thm2.2 commuting
-square at a row and x depends only on x and c = h(nor x), so one order x
-q table per tower (TowerTables.norm_square_table) decides it: a row's
-square fails exactly when the row takes the value c at nor x for some
-failing cell (x, c), and sound tables have no failing cell.
+three. A row whose values repeat is not a permutation, so not a CPP. One
+helper, _lift_verdicts, gives every whole-tower verdict but thm3.7's,
+which checks its proof identity on every row: it reads each row at
+_PREFIX elements spread evenly over the tower, and builds in full,
+_ROW_CELLS cells at a time, only the rows distinct there. The norm lift
+(thm2.2) hands it fewer rows: codes below q are the embedded F_q, where
+nor(x) = x^n, so the lift's first q columns are the witness map x*h(x^n)
+that the witness pass has checked, and x -> x^n carries the witness onto
+the fiber criterion's induced map v*h(v)^n. Two checks of q x q cells per
+tower confirm both facts on the tables; a tower that passes hands over
+only the rows whose witness permutes, and takes the induced-map verdicts
+from the witness. An injective lift has injective pairs x -> (nor x,
+lift x), so the fiber pair scan sorts only the rows whose induced map
+bijects and whose lift repeats. The thm2.2 commuting square at a row and
+x depends only on x and c = h(nor x), so one order x q table per tower
+(TowerTables.norm_square_table) decides it: a row's square fails exactly
+when the row takes the value c at nor x for some failing cell (x, c).
 
 The exhaustive h of thm2.2, thm3.2, thm3.3 and thm3.7 come from one lazy
 grid (HGrid): the nonzero coefficient vectors in code order, each a pair
@@ -80,18 +83,17 @@ from .lifts import (
     trace_lift_simple,
 )
 from .maps import PPoly, binomial_kernel_criterion, norm_exponent
-from .tables import BULK_TOWER_CAP, base_tables, bijective_rows, cpp_rows, tower_tables
+from .tables import _ROW_CELLS, BULK_TOWER_CAP, base_tables, bijective_rows, cpp_rows, tower_tables
 
 DEFAULT_SEED = 20260819
 H_DEGREE = 2  # every nonzero h of degree <= H_DEGREE is swept exhaustively
-_ROW_CELLS = 1 << 21  # rows x order cells per batched block
 # rows x q cells per thm2.2 witness block: 2048 rows of F_64 ran the
 # witness pass fastest of 512..16384, and 2^21 cells raised the sweep's
 # peak RSS by 13 MB
 _WITNESS_CELLS = 1 << 17
-# lifted columns of a trace lift (thm3.2) that must be distinct before it
-# is lifted in full; 256 rejects more rows but reads four times the
-# columns of every row, and ran no faster than 64
+# tower elements, spread evenly, where a row of a whole-tower batch must be
+# distinct to be built in full. Of thm3.2's 144,799 rows at its default, 64
+# leading columns leave 35,012, 64 spread ones 8,351 and 256 spread 3,407
 _PREFIX = 64
 # witness columns of a norm lift (thm2.2) that must be distinct before h is
 # evaluated in full (at most q are read). On F_4096/F_64, 32 leaves exactly
@@ -238,16 +240,11 @@ def _sweep(token: str, default_max_order: int, towers, extras: dict):
     return register
 
 
-def _lift_rows(tt, hcols: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """Rowwise x * hcols[., sel[x]] for x < len(sel), without materializing
-    the wide gather.
-
-    hcols holds base-field values (one row per h), sel maps each tower
-    element to its base column (the norm or trace table); a prefix of sel
-    lifts that many leading columns.
-    """
-    logs = tt.LOG[hcols][:, sel] + tt.LOG[None, : len(sel)]
-    return tt.MEXP[logs]
+def _lift_rows(tt, hcols: np.ndarray, sel: np.ndarray, xs=slice(None)) -> np.ndarray:
+    """Rowwise x * hcols[., sel[x]] at the tower elements xs (every x by
+    default): hcols holds base-field values (one row per h), and sel maps
+    each tower element to its base column (the norm or trace table)."""
+    return tt.MEXP[tt.LOG[hcols][:, sel[xs]] + tt.LOG[xs]]
 
 
 def _distinct_rows(tabs: np.ndarray) -> np.ndarray:
@@ -258,16 +255,27 @@ def _distinct_rows(tabs: np.ndarray) -> np.ndarray:
     return (keys[:, 1:] != keys[:, :-1]).all(axis=1)
 
 
-def _lift_verdicts(tt, hv: np.ndarray, sel: np.ndarray):
-    """(perm, cpp) per row of x -> x * hv[., sel[x]].
+def _row_blocks(tt, rows, idx: np.ndarray):
+    """(i, rows(i, every x)) for the rows idx of a whole-tower batch, in
+    blocks of at most _ROW_CELLS cells."""
+    step = max(1, _ROW_CELLS // tt.tower.order)
+    for lo in range(0, len(idx), step):
+        i = idx[lo : lo + step]
+        yield i, rows(i, np.arange(tt.tower.order))
 
-    A row whose first _PREFIX lifted values repeat is not a permutation, so
-    not a CPP: only the rows whose prefix is distinct are lifted in full.
-    """
-    alive = _distinct_rows(_lift_rows(tt, hv, sel[:_PREFIX]))
-    perm = np.zeros(len(hv), dtype=bool)
+
+def _lift_verdicts(tt, rows, count: int):
+    """(perm, cpp) per row of a whole-tower batch of count rows; rows(i, xs)
+    gives the rows i (an index array) at the tower elements xs. A row whose
+    values repeat at _PREFIX elements spread evenly over the tower is
+    neither, whatever the tables hold: only the others are built in full."""
+    order = tt.tower.order
+    width = min(_PREFIX, order)
+    alive = _distinct_rows(rows(np.arange(count), np.arange(width) * (order // width)))
+    perm = np.zeros(count, dtype=bool)
     cpp = perm.copy()
-    perm[alive], cpp[alive] = cpp_rows(tt, _lift_rows(tt, hv[alive], sel))
+    for i, tabs in _row_blocks(tt, rows, np.flatnonzero(alive)):
+        perm[i], cpp[i] = cpp_rows(tt, tabs)
     return perm, cpp
 
 
@@ -283,9 +291,7 @@ def _witness_blocks(bt, h, subst: np.ndarray, width: int, step: int):
     subst[x] of the witness's first width columns only, by its shared
     Horner step (HGrid.at); a row whose witness repeats a value there
     neither permutes nor is a CPP, and only the other rows are alive and
-    evaluated in full, row by row. Width 0 keeps every row alive. thm2.2
-    sizes its blocks by the base cells they touch; the trace lifts by
-    tower cells, since each of their blocks is lifted to the tower whole.
+    evaluated in full, row by row. Width 0 keeps every row alive.
     """
     for lo in range(0, len(h), step):
         coeffs = h[lo : lo + step]
@@ -299,24 +305,6 @@ def _witness_blocks(bt, h, subst: np.ndarray, width: int, step: int):
         perm[alive], cpp[alive] = cpp_rows(bt, bt.mul_by_x(hv[:, subst]))
         yield coeffs, alive, hv, perm, cpp
 
-
-def _norm_lift_verdicts(tt, hv: np.ndarray, scan: np.ndarray, lam_scaled: np.ndarray):
-    """(perm, cpp, pairs) per row of the norm lift x -> x * hv[., nor x],
-    lifted _ROW_CELLS cells at a time; pairs is the fiber criterion's
-    injectivity of x -> (nor x, lift(x)), scanned on the rows in scan only
-    and False elsewhere."""
-    perm = np.zeros(len(hv), dtype=bool)
-    cpp, pairs = perm.copy(), perm.copy()
-    step = max(1, _ROW_CELLS // tt.tower.order)
-    for lo in range(0, len(hv), step):
-        rows = slice(lo, lo + step)
-        lifted = _lift_rows(tt, hv[rows], tt.NOR)
-        perm[rows], cpp[rows] = cpp_rows(tt, lifted)
-        hit = lo + np.flatnonzero(scan[rows])
-        if len(hit):
-            # x -> (nor x, lift(x)) is injective exactly when its keys are distinct
-            pairs[hit] = _distinct_rows(lam_scaled + lifted[hit - lo])
-    return perm, cpp, pairs
 
 
 class HGrid:
@@ -405,16 +393,14 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
     and is not lifted. pow_ok: x -> x^n is a bijection that commutes with
     MUL; then it carries the witness onto the induced map, and the induced
     map bijects exactly when the witness permutes. A tower that fails a
-    check takes the direct route for it: every row lifted in full, or the
-    induced map checked on its own. A tower that passes both needs h in
-    full only for the rows whose witness permutes, so its witness pass
-    over the exhaustive h reads a prefix first: h at x^n for the first
-    _WITNESS_PREFIX x (every x when q is no wider), and a row whose
-    witness repeats a value there is never evaluated in full. The square
-    at x, nor(x*c) == nor(x)*c^n with c = h(nor x), is one cell of the
-    tower's norm_square_table: a row's square fails exactly when h(nor x)
-    is c for one of the table's failing cells (x, c), so h is evaluated at
-    those points only.
+    check takes the direct route for it: every row handed to the lift
+    verdict, or the induced map checked on its own. A tower that passes
+    both needs h in full only for the rows whose witness permutes, so its
+    witness pass over the exhaustive h reads h at x^n for the first
+    _WITNESS_PREFIX x first, and a row whose witness repeats a value there
+    is never evaluated in full. The square at x is the cell (x, h(nor x))
+    of the tower's norm_square_table, so h is evaluated only at nor x of
+    the table's failing cells (x, c).
     """
     q, n, order = tower.q, tower.n, tower.order
     rep.extras["pairs"].append((q, n))
@@ -442,16 +428,23 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
     for block, block_width in ((all_h, width), (rand_h, 0)):
         for coeffs, alive, hv, wit_perm, wit_cpp in _witness_blocks(
                 bt, block, pow_n, block_width, max(1, _WITNESS_CELLS // q)):
-            # fiber criterion with induced v -> v*h(v)^n; the pair scan
-            # only decides the conclusion when the induced map bijects.
-            # hv holds the alive rows: every row without a width, and
-            # with one every row of full = wit_perm
+            # fiber criterion with induced v -> v*h(v)^n; hv holds the
+            # alive rows, which include every row of full
             h_bij = wit_perm if pow_ok else bijective_rows(bt.mul_by_x(pow_n[hv]))
             full = wit_perm | h_bij if sub_ok else np.ones(len(coeffs), dtype=bool)
+            at, hv_full = np.flatnonzero(full), hv[full[alive]]
+
+            def lift(i, xs):
+                return _lift_rows(tt, hv_full[i], tt.NOR, xs)
+
             perm = np.zeros(len(coeffs), dtype=bool)
-            lift_cpp, conclusion = perm.copy(), perm.copy()
-            perm[full], lift_cpp[full], conclusion[full] = _norm_lift_verdicts(
-                tt, hv[full[alive]], h_bij[full], lam_scaled)
+            lift_cpp, conclusion = perm.copy(), h_bij.copy()
+            perm[full], lift_cpp[full] = _lift_verdicts(tt, lift, len(at))
+            # an injective lift has injective pairs x -> (nor x, lift(x)):
+            # only the other rows of h_bij are scanned, by their keys
+            scan = np.flatnonzero((h_bij & ~perm)[full])
+            for i, lifted in _row_blocks(tt, lift, scan):
+                conclusion[at[i]] = _distinct_rows(lam_scaled + lifted)
             square_ok = (bt.horner(coeffs, bad_col) != bad_c).all(axis=1)
             fiber_ok = (conclusion == perm) & square_ok
             rep.extras["fiber_cases"] += len(coeffs)
@@ -490,7 +483,8 @@ def sweep_monomial_norm(rep: SweepReport, tower: TowerDesc, rng) -> None:
     replays = 0
     for s in range(max(q - 1, 1)):
         _, wcpp = cpp_rows(bt, bt.MUL[alphas, bt.pow_all(1 + n * s)[None, :]])
-        _, lcpp = cpp_rows(tt, tt.mul(alphas, tt.pow_all(1 + s * npow)[None, :]))
+        mono = tt.pow_all(1 + s * npow)
+        _, lcpp = _lift_verdicts(tt, lambda i, xs: tt.mul(alphas[i], mono[xs]), len(alphas))
         rep.note(wcpp == lcpp, lcpp,
                  lambda i: {"q": q, "n": n, "s": s, "alpha": i + 1})
         if replays < 3 and rng.integers(0, 4) == 0:
@@ -536,11 +530,11 @@ def sweep_quadratic_monomials(rep: SweepReport, tower: TowerDesc, rng) -> None:
                 continue
             tt = tower_tables(tower)
             exp_tab = tt.pow_all(built[0].params["exponent"])
-            alphas = [res.params["alpha"] for res in built]
-            ver = cpp_rows(tt, tt.mul(np.array(alphas)[:, None], exp_tab[None, :]))[1]
+            alphas = np.array([res.params["alpha"] for res in built])[:, None]
+            ver = _lift_verdicts(tt, lambda i, xs: tt.mul(alphas[i], exp_tab[xs]), len(built))[1]
             predicted = np.array([res.predicted_cpp is True for res in built])
             rep.note(predicted & ver, ver,
-                     lambda i: {"e": e, "t": t, "k": k, "alpha": alphas[i]})
+                     lambda i: {"e": e, "t": t, "k": k, "alpha": int(alphas[i, 0])})
             for res, v in zip(built, ver):
                 if rep.extras["builder_crosschecks"] < 4 and rng.integers(0, 5) == 0:
                     assert res.verified_cpp(tower.order) == v
@@ -561,7 +555,7 @@ def sweep_trace_simple(rep: SweepReport, tower: TowerDesc, rng) -> None:
     verdicts = []  # (witness, lift) CPP verdicts per row
     for coeffs, _, hv, _, wit_cpp in _witness_blocks(
             bt, all_h, np.arange(q), 0, max(1, _ROW_CELLS // order)):
-        _, lift_cpp = _lift_verdicts(tt, hv, tt.TR)
+        _, lift_cpp = _lift_verdicts(tt, lambda i, xs: _lift_rows(tt, hv[i], tt.TR, xs), len(hv))
         rep.note(wit_cpp == lift_cpp, lift_cpp,
                  lambda i: {"q": q, "n": tower.n, "h": coeffs[i].tolist()})
         verdicts.append((wit_cpp, lift_cpp))

@@ -40,6 +40,7 @@ from .maps import norm_exponent, trace_list
 BULK_BASE_CAP = 1 << 10
 # TowerTables wraps a level's exp/log lists, which stop at _LOG_TABLE_MAX
 BULK_TOWER_CAP = _LOG_TABLE_MAX
+_ROW_CELLS = 1 << 21  # cells per batched block of whole rows
 
 
 class BaseTables:
@@ -182,11 +183,16 @@ class TowerTables:
         """S[x, c] = (nor(x*c) == nor(x) * c^n) for every tower x and base c:
         norm multiplicativity with one factor in the base, whose norm is
         c^n. x*c takes the lift's log path and the right side the base
-        tables, so a corrupted cell shows; built afresh on each call."""
+        tables, so a corrupted cell shows; built afresh on each call, a
+        block of _ROW_CELLS cells at a time."""
         bt = base_tables(self.tower.base)
-        lhs = self.NOR[self.MEXP[self.LOG[:, None] + self.LOG[None, : bt.q]]]
-        rhs = bt.MUL[self.NOR[:, None], bt.pow_all(self.tower.n)[None, :]]
-        return lhs == rhs
+        c_n, step = bt.pow_all(self.tower.n)[None, :], max(1, _ROW_CELLS // bt.q)
+        out = np.empty((self.tower.order, bt.q), dtype=bool)
+        for lo in range(0, self.tower.order, step):
+            x = slice(lo, lo + step)
+            lhs = self.NOR[self.MEXP[self.LOG[x, None] + self.LOG[None, : bt.q]]]
+            out[x] = lhs == bt.MUL[self.NOR[x, None], c_n]
+        return out
 
 
 # -- the batched verdict ---------------------------------------------------

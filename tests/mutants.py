@@ -82,6 +82,12 @@ MUTANTS = [
     # the square table's failing cells dropped, so no row's square fails
     ("cppforge/grids.py", "bad_x, bad_c = np.nonzero(~tt.norm_square_table())",
      "bad_x, bad_c = np.nonzero(~tt.norm_square_table() & False)", ["tests/test_grids.py"]),
+    # rows whose lift repeats taken as pair-injective without a scan
+    ("cppforge/grids.py", "scan = np.flatnonzero((h_bij & ~perm)[full])",
+     "scan = np.flatnonzero((h_bij & ~perm & False)[full])", ["tests/test_grids.py"]),
+    # the spread prefix multiplies by the leading codes, not by its own x
+    ("cppforge/grids.py", "tt.LOG[hcols][:, sel[xs]] + tt.LOG[xs]",
+     "tt.LOG[hcols][:, sel[xs]] + tt.LOG[: len(sel[xs])]", ["tests/test_grids.py"]),
 ]
 
 

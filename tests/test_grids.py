@@ -267,12 +267,15 @@ def test_the_exp_log_lists_held_after_a_walk_stay_bounded():
 
 
 def test_prefix_width_changes_no_verdict(monkeypatch):
-    # the prefix only decides which thm3.2 rows are lifted in full: a repeat
-    # in it is a proof of non-permutation, so every width gives the same
-    # reports. Width 1 rejects nothing, so every row takes the full path;
-    # 64 and 256, the two widths the prefix has had, stay under test.
-    # thm2.2 does not read _PREFIX: at every width it lifts in full exactly
-    # the rows whose witness permutes
+    # the prefix only decides which rows of a whole-tower batch are built in
+    # full: a repeat in it is a proof of non-permutation, so every width
+    # gives the same reports, for thm2.2, thm3.2, cor2.3 and cor2.5 alike.
+    # Width 1 rejects nothing, so every row takes the full path; 64 and
+    # 256, the two widths the prefix has had, stay under test. On sound
+    # tables thm2.2 hands the verdict only the rows whose witness permutes;
+    # their lifts permute, so every width builds exactly those in full. A
+    # batch budget of 2^10 cells splits every batch, the square table's
+    # too, and changes no report either
     full_rows = {}
     witness_rows = {}
     real_cpp_rows = grids.cpp_rows
@@ -289,14 +292,20 @@ def test_prefix_width_changes_no_verdict(monkeypatch):
     reports = {}
     widths = (1, 2, 16, 64, 256)
     assert grids._PREFIX in widths
-    for width in widths:
-        full_rows[width] = witness_rows[width] = 0
-        monkeypatch.setattr(grids, "_PREFIX", width)
-        norm = sweep_norm_lift(max_order=1024, random_h=20)
-        assert full_rows[width] == witness_rows[width] == 1415
-        reports[width] = (_report_json(norm),
-                          _report_json(sweep_trace_simple(max_order=256)))
-    first = reports[1]
+    budgets = (grids._ROW_CELLS, 1 << 10)
+    for cells in budgets:
+        monkeypatch.setattr(grids, "_ROW_CELLS", cells)
+        monkeypatch.setattr(tables, "_ROW_CELLS", cells)
+        for width in widths:
+            full_rows[width] = witness_rows[width] = 0
+            monkeypatch.setattr(grids, "_PREFIX", width)
+            norm = sweep_norm_lift(max_order=1024, random_h=20)
+            assert full_rows[width] == witness_rows[width] == 1415
+            reports[cells, width] = (_report_json(norm),
+                                     _report_json(sweep_trace_simple(max_order=256)),
+                                     _report_json(sweep_monomial_norm(max_order=1024)),
+                                     _report_json(sweep_quadratic_monomials(max_order=4096)))
+    first = reports[budgets[0], 1]
     assert first[0]["extras"]["fiber_agreements"] == first[0]["cases"] == 39440
     assert all(r == first for r in reports.values())
     # a wider prefix rejects no fewer rows; 64 and 256 can reject the same
@@ -407,6 +416,25 @@ def test_thm22_memory_peak_with_warm_tables():
     assert peak < 7 * 2**20, peak
 
 
+def test_thm32_memory_peak_with_warm_tables():
+    # the spread prefix leaves few rows of each witness block to lift in
+    # full, in blocks of _ROW_CELLS cells: a block's 2048 x 1024 lifted
+    # cells never sit in memory at once
+    import tracemalloc
+
+    for shape in grids._grid_shapes(sweep_trace_simple.default_max_order):
+        tables.base_tables(grids._tower(*shape).base)
+        tables.tower_tables(grids._tower(*shape))
+    tracemalloc.start()
+    try:
+        rep = sweep_trace_simple()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.cases == 144799
+    assert peak < 8 * 2**20, peak
+
+
 def _f1024_over_f4():
     return next(t for t in tower_grid(1024) if (t.q, t.n) == (4, 5))
 
@@ -458,7 +486,7 @@ def test_a_corrupted_table_still_shows(monkeypatch, name, cell, value, permuting
     # row and on a row that is never lifted in full, because its first q
     # lifted values (its witness) repeat. A bad cell in the embedded F_4 or
     # in the base MUL fails the tower's reuse checks, and then every row of
-    # the tower is lifted in full
+    # the tower is handed to the lift verdict
     fiber_agreements, digest, reused = _CORRUPTED_REPORTS[name, cell]
     tower = _f1024_over_f4()
     tt = tables.tower_tables(tower)
@@ -470,14 +498,14 @@ def test_a_corrupted_table_still_shows(monkeypatch, name, cell, value, permuting
         head = np.sort(lift[tuple(rejected)][0, : tower.q])
         assert (np.diff(head) == 0).any()
     lifted = []
-    real_cpp_rows = grids.cpp_rows
+    real_lift_verdicts = grids._lift_verdicts
 
-    def counting_cpp_rows(t, tabs):
+    def counting_lift_verdicts(t, rows, count):
         if t is tt:
-            lifted.append(len(tabs))
-        return real_cpp_rows(t, tabs)
+            lifted.append(count)
+        return real_lift_verdicts(t, rows, count)
 
-    monkeypatch.setattr(grids, "cpp_rows", counting_cpp_rows)
+    monkeypatch.setattr(grids, "_lift_verdicts", counting_lift_verdicts)
     table = getattr(bt if name in ("ADD", "MUL") else tt, name)
     try:
         table[cell] = value
