@@ -466,10 +466,10 @@ class FieldDesc:
 
     @functools.cached_property
     def _add_tab(self) -> Optional[array]:
-        """The shared (p, w) table of an odd-p level up to _LOG_TABLE_MAX,
-        None for p = 2 or past it; at full degree 1 only TowerTables reads
-        it. Looked up on the first read, so only a level that adds holds one."""
-        if self.p == 2 or self.order > _LOG_TABLE_MAX:
+        """The shared (p, w) table of an odd-p level of full degree > 1 up to
+        _LOG_TABLE_MAX, else None. Looked up on the first read, so only a
+        level that adds holds one."""
+        if self.p == 2 or self.full_degree == 1 or self.order > _LOG_TABLE_MAX:
             return None
         return _half_add_table(self.p, (self.full_degree + 1) // 2)
 

@@ -19,37 +19,38 @@ reference path vouch for each other.
 The norm and trace lifts cost only what their verdicts need, and every
 shortcut is exact for any table contents, so none takes a theorem on
 trust. Each lift reduces to a witness on the base field, x*h(x^n) for the
-norm lift and x*h(x) for the trace lifts, and one witness pass serves all
-three. A row whose values repeat is not a permutation, so not a CPP. One
-helper, _lift_verdicts, gives every whole-tower verdict but thm3.7's,
-which checks its proof identity on every row: it reads each row at
-_PREFIX elements spread evenly over the tower, and builds in full,
-_ROW_CELLS cells at a time, only the rows distinct there. The norm lift
-(thm2.2) hands it fewer rows: codes below q are the embedded F_q, where
-nor(x) = x^n, so the lift's first q columns are the witness map x*h(x^n)
-that the witness pass has checked, and x -> x^n carries the witness onto
-the fiber criterion's induced map v*h(v)^n. Two checks of q x q cells per
-tower confirm both facts on the tables; a tower that passes hands over
-only the rows whose witness permutes, and takes the induced-map verdicts
-from the witness. An injective lift has injective pairs x -> (nor x,
-lift x), so the fiber pair scan sorts only the rows whose induced map
-bijects and whose lift repeats. The thm2.2 commuting square at a row and
-x depends only on x and c = h(nor x), so one order x q table per tower
-(TowerTables.norm_square_table) decides it: a row's square fails exactly
-when the row takes the value c at nor x for some failing cell (x, c).
+norm lift and x*h(x) for the trace lifts. A row whose values repeat is not
+a permutation, so not a CPP. One helper, _lift_verdicts, gives every
+whole-tower verdict but thm3.7's, which checks its proof identity on every
+row: it reads each row at _PREFIX elements spread evenly over the tower,
+and builds in full, _ROW_CELLS cells at a time, only the rows distinct
+there. The norm lift (thm2.2) hands it fewer rows: codes below q are the
+embedded F_q, where nor(x) = x^n, so the lift's first q columns are the
+witness map x*h(x^n) that the witness pass has checked, and x -> x^n
+carries the witness onto the fiber criterion's induced map v*h(v)^n. Two
+checks of q x q cells per tower confirm both facts on the tables; a tower
+that passes hands over only the rows whose witness permutes, and takes
+the induced-map verdicts from the witness. An injective lift has
+injective pairs x -> (nor x, lift x), so the fiber pair scan sorts only
+the rows whose induced map bijects and whose lift repeats. The thm2.2
+commuting square at a row and x depends only on x and c = h(nor x), so
+one order x q table per tower (TowerTables.norm_square_table) decides it:
+a row's square fails exactly when the row takes the value c at nor x for
+some failing cell (x, c).
 
 The exhaustive h of thm2.2, thm3.2, thm3.3 and thm3.7 come from one lazy
 grid (HGrid): the nonzero coefficient vectors in code order, each a pair
 (top, c0) with c0 fastest, built a block at a time from their indices, so
-the q^3 rows of a degree-2 grid are never all in memory. The witness pass
-walks it in blocks. On a thm2.2 tower that passes both checks, the pass
-first evaluates each block at x^n for the first _WITNESS_PREFIX x only,
-and in full only the rows whose witness is distinct there. That prefix is
-Horner's last step over the block (BaseTables.horner_product): each top
-is evaluated once, and the q rows that share it differ only in the final
-ADD with c0, which reads the same table cells as per-row Horner. The
-seeded random h, a hundred rows per tower, skip the prefix and are
-evaluated in full.
+the q^3 rows of a degree-2 grid are never all in memory. A sweep walks it
+a block at a time and keeps, past a block, only the verdicts of its rows
+sampled for the scalar replay. thm3.2 and thm3.7 check each block's
+witness x*h(x) on the whole base; thm2.2's own pass (_witness_blocks), on
+a tower that passes both checks, first evaluates each block at x^n for
+the first _WITNESS_PREFIX x only, and in full only the rows whose witness
+is distinct there. That prefix is Horner's last step over the block
+(BaseTables.horner_product): each top is evaluated once, and the q rows
+that share it differ only in the final ADD with c0, which reads the same
+table cells as per-row Horner. The seeded random h skip the prefix.
 """
 
 from __future__ import annotations
@@ -279,32 +280,25 @@ def _lift_verdicts(tt, rows, count: int):
     return perm, cpp
 
 
-def _witness_blocks(bt, h, subst: np.ndarray, width: int, step: int):
-    """The witness pass of every lift: blocks of step rows of h (an HGrid,
-    or with width 0 an array of coefficient rows), each with its
-    coefficient rows, a mask alive, h's values on the base for the alive
-    rows, and the verdicts (perm, cpp) per row of the witness
-    x*h(subst[x]). The norm lift (thm2.2) substitutes x^n; the trace lifts
-    (thm3.2, thm3.7) pass the identity.
-
-    With a width, the grid's block is first evaluated at the points
-    subst[x] of the witness's first width columns only, by its shared
-    Horner step (HGrid.at); a row whose witness repeats a value there
-    neither permutes nor is a CPP, and only the other rows are alive and
-    evaluated in full, row by row. Width 0 keeps every row alive.
-    """
+def _witness_blocks(bt, h, pow_n: np.ndarray, width: int, step: int):
+    """thm2.2's witness pass: per block of step rows of h (an HGrid, or with
+    width 0 an array of coefficient rows), its first row lo, its rows, a
+    mask alive, h on the base for the alive rows, and (perm, cpp) per row
+    of the witness x*h(x^n), pow_n being x -> x^n. With a width, a grid
+    block is first evaluated at x^n for the first width x only (HGrid.at);
+    a row whose witness repeats there is neither a permutation nor a CPP,
+    and only the others are alive and evaluated in full. Width 0 keeps
+    every row alive."""
     for lo in range(0, len(h), step):
         coeffs = h[lo : lo + step]
         alive = np.ones(len(coeffs), dtype=bool)
         if width:
-            points = subst[:width]
-            alive = _distinct_rows(bt.mul_by_x(h.at(bt, lo, lo + step, points)))
+            alive = _distinct_rows(bt.mul_by_x(h.at(bt, lo, lo + step, pow_n[:width])))
         hv = bt.horner(coeffs[alive])
         perm = np.zeros(len(coeffs), dtype=bool)
         cpp = perm.copy()
-        perm[alive], cpp[alive] = cpp_rows(bt, bt.mul_by_x(hv[:, subst]))
-        yield coeffs, alive, hv, perm, cpp
-
+        perm[alive], cpp[alive] = cpp_rows(bt, bt.mul_by_x(hv[:, pow_n]))
+        yield lo, coeffs, alive, hv, perm, cpp
 
 
 class HGrid:
@@ -423,10 +417,10 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
     all_h = HGrid(q, H_DEGREE)
     rand_h = _random_h_coeffs(q, random_h, rng)
     sample_idx = set(rng.integers(0, len(all_h), size=8).tolist())
-    verdicts = []  # (witness, lift) CPP verdicts of the all_h rows
+    sampled = {}  # row -> (witness, lift) CPP verdicts of the sampled all_h rows
     # the random h are few, so they skip the prefix
     for block, block_width in ((all_h, width), (rand_h, 0)):
-        for coeffs, alive, hv, wit_perm, wit_cpp in _witness_blocks(
+        for lo, coeffs, alive, hv, wit_perm, wit_cpp in _witness_blocks(
                 bt, block, pow_n, block_width, max(1, _WITNESS_CELLS // q)):
             # fiber criterion with induced v -> v*h(v)^n; hv holds the
             # alive rows, which include every row of full
@@ -455,16 +449,16 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
             rep.note(wit_cpp == lift_cpp, lift_cpp,
                      lambda i: {"q": q, "n": n, "h": coeffs[i].tolist()})
             if block is all_h:
-                verdicts.append((wit_cpp, lift_cpp))
-    wit_all, lift_all = (np.concatenate(v) for v in zip(*verdicts))
+                sampled.update((i, (wit_cpp[i - lo], lift_cpp[i - lo]))
+                               for i in sample_idx if lo <= i < lo + len(coeffs))
     # replay a seeded sample through the scalar builder against the
     # batch's verdicts; big towers get one full-table replay and seeded
     # point pinning for the rest, small ones replay the whole table
-    for j, i in enumerate(sorted(sample_idx)):
+    for j, (i, (wit_cpp, lift_cpp)) in enumerate(sorted(sampled.items())):
         res = norm_lift(Poly(tower.base, [int(c) for c in all_h[i]]), tower)
-        assert res.predicted_cpp == wit_all[i]
+        assert res.predicted_cpp == wit_cpp
         if order < 1024 or j == 0:
-            assert res.verified_cpp(order) == lift_all[i]
+            assert res.verified_cpp(order) == lift_cpp
         else:
             lifted = _lift_rows(tt, bt.horner(all_h[i : i + 1]), tt.NOR)[0]
             for x in rng.integers(0, order, size=32):
@@ -552,18 +546,21 @@ def sweep_trace_simple(rep: SweepReport, tower: TowerDesc, rng) -> None:
     if len(all_h) == 0:
         return
     sample_idx = set(rng.integers(0, len(all_h), size=4).tolist())
-    verdicts = []  # (witness, lift) CPP verdicts per row
-    for coeffs, _, hv, _, wit_cpp in _witness_blocks(
-            bt, all_h, np.arange(q), 0, max(1, _ROW_CELLS // order)):
+    sampled = {}  # row -> (witness, lift) CPP verdicts of the sampled rows
+    step = max(1, _ROW_CELLS // order)
+    for lo in range(0, len(all_h), step):
+        coeffs = all_h[lo : lo + step]
+        hv = bt.horner(coeffs)
+        _, wit_cpp = cpp_rows(bt, bt.mul_by_x(hv))
         _, lift_cpp = _lift_verdicts(tt, lambda i, xs: _lift_rows(tt, hv[i], tt.TR, xs), len(hv))
         rep.note(wit_cpp == lift_cpp, lift_cpp,
                  lambda i: {"q": q, "n": tower.n, "h": coeffs[i].tolist()})
-        verdicts.append((wit_cpp, lift_cpp))
-    wit_all, lift_all = (np.concatenate(v) for v in zip(*verdicts))
-    for i in sorted(sample_idx):
+        sampled.update((i, (wit_cpp[i - lo], lift_cpp[i - lo]))
+                       for i in sample_idx if lo <= i < lo + len(coeffs))
+    for i, (wit_cpp, lift_cpp) in sorted(sampled.items()):
         res = trace_lift_simple(Poly(tower.base, [int(c) for c in all_h[i]]), tower)
-        assert res.predicted_cpp == wit_all[i]
-        assert res.verified_cpp(order) == lift_all[i]
+        assert res.predicted_cpp == wit_cpp
+        assert res.verified_cpp(order) == lift_cpp
         rep.extras["builder_crosschecks"] += 1
 
 
@@ -629,10 +626,7 @@ def sweep_trace_binomial(rep: SweepReport, tower: TowerDesc, rng) -> None:
     xs = np.arange(order)[None, :]
     minus = tt.scale_row(tower.base._cneg(1))
     all_h = HGrid(q, H_DEGREE)
-    # h values on the trace and witness verdicts depend on neither k nor a
-    blocks = [(coeffs, hv[:, tt.TR], wit_cpp)
-              for coeffs, _, hv, _, wit_cpp in _witness_blocks(
-                  bt, all_h, np.arange(q), 0, max(1, _ROW_CELLS // order))]
+    step = max(1, _ROW_CELLS // order)
     for k in ks:
         avec = tt.pow_all(p**k - 1)
         adiff = tt.add(avec[tt.TR], minus[avec])  # A(tr x) - A(x)
@@ -642,7 +636,11 @@ def sweep_trace_binomial(rep: SweepReport, tower: TowerDesc, rng) -> None:
             return tt.mul(tt.add(htr, tt.scale_row(a)[adiff][None, :]), xs)
 
         for a in range(1, q):
-            for coeffs, htr, wit_cpp in blocks:
+            for lo in range(0, len(all_h), step):
+                coeffs = all_h[lo : lo + step]
+                hv = bt.horner(coeffs)
+                _, wit_cpp = cpp_rows(bt, bt.mul_by_x(hv))
+                htr = hv[:, tt.TR]
                 lifted = lift(htr, a)
                 _, lift_cpp = cpp_rows(tt, lifted)
                 ident = (tt.TR[lifted] == bt.MUL[tt.TR[None, :], htr]).all(axis=1)

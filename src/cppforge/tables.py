@@ -149,8 +149,8 @@ class TowerTables:
 
     def add(self, a: np.ndarray, b) -> np.ndarray:
         half, lo = self._half_add, self.tower._add_lo
-        if half is None:  # p = 2
-            return a ^ b
+        if half is None:  # p = 2, or a level of full degree 1
+            return a ^ b if self.tower.p == 2 else (a + b) % self.tower.p
         # widen before multiplying: in uint16, lo times an entry wraps past
         # 65535, and the uint16 sum would wrap the next addition's indices
         high = half[a // lo * lo + b // lo].astype(np.int32)

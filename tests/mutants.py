@@ -1,13 +1,15 @@
 """Mutation gate: every exact shortcut must have a test that notices when it
 is broken.
 
-Each entry of MUTANTS is (file, old text, new text, test files). The file
-is a path under src/, and the old text must occur in it exactly once, so a
+Each entry of MUTANTS is (file, old text, new text, tests). The file is a
+path under src/, and the old text must occur in it exactly once, so a
 refactor that moves or rewrites the code has to update its entry on
-purpose. For each entry the script copies src/ to a temporary directory,
-replaces the old text by the new one there, and runs `pytest -x -q` on the
-named test files against the copy. That run must fail: a mutant whose
-tests pass has survived, and the script exits 1.
+purpose. The tests are the test functions that kill the mutant, each as
+`file::test`, so a mutant runs only those and not its whole test file. For
+each entry the script copies src/ to a temporary directory, replaces the
+old text by the new one there, and runs `pytest -x -q` on the named tests
+against the copy. That run must fail: a mutant whose tests pass has
+survived, and the script exits 1.
 
 Run from anywhere, with the test dependencies installed:
 
@@ -32,62 +34,81 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = [
     # the sentinel log of 0 lands on a nonzero product's log
     ("cppforge/fields.py", "lg[0] = 2 * m\n", "lg[0] = 2 * m - 1\n",
-     ["tests/test_fields.py"]),
+     ["tests/test_fields.py::test_log_tables_match_convolution_every_pair_up_to_256"]),
     # the low half of a translation list starts one entry late
     ("cppforge/fields.py", "low = tab[cl * lo : cl * lo + lo]",
-     "low = tab[cl * lo + 1 : cl * lo + lo + 1]", ["tests/test_fields.py"]),
+     "low = tab[cl * lo + 1 : cl * lo + lo + 1]",
+     ["tests/test_fields.py::test_translation_lists_are_the_addition_of_every_constant_up_to_729"]),
     # a level's split point no longer matches its half table's width
     ("cppforge/fields.py", "self._add_lo = p ** ((self.full_degree + 1) // 2)",
-     "self._add_lo = p ** (self.full_degree // 2)", ["tests/test_fields.py"]),
+     "self._add_lo = p ** (self.full_degree // 2)",
+     ["tests/test_fields.py::test_negation_matches_the_digitwise_reference_on_every_element_up_to_729"]),
     # one Frobenius pass dropped between two indices of a p-polynomial
     ("cppforge/maps.py", "for _ in range(i - pos):", "for _ in range(i - pos - 1):",
-     ["tests/test_maps.py"]),
+     ["tests/test_maps.py::test_ppoly_eval_all_is_the_pointwise_chain_on_every_tower_up_to_729"]),
     # the basis trace read one code past q^i
     ("cppforge/maps.py", "trace_code(tower, q**i)", "trace_code(tower, q**i + 1)",
-     ["tests/test_maps.py"]),
+     ["tests/test_maps.py::test_trace_kernel_size_and_membership"]),
     # A(0) of the trace-general builder taken as 0 instead of a_0
     ("cppforge/lifts.py", "alist[0] = L.coefficient(0).code", "alist[0] = 0",
-     ["tests/test_lifts.py"]),
+     ["tests/test_lifts.py::test_trace_general_lists_the_map_of_its_dense_polynomial"]),
     # the base addition table built with its columns reversed
     ("cppforge/tables.py", "field._cadd_each([a] * q, range(q))",
-     "field._cadd_each([a] * q, reversed(range(q)))", ["tests/test_tables.py"]),
+     "field._cadd_each([a] * q, reversed(range(q)))",
+     ["tests/test_tables.py::test_base_tables_match_scalar_ops"]),
     # base powers with the exponent reduced mod q instead of taken whole
     ("cppforge/tables.py", "self.field._cpow_all(int(e))", "self.field._cpow_all(int(e) % self.q)",
-     ["tests/test_tables.py"]),
+     ["tests/test_tables.py::test_base_pow_all_matches_scalar"]),
     # the high half summed in uint16, which wraps past 65535
     ("cppforge/tables.py", "high = half[a // lo * lo + b // lo].astype(np.int32)",
-     "high = half[a // lo * lo + b // lo]", ["tests/test_tables.py"]),
+     "high = half[a // lo * lo + b // lo]",
+     ["tests/test_tables.py::test_odd_tower_add_is_the_digit_loop_on_seeded_pairs"]),
     # the tower split at q^ceil(n/2), not at the level's p^ceil(full_degree/2)
     ("cppforge/tables.py", "half, lo = self._half_add, self.tower._add_lo",
      "half, lo = self._half_add, self.tower.q ** ((self.tower.n + 1) // 2)",
-     ["tests/test_tables.py"]),
+     ["tests/test_tables.py::test_odd_tower_add_is_the_digit_loop_on_seeded_pairs"]),
     # a row with values outside its field's codes scatters into the next row
     ("cppforge/tables.py", '_check_range(tabs, w, "table value")', "pass",
-     ["tests/test_tables.py"]),
+     ["tests/test_tables.py::test_bijective_rows_refuses_out_of_range_values"]),
     # a row with one pair of distinct values taken as distinct throughout
     ("cppforge/grids.py", "return (keys[:, 1:] != keys[:, :-1]).all(axis=1)",
-     "return (keys[:, 1:] != keys[:, :-1]).any(axis=1)", ["tests/test_grids.py"]),
+     "return (keys[:, 1:] != keys[:, :-1]).any(axis=1)",
+     ["tests/test_grids.py::test_kernel_binomial_sweep_small_scale"]),
     # the witness prefix evaluates h one point late
-    ("cppforge/grids.py", "points = subst[:width]", "points = subst[1 : width + 1]",
-     ["tests/test_grids.py"]),
+    ("cppforge/grids.py", "pow_n[:width]", "pow_n[1 : width + 1]",
+     ["tests/test_grids.py::test_witness_prefix_width_changes_no_verdict"]),
+    # thm2.2 and thm3.2 keep a sampled row's verdicts from the row before
+    # it (the indentation tells the two lines apart)
+    ("cppforge/grids.py", " " * 16 + "sampled.update((i, (wit_cpp[i - lo], lift_cpp[i - lo]))",
+     " " * 16 + "sampled.update((i, (wit_cpp[i - lo - 1], lift_cpp[i - lo - 1]))",
+     ["tests/test_grids.py::test_norm_lift_sweep_small_scale"]),
+    ("cppforge/grids.py", "\n" + " " * 8 + "sampled.update((i, (wit_cpp[i - lo], lift_cpp[i - lo]))",
+     "\n" + " " * 8 + "sampled.update((i, (wit_cpp[i - lo - 1], lift_cpp[i - lo - 1]))",
+     ["tests/test_grids.py::test_trace_simple_sweep_small_scale"]),
     # the shared Horner step adds each top's c0 values shifted by one row
     ("cppforge/tables.py", ".transpose(0, 2, 1).take(c0s, axis=1)",
-     ".transpose(0, 2, 1).take(np.roll(c0s, 1), axis=1)", ["tests/test_tables.py"]),
+     ".transpose(0, 2, 1).take(np.roll(c0s, 1), axis=1)",
+     ["tests/test_tables.py::test_horner_product_is_per_row_horner"]),
     # the lift's first q columns taken as the witness without checking
     ("cppforge/grids.py", "sub_ok = ((tt.NOR[:q] == pow_n).all()",
-     "sub_ok = True or ((tt.NOR[:q] == pow_n).all()", ["tests/test_grids.py"]),
+     "sub_ok = True or ((tt.NOR[:q] == pow_n).all()",
+     ["tests/test_grids.py::test_a_corrupted_table_still_shows"]),
     # x -> x^n taken to carry the witness onto the induced map unchecked
     ("cppforge/grids.py", "pow_ok = (bijective_rows(pow_n[None, :])[0]",
-     "pow_ok = True or (bijective_rows(pow_n[None, :])[0]", ["tests/test_grids.py"]),
+     "pow_ok = True or (bijective_rows(pow_n[None, :])[0]",
+     ["tests/test_grids.py::test_a_corrupted_table_still_shows"]),
     # the square table's failing cells dropped, so no row's square fails
     ("cppforge/grids.py", "bad_x, bad_c = np.nonzero(~tt.norm_square_table())",
-     "bad_x, bad_c = np.nonzero(~tt.norm_square_table() & False)", ["tests/test_grids.py"]),
+     "bad_x, bad_c = np.nonzero(~tt.norm_square_table() & False)",
+     ["tests/test_grids.py::test_a_corrupted_table_still_shows"]),
     # rows whose lift repeats taken as pair-injective without a scan
     ("cppforge/grids.py", "scan = np.flatnonzero((h_bij & ~perm)[full])",
-     "scan = np.flatnonzero((h_bij & ~perm & False)[full])", ["tests/test_grids.py"]),
+     "scan = np.flatnonzero((h_bij & ~perm & False)[full])",
+     ["tests/test_grids.py::test_a_corrupted_table_still_shows"]),
     # the spread prefix multiplies by the leading codes, not by its own x
     ("cppforge/grids.py", "tt.LOG[hcols][:, sel[xs]] + tt.LOG[xs]",
-     "tt.LOG[hcols][:, sel[xs]] + tt.LOG[: len(sel[xs])]", ["tests/test_grids.py"]),
+     "tt.LOG[hcols][:, sel[xs]] + tt.LOG[: len(sel[xs])]",
+     ["tests/test_grids.py::test_a_corrupted_table_still_shows"]),
 ]
 
 

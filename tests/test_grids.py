@@ -275,7 +275,9 @@ def test_prefix_width_changes_no_verdict(monkeypatch):
     # tables thm2.2 hands the verdict only the rows whose witness permutes;
     # their lifts permute, so every width builds exactly those in full. A
     # batch budget of 2^10 cells splits every batch, the square table's
-    # too, and changes no report either
+    # too, and changes no report either. thm3.7 reads no prefix, and at its
+    # default only that budget splits its h grid: F_125/F_5's 124 rows walk
+    # in blocks of 8
     full_rows = {}
     witness_rows = {}
     real_cpp_rows = grids.cpp_rows
@@ -304,7 +306,8 @@ def test_prefix_width_changes_no_verdict(monkeypatch):
             reports[cells, width] = (_report_json(norm),
                                      _report_json(sweep_trace_simple(max_order=256)),
                                      _report_json(sweep_monomial_norm(max_order=1024)),
-                                     _report_json(sweep_quadratic_monomials(max_order=4096)))
+                                     _report_json(sweep_quadratic_monomials(max_order=4096)),
+                                     _report_json(sweep_trace_binomial()))
     first = reports[budgets[0], 1]
     assert first[0]["extras"]["fiber_agreements"] == first[0]["cases"] == 39440
     assert all(r == first for r in reports.values())

@@ -417,13 +417,17 @@ def test_odd_tower_tables_read_the_scalar_half_table_in_place():
         assert all(np.shares_memory(halves[0], half) for half in halves)
 
 
-def test_a_degree_one_odd_tower_adds_through_the_p_by_p_half_table():
-    # F_7/F_7 has full degree 1: its tables read the shared (7, 1) table
-    tw = make_tower(make_prime_field(7), 1)
-    tt = TowerTables(tw)
-    assert tw._add_tab is fields._half_add_table(7, 1)
-    a, b = np.meshgrid(np.arange(7), np.arange(7))
-    assert tt.add(a, b).tolist() == [[tw._cadd(x, y) for x in range(7)] for y in range(7)]
+def test_a_degree_one_odd_tower_adds_mod_p_with_no_table():
+    # F_p/F_p has full degree 1: its tables add mod p, as _cadd does, and no
+    # level holds a p x p half table, which at p = 4093 has 16.7M cells.
+    # The codes are every code of F_7, and the 64 lowest and highest of F_4093
+    for p in (7, 4093):
+        tw = make_tower(make_prime_field(p), 1)
+        tt = TowerTables(tw)
+        assert tw._add_tab is None and tt._half_add is None
+        codes = np.unique(np.r_[: min(p, 64), max(0, p - 64) : p])
+        a, b = np.meshgrid(codes, codes)
+        assert tt.add(a, b).tolist() == [[tw._cadd(int(x), int(y)) for x in codes] for y in codes]
 
 
 def test_zero_operand_products_are_zero(tt):
