@@ -21,22 +21,23 @@ shortcut is exact for any table contents, so none takes a theorem on
 trust. Each lift reduces to a witness on the base field, x*h(x^n) for the
 norm lift and x*h(x) for the trace lifts. A row whose values repeat is not
 a permutation, so not a CPP. One helper, _lift_verdicts, gives every
-whole-tower verdict but thm3.7's, which checks its proof identity on every
-row: it reads each row at _PREFIX elements spread evenly over the tower,
-and builds in full, _ROW_CELLS cells at a time, only the rows distinct
-there. The norm lift (thm2.2) hands it fewer rows: codes below q are the
-embedded F_q, where nor(x) = x^n, so the lift's first q columns are the
-witness map x*h(x^n) that the witness pass has checked, and x -> x^n
-carries the witness onto the fiber criterion's induced map v*h(v)^n. Two
-checks of q x q cells per tower confirm both facts on the tables; a tower
-that passes hands over only the rows whose witness permutes, and takes
-the induced-map verdicts from the witness. An injective lift has
-injective pairs x -> (nor x, lift x), so the fiber pair scan sorts only
-the rows whose induced map bijects and whose lift repeats. The thm2.2
-commuting square at a row and x depends only on x and c = h(nor x), so
-one order x q table per tower (TowerTables.norm_square_table) decides it:
-a row's square fails exactly when the row takes the value c at nor x for
-some failing cell (x, c).
+whole-tower verdict: it reads each row at _PREFIX elements spread evenly
+over the tower, and builds in full, _ROW_CELLS cells at a time, only the
+rows distinct there. The norm lift (thm2.2) hands it fewer rows: codes
+below q are the embedded F_q, where nor(x) = x^n, so the lift's first q
+columns are the witness map x*h(x^n) that the witness pass has checked,
+and x -> x^n carries the witness onto the fiber criterion's induced map
+v*h(v)^n. Two checks of q x q cells per tower confirm both facts on the
+tables; a tower that passes hands over only the rows whose witness
+permutes, and takes the induced-map verdicts from the witness. An
+injective lift has injective pairs x -> (nor x, lift x), so the fiber pair
+scan sorts only the rows whose induced map bijects and whose lift repeats.
+The thm2.2 commuting square at a row and x depends only on x and c = h(nor
+x), so one order x q table per tower (TowerTables.norm_square_table)
+decides it: a row's square fails exactly when the row takes the value c at
+nor x for some failing cell (x, c). thm3.7's lift and proof identity at x
+likewise depend only on x and c = h(tr x): one order x q table per (k, a)
+(_binomial_lift_table) decides both.
 
 The exhaustive h of thm2.2, thm3.2, thm3.3 and thm3.7 come from one lazy
 grid (HGrid): the nonzero coefficient vectors in code order, each a pair
@@ -604,16 +605,30 @@ def sweep_trace_general(rep: SweepReport, tower: TowerDesc, rng) -> None:
                           "L": L.text(), "a": a})
 
 
+def _binomial_lift_table(tt, bt, k: int, a: int):
+    """lift(hv, xs): the rows of h values hv at the tower elements xs, each x
+    the cell (x, h(tr x)) of one order x q table T[x, c] = x*(c + a*(A(tr x)
+    - A(x))), A(x) = x^(p^k - 1); and the failing cells (x, c) of
+    tr(T[x, c]) = tr(x)*c."""
+    q, order = tt.tower.q, tt.tower.order
+    avec = tt.pow_all(tt.tower.p**k - 1)
+    adiff = tt.add(avec[tt.TR], tt.scale_row(tt.tower.base._cneg(1))[avec])  # A(tr x) - A(x)
+    table = tt.mul(tt.add(np.arange(q)[None, :], tt.scale_row(a)[adiff][:, None]),
+                   np.arange(order)[:, None])
+    bad_x, bad_c = np.nonzero(tt.TR[table] != bt.MUL[tt.TR])
+    return (lambda hv, xs: table.ravel()[xs * q + hv[:, tt.TR[xs]]]), bad_x, bad_c
+
+
 @_sweep("thm3.7", 256, _grid_shapes, {"builder_crosschecks": 0, "identity_failures": 0})
 def sweep_trace_binomial(rep: SweepReport, tower: TowerDesc, rng) -> None:
     """L = x^(p^k) lifts on every tower/k passing the arithmetic conditions.
 
-    The batched path recomputes H(x) = h(tr x) + a*(A(tr x) - A(x)) from
-    scratch per case; a seeded sample per (tower, k) replays through
-    trace_lift_binomial, which also re-verifies the kernel hypothesis the
-    arithmetic conditions promise.
+    Every lift of one (k, a) reads one table (_binomial_lift_table); a
+    seeded sample per (tower, k) replays through trace_lift_binomial, which
+    also re-verifies the kernel hypothesis the arithmetic conditions
+    promise, and must give the table's row.
     """
-    p, r, n, q = tower.p, tower.base.r, tower.n, tower.q
+    p, r, n, q, order = tower.p, tower.base.r, tower.n, tower.q, tower.order
     if n % p == 0:
         return
     ks = [k for k in range(1, tower.full_degree)
@@ -622,28 +637,17 @@ def sweep_trace_binomial(rep: SweepReport, tower: TowerDesc, rng) -> None:
         return
     bt = base_tables(tower.base)
     tt = tower_tables(tower)
-    order = tower.order
-    xs = np.arange(order)[None, :]
-    minus = tt.scale_row(tower.base._cneg(1))
     all_h = HGrid(q, H_DEGREE)
     step = max(1, _ROW_CELLS // order)
     for k in ks:
-        avec = tt.pow_all(p**k - 1)
-        adiff = tt.add(avec[tt.TR], minus[avec])  # A(tr x) - A(x)
-
-        def lift(htr: np.ndarray, a: int) -> np.ndarray:
-            """x*H(x) per row of h(tr x) values, H(x) = h(tr x) + a*adiff(x)."""
-            return tt.mul(tt.add(htr, tt.scale_row(a)[adiff][None, :]), xs)
-
         for a in range(1, q):
+            lift, bad_x, bad_c = _binomial_lift_table(tt, bt, k, a)
             for lo in range(0, len(all_h), step):
                 coeffs = all_h[lo : lo + step]
                 hv = bt.horner(coeffs)
                 _, wit_cpp = cpp_rows(bt, bt.mul_by_x(hv))
-                htr = hv[:, tt.TR]
-                lifted = lift(htr, a)
-                _, lift_cpp = cpp_rows(tt, lifted)
-                ident = (tt.TR[lifted] == bt.MUL[tt.TR[None, :], htr]).all(axis=1)
+                _, lift_cpp = _lift_verdicts(tt, lambda i, xs: lift(hv[i], xs), len(hv))
+                ident = (hv[:, tt.TR[bad_x]] != bad_c).all(axis=1)
                 rep.extras["identity_failures"] += int((~ident).sum())
                 rep.note((wit_cpp == lift_cpp) & ident, lift_cpp,
                          lambda i: {"q": q, "n": n, "k": k, "a": a,
@@ -652,11 +656,11 @@ def sweep_trace_binomial(rep: SweepReport, tower: TowerDesc, rng) -> None:
             h = Poly(tower.base, [int(c) for c in all_h[i]])
             a = int(rng.integers(1, q))
             res = trace_lift_binomial(h, k, a, tower, order)
-            ver = res.verified_cpp(order)
-            assert ver == res.predicted_cpp
+            assert res.verified_cpp(order) == res.predicted_cpp
             assert res.extras["proof_identity_holds"] is True
-            htr = bt.horner(all_h[i : i + 1])[:, tt.TR]
-            assert res.map_table(order) == lift(htr, a)[0].tolist()
+            lift = _binomial_lift_table(tt, bt, k, a)[0]
+            hv = bt.horner(all_h[i : i + 1])
+            assert res.map_table(order) == lift(hv, np.arange(order))[0].tolist()
             rep.extras["builder_crosschecks"] += 1
 
 

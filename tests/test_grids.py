@@ -17,7 +17,7 @@ import pytest
 
 from cppforge import REGISTRY, SweepReport, clear_caches, norm_lift_pairs, tower_grid
 from cppforge import cli, fields, grids, maps, permcheck, tables
-from cppforge import make_extension, make_prime_field
+from cppforge import Poly, make_extension, make_prime_field, trace_lift_binomial
 from cppforge.grids import (
     DEFAULT_SEED,
     sweep_kernel_binomials,
@@ -269,15 +269,14 @@ def test_the_exp_log_lists_held_after_a_walk_stay_bounded():
 def test_prefix_width_changes_no_verdict(monkeypatch):
     # the prefix only decides which rows of a whole-tower batch are built in
     # full: a repeat in it is a proof of non-permutation, so every width
-    # gives the same reports, for thm2.2, thm3.2, cor2.3 and cor2.5 alike.
-    # Width 1 rejects nothing, so every row takes the full path; 64 and
-    # 256, the two widths the prefix has had, stay under test. On sound
+    # gives the same reports, for thm2.2, thm3.2, cor2.3, cor2.5 and thm3.7
+    # alike. Width 1 rejects nothing, so every row takes the full path; 64
+    # and 256, the two widths the prefix has had, stay under test. On sound
     # tables thm2.2 hands the verdict only the rows whose witness permutes;
     # their lifts permute, so every width builds exactly those in full. A
     # batch budget of 2^10 cells splits every batch, the square table's
-    # too, and changes no report either. thm3.7 reads no prefix, and at its
-    # default only that budget splits its h grid: F_125/F_5's 124 rows walk
-    # in blocks of 8
+    # too, and changes no report either. At thm3.7's default only that
+    # budget splits its h grid: F_125/F_5's 124 rows walk in blocks of 8
     full_rows = {}
     witness_rows = {}
     real_cpp_rows = grids.cpp_rows
@@ -436,6 +435,83 @@ def test_thm32_memory_peak_with_warm_tables():
         tracemalloc.stop()
     assert rep.cases == 144799
     assert peak < 8 * 2**20, peak
+
+
+def test_cor25_memory_peak_with_warm_tables():
+    # cor2.5 checks each (e, t, k)'s admissible alpha as one batch through
+    # the spread prefix: no q x order block of rows is ever built whole
+    import tracemalloc
+
+    for shape in grids._quadratic_shapes(sweep_quadratic_monomials.default_max_order):
+        tables.tower_tables(grids._tower(*shape))
+    tracemalloc.start()
+    try:
+        rep = sweep_quadratic_monomials()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.cases, rep.skipped) == (296, 112)
+    assert peak < 6 * 2**20, peak
+
+
+def _binomial_ks(p, r, n):
+    """The k that thm3.7 sweeps on the tower of shape (p, r, n) (none when p
+    divides n)."""
+    return [k for k in range(1, r * n) if n % p
+            and math.gcd(k, n) == 1 and math.gcd(n, p ** math.gcd(k, r) - 1) == 1]
+
+
+def _per_row_binomial_lift(tt, bt, k, a, hv):
+    """thm3.7's lifts of the rows of h values hv and their proof identities,
+    built row by row: x*(h(tr x) + a*(A(tr x) - A(x))) at every x, and
+    tr(lift(x)) == tr(x)*h(tr x) by a 2-D index of the base MUL."""
+    tower = tt.tower
+    avec = tt.pow_all(tower.p**k - 1)
+    adiff = tt.add(avec[tt.TR], tt.scale_row(tower.base._cneg(1))[avec])
+    htr = hv[:, tt.TR]
+    lifted = tt.mul(tt.add(htr, tt.scale_row(a)[adiff][None, :]), np.arange(tower.order)[None, :])
+    return lifted, (tt.TR[lifted] == bt.MUL[tt.TR[None, :], htr]).all(axis=1)
+
+
+@pytest.mark.parametrize("name, cell", [(None, None), ("MEXP", 100), ("LOG", 9), ("TR", 5)])
+def test_binomial_lift_table_is_the_per_row_lift(name, cell):
+    # no report can pin the table: a corrupted cell trips thm3.7's scalar
+    # replay. So on F_64/F_4, for both admissible k and every a, each row of
+    # the exhaustive h grid must get from the table the lift and the proof
+    # identity that it gets row by row, on sound tables and on a fresh
+    # TowerTables (the memo's stays sound) with one cell scrambled
+    tower = next(t for t in tower_grid(64) if (t.q, t.n) == (4, 3))
+    q, order = tower.q, tower.order
+    bt = tables.base_tables(tower.base)
+    tt = tables.TowerTables(tower)
+    if name is not None:
+        table = getattr(tt, name)
+        table[cell] = (table[cell] + 1) % (q if name == "TR" else order - 1)
+    hv = bt.horner(grids.HGrid(q, 2)[:])
+    assert _binomial_ks(2, 2, 3) == [1, 5]
+    failures = 0
+    for k in (1, 5):
+        for a in range(1, q):
+            lift, bad_x, bad_c = grids._binomial_lift_table(tt, bt, k, a)
+            lifted, ident = _per_row_binomial_lift(tt, bt, k, a, hv)
+            assert np.array_equal(lift(hv, np.arange(order)), lifted)
+            assert np.array_equal((hv[:, tt.TR[bad_x]] != bad_c).all(axis=1), ident)
+            failures += int((~ident).sum())
+    assert (failures == 0) == (name is None)
+    if name is None:
+        for i, k, a in ((0, 1, 1), (17, 5, 2), (62, 1, 3)):
+            h = grids.HGrid(q, 2)[i]
+            res = trace_lift_binomial(Poly(tower.base, [int(c) for c in h]), k, a, tower)
+            lift = grids._binomial_lift_table(tt, bt, k, a)[0]
+            assert res.map_table() == lift(hv[i : i + 1], np.arange(order))[0].tolist()
+
+
+def test_binomial_lift_tables_fit_one_row_block():
+    # thm3.7 builds its order x q table unblocked: every tower up to the
+    # bulk cap that has an admissible k keeps it within _ROW_CELLS cells
+    shapes = [s for s in grids._grid_shapes(tables.BULK_TOWER_CAP) if _binomial_ks(*s)]
+    assert (2, 5, 3) in shapes
+    assert max(p ** (r * n) * p**r for p, r, n in shapes) <= tables._ROW_CELLS
 
 
 def _f1024_over_f4():
