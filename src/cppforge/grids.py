@@ -27,26 +27,28 @@ rows distinct there. The norm lift (thm2.2) hands it fewer rows: codes
 below q are the embedded F_q, where nor(x) = x^n, so the lift's first q
 columns are the witness map x*h(x^n) that the witness pass has checked,
 and x -> x^n carries the witness onto the fiber criterion's induced map
-v*h(v)^n. Two checks of q x q cells per tower confirm both facts on the
-tables; a tower that passes hands over only the rows whose witness
-permutes, and takes the induced-map verdicts from the witness. An
-injective lift has injective pairs x -> (nor x, lift x), so the fiber pair
-scan sorts only the rows whose induced map bijects and whose lift repeats.
-The thm2.2 commuting square at a row and x depends only on x and c = h(nor
-x), so one order x q table per tower (TowerTables.norm_square_table)
-decides it: a row's square fails exactly when the row takes the value c at
-nor x for some failing cell (x, c). thm3.7's lift and proof identity at x
-likewise depend only on x and c = h(tr x): one order x q table per (k, a)
-(_binomial_lift_table) decides both.
+v*h(v)^n. Two checks of q x q cells per tower confirm the two facts on the
+tables: a tower that passes the first hands over only the rows whose
+witness permutes, and one that passes the second takes the induced-map
+verdicts from the witness. An injective lift has injective pairs x -> (nor
+x, lift x), so the fiber pair scan sorts only the rows whose induced map
+bijects and whose lift repeats. The thm2.2 commuting square at a row and x
+depends only on x and c = h(nor x), so one order x q table per tower
+(TowerTables.norm_square_table) decides it: a row's square fails exactly
+when the row takes the value c at nor x for some failing cell (x, c).
+thm3.7's lift and proof identity at x likewise depend only on x and c =
+h(tr x): one order x q table per (k, a) (_binomial_lift_table) decides
+both.
 
 The exhaustive h of thm2.2, thm3.2, thm3.3 and thm3.7 come from one lazy
 grid (HGrid): the nonzero coefficient vectors in code order, each a pair
 (top, c0) with c0 fastest, built a block at a time from their indices, so
-the q^3 rows of a degree-2 grid are never all in memory. A sweep walks it
-a block at a time and keeps, past a block, only the verdicts of its rows
-sampled for the scalar replay. thm3.2 and thm3.7 check each block's
-witness x*h(x) on the whole base; thm2.2's own pass (_witness_blocks), on
-a tower that passes both checks, first evaluates each block at x^n for
+the q^3 rows of a degree-2 grid are never all in memory. thm2.2, thm3.2
+and thm3.7 walk it through one generator (_lift_blocks): per block, it
+checks the witness on the whole base, lifts the rows the verdict needs,
+reads the failing cells of the sweep's table, and keeps past the block
+only the verdicts of the rows sampled for the scalar replay. On a thm2.2
+tower that passes both checks, it first evaluates each block at x^n for
 the first _WITNESS_PREFIX x only, and in full only the rows whose witness
 is distinct there. That prefix is Horner's last step over the block
 (BaseTables.horner_product): each top is evaluated once, and the q rows
@@ -281,25 +283,41 @@ def _lift_verdicts(tt, rows, count: int):
     return perm, cpp
 
 
-def _witness_blocks(bt, h, pow_n: np.ndarray, width: int, step: int):
-    """thm2.2's witness pass: per block of step rows of h (an HGrid, or with
-    width 0 an array of coefficient rows), its first row lo, its rows, a
-    mask alive, h on the base for the alive rows, and (perm, cpp) per row
-    of the witness x*h(x^n), pow_n being x -> x^n. With a width, a grid
-    block is first evaluated at x^n for the first width x only (HGrid.at);
-    a row whose witness repeats there is neither a permutation nor a CPP,
-    and only the others are alive and evaluated in full. Width 0 keeps
-    every row alive."""
+def _lift_blocks(bt, tt, h, lift, pow_n: np.ndarray, cells, width: int = 0,
+                 witness_first: bool = False, sampled: Optional[dict] = None):
+    """The one block walk of the norm and trace lifts (thm2.2, thm3.2,
+    thm3.7) over the rows of h (an HGrid, or with width 0 an array of
+    coefficient rows). Per block it yields the rows, (perm, cpp) per row of
+    the witness x*h(pow_n[x]) and of the lift, lift(hv, xs) giving the rows
+    of h values hv at the tower elements xs, and whether each row misses
+    every failing cell (cols, vals) of cells, h(cols) != vals (None without
+    cells); the CPP verdicts of the rows that key sampled are stored there.
+    With a width, a grid block is first evaluated at pow_n of the first
+    width x only (HGrid.at); a row whose witness repeats there is neither a
+    permutation nor a CPP, and is not evaluated in full. witness_first says
+    the lift's first q columns are the witness map: then only the rows whose
+    witness permutes are lifted, and otherwise every row."""
+    # blocks are sized by what each row builds whole: its q witness cells
+    # when few rows are lifted, else its order lift cells (q-sized blocks of
+    # lifted rows doubled thm3.2's memory peak)
+    step = max(1, _WITNESS_CELLS // bt.q if witness_first else _ROW_CELLS // tt.tower.order)
     for lo in range(0, len(h), step):
         coeffs = h[lo : lo + step]
         alive = np.ones(len(coeffs), dtype=bool)
         if width:
             alive = _distinct_rows(bt.mul_by_x(h.at(bt, lo, lo + step, pow_n[:width])))
         hv = bt.horner(coeffs[alive])
-        perm = np.zeros(len(coeffs), dtype=bool)
-        cpp = perm.copy()
-        perm[alive], cpp[alive] = cpp_rows(bt, bt.mul_by_x(hv[:, pow_n]))
-        yield lo, coeffs, alive, hv, perm, cpp
+        wit_perm, wit_cpp = np.zeros((2, len(coeffs)), dtype=bool)
+        wit_perm[alive], wit_cpp[alive] = cpp_rows(bt, bt.mul_by_x(hv[:, pow_n]))
+        full = wit_perm if witness_first else alive
+        at = np.flatnonzero(full[alive])  # the rows of hv to lift
+        perm, cpp = np.zeros((2, len(coeffs)), dtype=bool)
+        perm[full], cpp[full] = _lift_verdicts(tt, lambda i, xs: lift(hv[at[i]], xs), len(at))
+        cells_ok = None if cells is None else (bt.horner(coeffs, cells[0]) != cells[1]).all(axis=1)
+        for i in sampled or ():
+            if lo <= i < lo + len(coeffs):
+                sampled[i] = (wit_cpp[i - lo], cpp[i - lo])
+        yield coeffs, wit_perm, wit_cpp, perm, cpp, cells_ok
 
 
 class HGrid:
@@ -390,10 +408,11 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
     map bijects exactly when the witness permutes. A tower that fails a
     check takes the direct route for it: every row handed to the lift
     verdict, or the induced map checked on its own. A tower that passes
-    both needs h in full only for the rows whose witness permutes, so its
-    witness pass over the exhaustive h reads h at x^n for the first
+    both needs h in full only for the rows whose witness permutes, so the
+    walk (_lift_blocks) over the exhaustive h reads h at x^n for the first
     _WITNESS_PREFIX x first, and a row whose witness repeats a value there
-    is never evaluated in full. The square at x is the cell (x, h(nor x))
+    is never evaluated in full. The pair scan evaluates h anew for its own
+    rows, none on sound tables. The square at x is the cell (x, h(nor x))
     of the tower's norm_square_table, so h is evaluated only at nor x of
     the table's failing cells (x, c).
     """
@@ -405,7 +424,6 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
     lam_scaled = (tt.NOR.astype(np.int64) * order).astype(np.int32)
     # failing cells (x, c) of the square table; none on sound tables
     bad_x, bad_c = np.nonzero(~tt.norm_square_table())
-    bad_col = tt.NOR[bad_x]
     # the lift's first q columns are the witness map
     sub_ok = ((tt.NOR[:q] == pow_n).all()
               and (tt.MEXP[tt.LOG[:q, None] + tt.LOG[None, :q]] == bt.MUL).all())
@@ -417,30 +435,22 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
     width = min(_WITNESS_PREFIX, q) if sub_ok and pow_ok else 0
     all_h = HGrid(q, H_DEGREE)
     rand_h = _random_h_coeffs(q, random_h, rng)
-    sample_idx = set(rng.integers(0, len(all_h), size=8).tolist())
-    sampled = {}  # row -> (witness, lift) CPP verdicts of the sampled all_h rows
+    # row -> (witness, lift) CPP verdicts of the sampled all_h rows
+    sampled = dict.fromkeys(rng.integers(0, len(all_h), size=8).tolist())
     # the random h are few, so they skip the prefix
-    for block, block_width in ((all_h, width), (rand_h, 0)):
-        for lo, coeffs, alive, hv, wit_perm, wit_cpp in _witness_blocks(
-                bt, block, pow_n, block_width, max(1, _WITNESS_CELLS // q)):
-            # fiber criterion with induced v -> v*h(v)^n; hv holds the
-            # alive rows, which include every row of full
-            h_bij = wit_perm if pow_ok else bijective_rows(bt.mul_by_x(pow_n[hv]))
-            full = wit_perm | h_bij if sub_ok else np.ones(len(coeffs), dtype=bool)
-            at, hv_full = np.flatnonzero(full), hv[full[alive]]
-
-            def lift(i, xs):
-                return _lift_rows(tt, hv_full[i], tt.NOR, xs)
-
-            perm = np.zeros(len(coeffs), dtype=bool)
-            lift_cpp, conclusion = perm.copy(), h_bij.copy()
-            perm[full], lift_cpp[full] = _lift_verdicts(tt, lift, len(at))
+    for h, h_width, h_sampled in ((all_h, width, sampled), (rand_h, 0, None)):
+        for coeffs, wit_perm, wit_cpp, perm, lift_cpp, square_ok in _lift_blocks(
+                bt, tt, h, lambda hv, xs: _lift_rows(tt, hv, tt.NOR, xs), pow_n,
+                (tt.NOR[bad_x], bad_c), h_width, sub_ok, h_sampled):
+            # fiber criterion with induced v -> v*h(v)^n
+            h_bij = wit_perm if pow_ok else bijective_rows(bt.mul_by_x(pow_n[bt.horner(coeffs)]))
+            conclusion = h_bij.copy()
             # an injective lift has injective pairs x -> (nor x, lift(x)):
             # only the other rows of h_bij are scanned, by their keys
-            scan = np.flatnonzero((h_bij & ~perm)[full])
-            for i, lifted in _row_blocks(tt, lift, scan):
-                conclusion[at[i]] = _distinct_rows(lam_scaled + lifted)
-            square_ok = (bt.horner(coeffs, bad_col) != bad_c).all(axis=1)
+            scan = np.flatnonzero(h_bij & ~perm)
+            for i, lifted in _row_blocks(
+                    tt, lambda i, xs: _lift_rows(tt, bt.horner(coeffs[i]), tt.NOR, xs), scan):
+                conclusion[i] = _distinct_rows(lam_scaled + lifted)
             fiber_ok = (conclusion == perm) & square_ok
             rep.extras["fiber_cases"] += len(coeffs)
             rep.extras["fiber_agreements"] += int(fiber_ok.sum())
@@ -449,9 +459,6 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
                                     for i in np.flatnonzero(~fiber_ok)]
             rep.note(wit_cpp == lift_cpp, lift_cpp,
                      lambda i: {"q": q, "n": n, "h": coeffs[i].tolist()})
-            if block is all_h:
-                sampled.update((i, (wit_cpp[i - lo], lift_cpp[i - lo]))
-                               for i in sample_idx if lo <= i < lo + len(coeffs))
     # replay a seeded sample through the scalar builder against the
     # batch's verdicts; big towers get one full-table replay and seeded
     # point pinning for the rest, small ones replay the whole table
@@ -546,18 +553,13 @@ def sweep_trace_simple(rep: SweepReport, tower: TowerDesc, rng) -> None:
     all_h = HGrid(q, H_DEGREE, set(range(q)) - {0, minus_one})
     if len(all_h) == 0:
         return
-    sample_idx = set(rng.integers(0, len(all_h), size=4).tolist())
-    sampled = {}  # row -> (witness, lift) CPP verdicts of the sampled rows
-    step = max(1, _ROW_CELLS // order)
-    for lo in range(0, len(all_h), step):
-        coeffs = all_h[lo : lo + step]
-        hv = bt.horner(coeffs)
-        _, wit_cpp = cpp_rows(bt, bt.mul_by_x(hv))
-        _, lift_cpp = _lift_verdicts(tt, lambda i, xs: _lift_rows(tt, hv[i], tt.TR, xs), len(hv))
+    # row -> (witness, lift) CPP verdicts of the sampled rows
+    sampled = dict.fromkeys(rng.integers(0, len(all_h), size=4).tolist())
+    for coeffs, _, wit_cpp, _, lift_cpp, _ in _lift_blocks(
+            bt, tt, all_h, lambda hv, xs: _lift_rows(tt, hv, tt.TR, xs), np.arange(q), None,
+            sampled=sampled):
         rep.note(wit_cpp == lift_cpp, lift_cpp,
                  lambda i: {"q": q, "n": tower.n, "h": coeffs[i].tolist()})
-        sampled.update((i, (wit_cpp[i - lo], lift_cpp[i - lo]))
-                       for i in sample_idx if lo <= i < lo + len(coeffs))
     for i, (wit_cpp, lift_cpp) in sorted(sampled.items()):
         res = trace_lift_simple(Poly(tower.base, [int(c) for c in all_h[i]]), tower)
         assert res.predicted_cpp == wit_cpp
@@ -638,16 +640,11 @@ def sweep_trace_binomial(rep: SweepReport, tower: TowerDesc, rng) -> None:
     bt = base_tables(tower.base)
     tt = tower_tables(tower)
     all_h = HGrid(q, H_DEGREE)
-    step = max(1, _ROW_CELLS // order)
     for k in ks:
         for a in range(1, q):
             lift, bad_x, bad_c = _binomial_lift_table(tt, bt, k, a)
-            for lo in range(0, len(all_h), step):
-                coeffs = all_h[lo : lo + step]
-                hv = bt.horner(coeffs)
-                _, wit_cpp = cpp_rows(bt, bt.mul_by_x(hv))
-                _, lift_cpp = _lift_verdicts(tt, lambda i, xs: lift(hv[i], xs), len(hv))
-                ident = (hv[:, tt.TR[bad_x]] != bad_c).all(axis=1)
+            for coeffs, _, wit_cpp, _, lift_cpp, ident in _lift_blocks(
+                    bt, tt, all_h, lift, np.arange(q), (tt.TR[bad_x], bad_c)):
                 rep.extras["identity_failures"] += int((~ident).sum())
                 rep.note((wit_cpp == lift_cpp) & ident, lift_cpp,
                          lambda i: {"q": q, "n": n, "k": k, "a": a,

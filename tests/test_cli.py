@@ -263,6 +263,15 @@ def test_search_csv_format(capsys):
     assert rows[0]["table"].startswith("[0,")
 
 
+def test_search_text_format_is_one_line_per_mapping(capsys):
+    code, out, err = run(capsys, "search", "--p", "5", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert lines[0] == "table=[0,1,2,3,4] poly=[0,1] normalized=true"
+    assert "3 complete mappings" in err
+
+
 def test_search_cap_refusal(capsys):
     code, _, err = run(capsys, "search", "--p", "13")
     assert code == 2 and "cap" in err.lower()
@@ -589,6 +598,21 @@ def test_text_format_is_indented(capsys):
     lines = out.splitlines()
     assert "f:" in lines
     assert any(line.startswith("  is_permutation:") for line in lines)
+
+
+def test_text_format_separates_a_list_of_dicts(capsys):
+    # a monomial report lists three preconditions, each a dict: one
+    # "preconditions:" line, then the dicts with a "  -" line between them
+    code, out, _ = run(capsys, "construct", "monomial", "--p", "2", "--r", "2", "--n", "2",
+                       "--alpha", "2", "--s", "1", "--format", "text", "--reproducible")
+    assert code == 0
+    lines = out.splitlines()
+    start = lines.index("preconditions:")
+    assert lines[start + 1 : start + 9] == [
+        '  name: "gcd(n, q-1) = 1"', "  holds: true", "  -",
+        '  name: "alpha != 0"', "  holds: true", "  -",
+        '  name: "s >= 0"', "  holds: true"]
+    assert not lines[start + 9].startswith("  ")
 
 
 def test_report_out_file(capsys, tmp_path):

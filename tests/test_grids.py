@@ -600,3 +600,41 @@ def test_a_corrupted_table_still_shows(monkeypatch, name, cell, value, permuting
         assert permuting in bad and rejected in bad
     rows = 4**3 - 1 + 20  # every nonzero h of degree <= 2, and 20 random h
     assert (sum(lifted) < rows) if reused else (sum(lifted) == rows)
+
+
+@pytest.mark.parametrize("token, name, shape, cell, value, tally, first, digest", [
+    # base MUL[1, 0] = 0 -> 1 of F_5: a witness with h(0) = 1 sends 0 to 1,
+    # so that of h = 1 repeats a value, while its lift, read off the
+    # tower's own tables, is still x
+    ("thm3.2", "MUL", (5, 2), (1, 0), 1, (785, 786, 1),
+     {"q": 5, "n": 2, "h": [1, 0, 0]},
+     "8982a9b5214669fa04941ede6c010f6c0bea62ba6e4f56858d48d40b76b92ee4"),
+    # base MUL[3, 1] = 3 -> 1 of F_4: on F_64/F_4, 96 of the (k, a, h)
+    # cases fail their proof identity, and every counterexample names its
+    # (k, a)
+    ("thm3.7", "MUL", (4, 2), (3, 1), 1, (318, 420, 102),
+     {"q": 4, "n": 3, "k": 1, "a": 1, "h": [1, 0, 0]},
+     "27fc33ce2a08551026d25796a3d33b68caf00b5d3d7a3005640354683b3f9a64"),
+    # TR[1] = 0 -> 1 of F_16/F_4: an image that holds the code 1 now reads
+    # as leaving the kernel, for k = 1 and k = 3 with c = 0 and c = 1
+    ("lemma3.4", "TR", (4, 2), 1, 1, (54, 58, 4),
+     {"q": 4, "n": 2, "k": 1, "c": 0, "why": "image escaped the kernel"},
+     "2f92c573338c7aedd7883bdd4c59960da1cab35ae3094889e35e394367cb68a2"),
+], ids=["thm3.2", "thm3.7", "lemma3.4"])
+def test_a_corrupted_table_shows_in_the_trace_sweeps(token, name, shape, cell, value, tally,
+                                                     first, digest):
+    # the trace sweeps' shortcuts must not hide a bad cell either: corrupt
+    # one cell of the cached tables of a tower (TR) or of its base (MUL) at
+    # max_order 64, and the report must be the one the sweep gave before
+    # thm3.2 and thm3.7 shared the lift walk
+    tower = next(t for t in tower_grid(64) if (t.q, t.n) == shape)
+    tabs = tables.base_tables(tower.base) if name == "MUL" else tables.tower_tables(tower)
+    try:
+        getattr(tabs, name)[cell] = value
+        rep = REGISTRY[token](max_order=64)
+    finally:
+        clear_caches()
+    out = _report_json(rep)
+    assert (out["agreements"], out["cases"], len(out["counterexamples"])) == tally
+    assert out["counterexamples"][0] == first
+    assert hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest() == digest
