@@ -47,13 +47,11 @@ the q^3 rows of a degree-2 grid are never all in memory. thm2.2, thm3.2
 and thm3.7 walk it through one generator (_lift_blocks): per block, it
 checks the witness on the whole base, lifts the rows the verdict needs,
 reads the failing cells of the sweep's table, and keeps past the block
-only the verdicts of the rows sampled for the scalar replay. On a thm2.2
-tower that passes both checks, it first evaluates each block at x^n for
-the first _WITNESS_PREFIX x only, and in full only the rows whose witness
-is distinct there. That prefix is Horner's last step over the block
-(BaseTables.horner_product): each top is evaluated once, and the q rows
-that share it differ only in the final ADD with c0, which reads the same
-table cells as per-row Horner. The seeded random h skip the prefix.
+only the verdicts of the rows sampled for the scalar replay. h and h(v*y),
+v in F_q^*, get the same thm2.2 verdicts: where every check of
+_norm_checks passes, thm2.2's exhaustive h are decided on 2q^2 class
+representatives, and each row takes its class's by one gather on its top
+(c1, c2). Its note, square cells, fiber check and replay stay its own.
 """
 
 from __future__ import annotations
@@ -91,19 +89,15 @@ from .tables import _ROW_CELLS, BULK_TOWER_CAP, base_tables, bijective_rows, cpp
 
 DEFAULT_SEED = 20260819
 H_DEGREE = 2  # every nonzero h of degree <= H_DEGREE is swept exhaustively
-# rows x q cells per thm2.2 witness block: 2048 rows of F_64 ran the
-# witness pass fastest of 512..16384, and 2^21 cells raised the sweep's
-# peak RSS by 13 MB
-_WITNESS_CELLS = 1 << 17
+# rows x q cells per block of a walk that lifts only the rows whose witness
+# permutes. thm2.2's class representatives hold them densely (126 of
+# F_4096/F_64's 8192): 2^15 cells raised the sweep's peak RSS by 1.5 MB
+_WITNESS_CELLS = 1 << 13
 # tower elements, spread evenly, where a row of a whole-tower batch must be
 # distinct to be built in full. Of thm3.2's 144,799 rows at its default, 64
 # leading columns leave 35,012, 64 spread ones 8,351 and 256 spread 3,407
 _PREFIX = 64
-# witness columns of a norm lift (thm2.2) that must be distinct before h is
-# evaluated in full (at most q are read). On F_4096/F_64, 32 leaves exactly
-# the 126 rows whose witness permutes, 24 leaves 1701 and 16 leaves 34146;
-# the three ran within noise of each other, and 64 ran 0.1 s slower
-_WITNESS_PREFIX = 32
+_GATHER = 1 << 14  # rows per block of a walk that gathers its verdicts by class
 
 
 @memo(lambda p, r, n: p ** (r * n))
@@ -283,36 +277,35 @@ def _lift_verdicts(tt, rows, count: int):
     return perm, cpp
 
 
-def _lift_blocks(bt, tt, h, lift, pow_n: np.ndarray, cells, width: int = 0,
-                 witness_first: bool = False, sampled: Optional[dict] = None):
+def _lift_blocks(bt, tt, h, lift, pow_n: np.ndarray, cells, witness_first: bool = False,
+                 sampled: Optional[dict] = None, classes=None):
     """The one block walk of the norm and trace lifts (thm2.2, thm3.2,
-    thm3.7) over the rows of h (an HGrid, or with width 0 an array of
-    coefficient rows). Per block it yields the rows, (perm, cpp) per row of
-    the witness x*h(pow_n[x]) and of the lift, lift(hv, xs) giving the rows
-    of h values hv at the tower elements xs, and whether each row misses
-    every failing cell (cols, vals) of cells, h(cols) != vals (None without
-    cells); the CPP verdicts of the rows that key sampled are stored there.
-    With a width, a grid block is first evaluated at pow_n of the first
-    width x only (HGrid.at); a row whose witness repeats there is neither a
-    permutation nor a CPP, and is not evaluated in full. witness_first says
-    the lift's first q columns are the witness map: then only the rows whose
-    witness permutes are lifted, and otherwise every row."""
+    thm3.7) over the rows of h (an HGrid or an array of coefficient rows).
+    Per block it yields the rows, (perm, cpp) per row of the witness
+    x*h(pow_n[x]) and of the lift, lift(hv, xs) giving the rows of h values
+    hv at the tower elements xs, and whether each row misses every failing
+    cell (cols, vals) of cells, h(cols) != vals (None without cells); the
+    CPP verdicts of the rows that key sampled are stored there.
+    witness_first says the lift's first q columns are the witness map: then
+    only the rows whose witness permutes are lifted, and otherwise every
+    row. With classes (top_class, verdicts) from _norm_checks, the row [c0,
+    c1, c2] takes the verdicts[:, top_class[c1, c2] + c0] instead."""
     # blocks are sized by what each row builds whole: its q witness cells
     # when few rows are lifted, else its order lift cells (q-sized blocks of
-    # lifted rows doubled thm3.2's memory peak)
-    step = max(1, _WITNESS_CELLS // bt.q if witness_first else _ROW_CELLS // tt.tower.order)
+    # lifted rows doubled thm3.2's memory peak); a gathered row, nothing
+    step = _GATHER if classes else max(1, _WITNESS_CELLS // bt.q if witness_first
+                                       else _ROW_CELLS // tt.tower.order)
     for lo in range(0, len(h), step):
         coeffs = h[lo : lo + step]
-        alive = np.ones(len(coeffs), dtype=bool)
-        if width:
-            alive = _distinct_rows(bt.mul_by_x(h.at(bt, lo, lo + step, pow_n[:width])))
-        hv = bt.horner(coeffs[alive])
-        wit_perm, wit_cpp = np.zeros((2, len(coeffs)), dtype=bool)
-        wit_perm[alive], wit_cpp[alive] = cpp_rows(bt, bt.mul_by_x(hv[:, pow_n]))
-        full = wit_perm if witness_first else alive
-        at = np.flatnonzero(full[alive])  # the rows of hv to lift
-        perm, cpp = np.zeros((2, len(coeffs)), dtype=bool)
-        perm[full], cpp[full] = _lift_verdicts(tt, lambda i, xs: lift(hv[at[i]], xs), len(at))
+        if classes:
+            top_class, verdicts = classes
+            wit_perm, wit_cpp, perm, cpp = verdicts[:, top_class[coeffs[:, 1], coeffs[:, 2]] + coeffs[:, 0]]
+        else:
+            hv = bt.horner(coeffs)
+            wit_perm, wit_cpp = cpp_rows(bt, bt.mul_by_x(hv[:, pow_n]))
+            at = np.flatnonzero(wit_perm) if witness_first else np.arange(len(coeffs))  # to lift
+            perm, cpp = np.zeros((2, len(coeffs)), dtype=bool)
+            perm[at], cpp[at] = _lift_verdicts(tt, lambda i, xs: lift(hv[at[i]], xs), len(at))
         cells_ok = None if cells is None else (bt.horner(coeffs, cells[0]) != cells[1]).all(axis=1)
         for i in sampled or ():
             if lo <= i < lo + len(coeffs):
@@ -329,8 +322,7 @@ class HGrid:
     [2,0,0], [3,0,0], [0,1,0]. A row is a pair (top, c0), top the code of
     its coefficients c1..c_degree. Given c0s, the grid keeps only the
     rows whose c0 is in c0s, still in code order (thm3.2 drops c0 = 0 and
-    c0 = -1). h[i] is row i, h[lo:hi] a block of rows, and h.at a block's
-    values at given points.
+    c0 = -1). h[i] is row i, and h[lo:hi] a block of rows.
     """
 
     def __init__(self, q: int, degree: int, c0s=None):
@@ -349,31 +341,20 @@ class HGrid:
             lo, hi, stride = i.indices(self._len)
             if stride != 1:
                 raise ValueError("an HGrid block has stride 1")
-            tops, cut = self._block(lo, hi)
-            rows = np.empty((len(tops), len(self.c0s), self.degree + 1), dtype=np.int32)
+            # the tops of rows lo..hi-1, and the block's cut of their rows
+            nc = max(len(self.c0s), 1)
+            start, stop = lo + self._skip, max(lo, hi) + self._skip
+            first = start // nc
+            codes = np.arange(first, -(-stop // nc), dtype=np.int32)[:, None]
+            rows = np.empty((len(codes), len(self.c0s), self.degree + 1), dtype=np.int32)
             rows[:, :, 0] = self.c0s
+            tops = codes // self.q ** np.arange(self.degree, dtype=np.int32) % self.q
             rows[:, :, 1:] = tops[:, None, :]
-            return rows.reshape(-1, self.degree + 1)[cut]
+            return rows.reshape(-1, self.degree + 1)[start - first * nc : stop - first * nc]
         i = operator.index(i)
         if not 0 <= i < self._len:
             raise IndexError(f"row {i} of {self._len}")
         return self[i : i + 1][0]
-
-    def at(self, bt, lo: int, hi: int, points: np.ndarray) -> np.ndarray:
-        """Rows lo..hi-1 (hi clipped to the grid) at the points, by one
-        bt.horner_product of the tops the block touches."""
-        tops, cut = self._block(lo, min(hi, self._len))
-        return bt.horner_product(tops, self.c0s, points)[cut]
-
-    def _block(self, lo: int, hi: int) -> tuple[np.ndarray, slice]:
-        """The coefficient rows (c1..c_degree) of the tops that rows lo..hi-1
-        touch, and the cut of the block out of their product with c0s."""
-        nc = max(len(self.c0s), 1)
-        start, stop = lo + self._skip, max(lo, hi) + self._skip
-        first, last = start // nc, -(-stop // nc)
-        codes = np.arange(first, last, dtype=np.int32)[:, None]
-        tops = codes // self.q ** np.arange(self.degree, dtype=np.int32) % self.q
-        return tops, slice(start - first * nc, stop - first * nc)
 
 
 def _random_h_coeffs(q: int, count: int, rng) -> np.ndarray:
@@ -385,6 +366,58 @@ def _random_h_coeffs(q: int, count: int, rng) -> np.ndarray:
         row[d] = rng.integers(1, q)
         out[i, : d + 1] = row
     return out
+
+
+def _scales(bt, tt) -> bool:
+    """The tower checks of _norm_checks, O(order) cells. MEXP/LOG are a
+    sentinel log/exp pair (LOG[0] = 2m, m = order - 1, MEXP 0 from 2m): the
+    tower product is a cyclic group law, 0 absorbing and 1 its identity, and
+    the codes 1..q-1 are its subgroup generated by g = MEXP[m / (q - 1)] (so
+    base MUL, by sub_ok, is a group law). g*y = g*(y - e) + g*e under tt.add,
+    the field's own digitwise addition, for the unit e of y's lowest nonzero
+    digit: by induction, a product by any power of g is additive. And base
+    ADD is tt.add on the embedded F_q."""
+    q, m, mexp, lg = bt.q, tt.tower.order - 1, tt.MEXP, tt.LOG
+    codes, s = np.arange(m + 1), m // (q - 1)
+    log_ok = (len(mexp) == 4 * m + 1 and lg[0] == 2 * m and lg[1] == 0
+              and (mexp[2 * m :] == 0).all() and (mexp[m : 2 * m] == mexp[:m]).all()
+              and ((lg[1:] >= 0) & (lg[1:] < m)).all() and (mexp[lg[1:]] == codes[1:]).all()
+              and (lg[1:q] % s == 0).all())
+    if not log_ok:
+        return False
+    gy, e = mexp[lg + s], np.gcd(codes[1:], m + 1)
+    return bool((gy[1:] == tt.add(gy[codes[1:] - e], gy[e])).all()
+                and (bt.ADD == tt.add(codes[:q, None], codes[None, :q])).all())
+
+
+def _norm_checks(bt, tt, pow_n: np.ndarray, lift):
+    """What thm2.2 may reuse on a tower: (bad_x, bad_c, sub_ok, pow_ok,
+    classes), the failing cells of norm_square_table, the reuse checks of
+    sweep_norm_lift, and None unless those pass with no failing cell and
+    _scales passes. Then h_v(y) = h(v*y) = (c0, c1*v, c2*v^2) has the
+    witness u^-1*w(u*x) and the lift u^-1*L(u*x), v = u^n, w and L those of
+    h, since nor(u*x) = v*nor(x) is the square's cell (x, u); times u^-1 is
+    additive, so both keep their permutation and CPP verdicts. So classes
+    is (top_class, verdicts) for _lift_blocks: the (wit_perm, wit_cpp, perm,
+    cpp) of the 2q^2 representatives, walked row by row, and top_class[c1,
+    c2] the first of its class's rows, (c0, 1, c2/c1^2) or (c0, 0, c2)."""
+    q, m = bt.q, tt.tower.order - 1
+    # failing cells (x, c) of the square table; none on sound tables
+    bad_x, bad_c = np.nonzero(~tt.norm_square_table())
+    # the lift's first q columns are the witness map
+    sub_ok = ((tt.NOR[:q] == pow_n).all()
+              and (tt.MEXP[tt.LOG[:q, None] + tt.LOG[None, :q]] == bt.MUL).all())
+    # x -> x^n carries the witness onto the induced map
+    pow_ok = (bijective_rows(pow_n[None, :])[0]
+              and (pow_n[bt.MUL] == bt.MUL[pow_n[:, None], pow_n[None, :]]).all())
+    if not (sub_ok and pow_ok and len(bad_x) == 0 and _scales(bt, tt)):
+        return bad_x, bad_c, sub_ok, pow_ok, None
+    # the representative (c0, k, d) is row q*(2d + k) + c0
+    reps = np.indices((q, 2, q), dtype=np.int32).reshape(3, -1)[::-1].T
+    c1, c2 = np.indices((q, q))
+    top_class = q * np.where(c1 > 0, 2 * tt.MEXP[tt.LOG[c2] + -2 * tt.LOG[c1] % m] + 1, 2 * c2)
+    walk = _lift_blocks(bt, tt, reps, lift, pow_n, None, True)
+    return bad_x, bad_c, sub_ok, pow_ok, (top_class, np.hstack([v[1:5] for v in walk]))
 
 
 @_sweep("thm2.2", 4096, _norm_lift_shapes,
@@ -407,14 +440,10 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
     MUL; then it carries the witness onto the induced map, and the induced
     map bijects exactly when the witness permutes. A tower that fails a
     check takes the direct route for it: every row handed to the lift
-    verdict, or the induced map checked on its own. A tower that passes
-    both needs h in full only for the rows whose witness permutes, so the
-    walk (_lift_blocks) over the exhaustive h reads h at x^n for the first
-    _WITNESS_PREFIX x first, and a row whose witness repeats a value there
-    is never evaluated in full. The pair scan evaluates h anew for its own
-    rows, none on sound tables. The square at x is the cell (x, h(nor x))
-    of the tower's norm_square_table, so h is evaluated only at nor x of
-    the table's failing cells (x, c).
+    verdict, or the induced map checked on its own. Where every check of
+    _norm_checks passes, the exhaustive h are decided by scaling class. The
+    pair scan evaluates h anew for its own rows, none on sound tables. The
+    square at x is the cell (x, h(nor x)) of norm_square_table.
     """
     q, n, order = tower.q, tower.n, tower.order
     rep.extras["pairs"].append((q, n))
@@ -422,26 +451,15 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
     tt = tower_tables(tower)
     pow_n = bt.pow_all(n)  # x -> x^n: substitution index and induced-map power
     lam_scaled = (tt.NOR.astype(np.int64) * order).astype(np.int32)
-    # failing cells (x, c) of the square table; none on sound tables
-    bad_x, bad_c = np.nonzero(~tt.norm_square_table())
-    # the lift's first q columns are the witness map
-    sub_ok = ((tt.NOR[:q] == pow_n).all()
-              and (tt.MEXP[tt.LOG[:q, None] + tt.LOG[None, :q]] == bt.MUL).all())
-    # x -> x^n carries the witness onto the induced map
-    pow_ok = (bijective_rows(pow_n[None, :])[0]
-              and (pow_n[bt.MUL] == bt.MUL[pow_n[:, None], pow_n[None, :]]).all())
-    # with both, a row needs h in full only when its witness permutes,
-    # and the witness prefix rejects most of the others
-    width = min(_WITNESS_PREFIX, q) if sub_ok and pow_ok else 0
+    lift = lambda hv, xs: _lift_rows(tt, hv, tt.NOR, xs)
+    bad_x, bad_c, sub_ok, pow_ok, classes = _norm_checks(bt, tt, pow_n, lift)
     all_h = HGrid(q, H_DEGREE)
     rand_h = _random_h_coeffs(q, random_h, rng)
     # row -> (witness, lift) CPP verdicts of the sampled all_h rows
     sampled = dict.fromkeys(rng.integers(0, len(all_h), size=8).tolist())
-    # the random h are few, so they skip the prefix
-    for h, h_width, h_sampled in ((all_h, width, sampled), (rand_h, 0, None)):
+    for h, h_sampled, h_classes in ((all_h, sampled, classes), (rand_h, None, None)):
         for coeffs, wit_perm, wit_cpp, perm, lift_cpp, square_ok in _lift_blocks(
-                bt, tt, h, lambda hv, xs: _lift_rows(tt, hv, tt.NOR, xs), pow_n,
-                (tt.NOR[bad_x], bad_c), h_width, sub_ok, h_sampled):
+                bt, tt, h, lift, pow_n, (tt.NOR[bad_x], bad_c), sub_ok, h_sampled, h_classes):
             # fiber criterion with induced v -> v*h(v)^n
             h_bij = wit_perm if pow_ok else bijective_rows(bt.mul_by_x(pow_n[bt.horner(coeffs)]))
             conclusion = h_bij.copy()

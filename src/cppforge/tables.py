@@ -18,13 +18,10 @@ tables are built only when norm_square_table reads them.
 The base-table kernels (BaseTables.horner, add_to_x, mul_by_x and
 bijective_rows) look each cell up through one flat index into the raveled
 table, ADD.ravel()[a*q + b] for ADD[a, b], which costs a fraction of a
-2-D fancy index. BaseTables.horner_product, which evaluates a product of
-Horner tops and constant terms, takes whole rows of ADD instead: its last
-step reads ADD[a, c0] for every c0 of one a. A 2-D index raised
-IndexError on a code past the end of its row; a flat one would land
-silently in the next row, so each kernel range-checks its caller's input
-(codes, Horner's points, and the width of a table handed to add_to_x or
-mul_by_x) and raises IndexError itself.
+2-D fancy index. A 2-D index raised IndexError on a code past the end of
+its row; a flat one would land silently in the next row, so each kernel
+range-checks its caller's input (codes, Horner's points, and the width of
+a table handed to add_to_x or mul_by_x) and raises IndexError itself.
 """
 
 from __future__ import annotations
@@ -79,21 +76,6 @@ class BaseTables:
         for j in range(coeffs.shape[1] - 2, -1, -1):
             acc = add.take(mul.take(acc * q + xs) * q + coeffs[:, j : j + 1])
         return acc
-
-    def horner_product(self, tops: np.ndarray, c0s: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """horner of every row [c0, *top], top a row of tops and c0 in c0s,
-        at the given points, top by top with c0 fastest: row t*len(c0s) + j
-        is [c0s[j], *tops[t]]. The rows of one top share all of Horner's
-        steps but the last, so the tops are evaluated once and the last
-        step, ADD[top(x)*x, c0], reads for each (top, x) the row
-        ADD[top(x)*x] at the columns c0s: the cells per-row horner reads."""
-        q = self.q
-        _check_range(c0s, q, "coefficient")
-        xs = np.asarray(points, dtype=np.int32)
-        acc = self.MUL.ravel().take(self.horner(tops, xs) * q + xs)
-        # (top, x, c) -> (top, c, x), with c cut to c0s in the same copy
-        rows = self.ADD.take(acc, axis=0).transpose(0, 2, 1).take(c0s, axis=1)
-        return rows.reshape(-1, len(xs))
 
     def add_to_x(self, tab: np.ndarray) -> np.ndarray:
         """tab[..., x] + x rowwise, the shifted map behind CPP checks."""

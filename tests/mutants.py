@@ -74,9 +74,6 @@ MUTANTS = [
     ("cppforge/grids.py", "return (keys[:, 1:] != keys[:, :-1]).all(axis=1)",
      "return (keys[:, 1:] != keys[:, :-1]).any(axis=1)",
      ["tests/test_grids.py::test_kernel_binomial_sweep_small_scale"]),
-    # the witness prefix evaluates h one point late
-    ("cppforge/grids.py", "pow_n[:width]", "pow_n[1 : width + 1]",
-     ["tests/test_grids.py::test_witness_prefix_width_changes_no_verdict"]),
     # the lift walk keeps a sampled row's verdicts from the row before it
     ("cppforge/grids.py", "sampled[i] = (wit_cpp[i - lo], cpp[i - lo])",
      "sampled[i] = (wit_cpp[i - lo - 1], cpp[i - lo - 1])",
@@ -84,13 +81,10 @@ MUTANTS = [
       "tests/test_grids.py::test_trace_simple_sweep_small_scale"]),
     # the lift walk lifts only the rows whose witness permutes, for every
     # caller: on sound tables the theorems make that harmless
-    ("cppforge/grids.py", "full = wit_perm if witness_first else alive", "full = wit_perm",
+    ("cppforge/grids.py", "at = np.flatnonzero(wit_perm) if witness_first else np.arange(len(coeffs))",
+     "at = np.flatnonzero(wit_perm)",
      ["tests/test_grids.py::test_a_corrupted_table_shows_in_the_trace_sweeps[thm3.2]",
       "tests/test_grids.py::test_a_corrupted_table_shows_in_the_trace_sweeps[thm3.7]"]),
-    # the shared Horner step adds each top's c0 values shifted by one row
-    ("cppforge/tables.py", ".transpose(0, 2, 1).take(c0s, axis=1)",
-     ".transpose(0, 2, 1).take(np.roll(c0s, 1), axis=1)",
-     ["tests/test_tables.py::test_horner_product_is_per_row_horner"]),
     # the lift's first q columns taken as the witness without checking
     ("cppforge/grids.py", "sub_ok = ((tt.NOR[:q] == pow_n).all()",
      "sub_ok = True or ((tt.NOR[:q] == pow_n).all()",
@@ -103,6 +97,16 @@ MUTANTS = [
     ("cppforge/grids.py", "bad_x, bad_c = np.nonzero(~tt.norm_square_table())",
      "bad_x, bad_c = np.nonzero(~tt.norm_square_table() & False)",
      ["tests/test_grids.py::test_a_corrupted_table_still_shows"]),
+    # thm2.2's class of the top (c1, c2) taken as (1, c2), not (1, c2/c1^2)
+    ("cppforge/grids.py", "2 * tt.MEXP[tt.LOG[c2] + -2 * tt.LOG[c1] % m] + 1", "2 * c2 + 1",
+     ["tests/test_grids.py::test_thm22_classes_give_the_per_row_verdicts"]),
+    # base ADD taken as the tower's addition on F_q unchecked
+    ("cppforge/grids.py", "and (bt.ADD == tt.add(codes[:q, None], codes[None, :q])).all())",
+     "and True)",
+     ["tests/test_grids.py::test_a_corrupted_table_still_shows"]),
+    # MEXP/LOG taken as a sentinel log/exp pair unchecked
+    ("cppforge/grids.py", "log_ok = (len(mexp)", "log_ok = True or (len(mexp)",
+     ["tests/test_grids.py::test_thm22_classes_give_the_per_row_verdicts"]),
     # rows whose lift repeats taken as pair-injective without a scan
     ("cppforge/grids.py", "scan = np.flatnonzero(h_bij & ~perm)",
      "scan = np.flatnonzero(h_bij & ~perm & False)",

@@ -17,7 +17,8 @@ import pytest
 
 from cppforge import REGISTRY, SweepReport, clear_caches, norm_lift_pairs, tower_grid
 from cppforge import cli, fields, grids, maps, permcheck, tables
-from cppforge import Poly, make_extension, make_prime_field, trace_lift_binomial
+from cppforge import Poly, trace_lift_binomial
+from cppforge.errors import PreconditionViolated
 from cppforge.grids import (
     DEFAULT_SEED,
     sweep_kernel_binomials,
@@ -104,6 +105,26 @@ def test_quadratic_monomial_sweep_small_scale():
     rep = sweep_quadratic_monomials(max_order=256)
     assert rep.clean
     assert (rep.cases, rep.true_outcomes, rep.skipped) == (20, 20, 10)
+
+
+def test_an_accepted_inadmissible_alpha_is_a_counterexample(monkeypatch):
+    # cor2.5 confirms that the builder rejects each inadmissible alpha: a
+    # builder that accepted them would show one counterexample each, in
+    # place of the 10 skips
+    real = grids.cppeg_construct
+
+    def accepting(e, t, k, alpha):
+        try:
+            return real(e, t, k, alpha)
+        except PreconditionViolated:
+            return None
+
+    monkeypatch.setattr(grids, "cppeg_construct", accepting)
+    rep = sweep_quadratic_monomials(max_order=256)
+    assert (rep.cases, rep.agreements, rep.true_outcomes, rep.skipped) == (30, 20, 20, 0)
+    assert len(rep.counterexamples) == 10
+    assert all(c["why"] == "inadmissible alpha accepted" and set(c) == {"e", "t", "k", "alpha", "why"}
+               for c in rep.counterexamples)
 
 
 def test_trace_simple_sweep_small_scale():
@@ -272,14 +293,18 @@ def test_prefix_width_changes_no_verdict(monkeypatch):
     # gives the same reports, for thm2.2, thm3.2, cor2.3, cor2.5 and thm3.7
     # alike. Width 1 rejects nothing, so every row takes the full path; 64
     # and 256, the two widths the prefix has had, stay under test. On sound
-    # tables thm2.2 hands the verdict only the rows whose witness permutes;
-    # their lifts permute, so every width builds exactly those in full. A
-    # batch budget of 2^10 cells splits every batch, the square table's
-    # too, and changes no report either. At thm3.7's default only that
-    # budget splits its h grid: F_125/F_5's 124 rows walk in blocks of 8
+    # tables thm2.2 decides its exhaustive h by scaling class: of the 1415
+    # rows whose witness permutes, by the verdicts its walk yields, it
+    # lifts only the class representatives' and the random h's. Their lifts
+    # permute, so every width builds exactly those in full. A batch budget
+    # of 2^10 cells splits every batch, the square table's too, and changes
+    # no report either. At thm3.7's default only that budget splits its h
+    # grid: F_125/F_5's 124 rows walk in blocks of 8
     full_rows = {}
     witness_rows = {}
+    verdict_rows = {}
     real_cpp_rows = grids.cpp_rows
+    real_lift_blocks = grids._lift_blocks
 
     def counting_cpp_rows(t, tabs):
         perm, cpp = real_cpp_rows(t, tabs)
@@ -289,7 +314,16 @@ def test_prefix_width_changes_no_verdict(monkeypatch):
             witness_rows[width] += int(perm.sum())
         return perm, cpp
 
+    def counting_lift_blocks(*args, **kwargs):
+        for block in real_lift_blocks(*args, **kwargs):
+            # the sweep's own rows check the square's cells; the walk over
+            # the class representatives has none
+            if block[5] is not None:
+                verdict_rows[width] += int(block[1].sum())
+            yield block
+
     monkeypatch.setattr(grids, "cpp_rows", counting_cpp_rows)
+    monkeypatch.setattr(grids, "_lift_blocks", counting_lift_blocks)
     reports = {}
     widths = (1, 2, 16, 64, 256)
     assert grids._PREFIX in widths
@@ -298,10 +332,11 @@ def test_prefix_width_changes_no_verdict(monkeypatch):
         monkeypatch.setattr(grids, "_ROW_CELLS", cells)
         monkeypatch.setattr(tables, "_ROW_CELLS", cells)
         for width in widths:
-            full_rows[width] = witness_rows[width] = 0
+            full_rows[width] = witness_rows[width] = verdict_rows[width] = 0
             monkeypatch.setattr(grids, "_PREFIX", width)
             norm = sweep_norm_lift(max_order=1024, random_h=20)
-            assert full_rows[width] == witness_rows[width] == 1415
+            assert verdict_rows[width] == 1415
+            assert full_rows[width] == witness_rows[width] == 399
             reports[cells, width] = (_report_json(norm),
                                      _report_json(sweep_trace_simple(max_order=256)),
                                      _report_json(sweep_monomial_norm(max_order=1024)),
@@ -312,49 +347,6 @@ def test_prefix_width_changes_no_verdict(monkeypatch):
     assert all(r == first for r in reports.values())
     # a wider prefix rejects no fewer rows; 64 and 256 can reject the same
     assert full_rows[256] <= full_rows[64] < full_rows[16] < full_rows[2] < full_rows[1]
-
-
-def test_witness_prefix_width_changes_no_verdict(monkeypatch):
-    # the witness prefix only decides which thm2.2 rows have h evaluated in
-    # full: a repeat in it is a proof that the witness does not permute, so
-    # every width gives the same report. Width 1 rejects nothing; at 32, the
-    # widest base at max_order 1024, and wider, the prefix is the whole
-    # witness and only the rows whose witness permutes are evaluated in full
-    full_rows = {}
-    witness_rows = {}
-    real_horner = tables.BaseTables.horner
-    real_cpp_rows = grids.cpp_rows
-
-    def counting_horner(self, coeffs, points=None):
-        if points is None:
-            full_rows[width] += len(coeffs)
-        return real_horner(self, coeffs, points)
-
-    def counting_cpp_rows(t, tabs):
-        perm, cpp = real_cpp_rows(t, tabs)
-        if isinstance(t, tables.BaseTables):
-            witness_rows[width] += int(perm.sum())
-        return perm, cpp
-
-    monkeypatch.setattr(tables.BaseTables, "horner", counting_horner)
-    monkeypatch.setattr(grids, "cpp_rows", counting_cpp_rows)
-    reports = {}
-    widths = (1, 2, 16, 32, 64)
-    assert grids._WITNESS_PREFIX in widths
-    for width in widths:
-        full_rows[width] = witness_rows[width] = 0
-        monkeypatch.setattr(grids, "_WITNESS_PREFIX", width)
-        reports[width] = _report_json(sweep_norm_lift(max_order=1024, random_h=20))
-        assert witness_rows[width] == 1415
-    first = reports[1]
-    assert first["extras"]["fiber_agreements"] == first["cases"] == 39440
-    assert all(r == first for r in reports.values())
-    # full_rows also counts the scalar replays' single-row Horner calls,
-    # the same at every width
-    counts = [full_rows[w] for w in widths]
-    assert counts == sorted(counts, reverse=True)
-    assert full_rows[16] < first["cases"] <= full_rows[1]
-    assert full_rows[64] == full_rows[32]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
@@ -376,28 +368,75 @@ def test_hgrid_rows_are_the_nonzero_codes_in_base_q(q, degree):
             grid[bad]
 
 
-def _base_of_order(q):
-    p = next(p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23) if q % p == 0)
-    r = round(math.log(q, p))
-    return make_prime_field(p) if r == 1 else make_extension(make_prime_field(p), r)
-
-
 @pytest.mark.parametrize("q", [3, 5, 9, 11, 23])
-def test_hgrid_blocks_at_points_are_per_row_horner(q):
-    # block bounds off the multiples of q split a top's run of c0 rows
-    bt = tables.base_tables(_base_of_order(q))
-    points = bt.pow_all(2)[: min(32, q)]
-    minus_one = bt.field._cneg(1)
-    full = grids.HGrid(q, 2)
-    filtered = grids.HGrid(q, 2, set(range(q)) - {0, minus_one})
-    rows = full[:]
-    assert np.array_equal(filtered[:], rows[(rows[:, 0] != 0) & (rows[:, 0] != minus_one)])
-    for grid in (full, filtered):
+def test_hgrid_blocks_keep_only_the_given_c0(q):
+    # thm3.2's grid keeps the rows whose c0 is neither 0 nor -1, in code
+    # order; block bounds off the multiples of q split a top's run of c0 rows
+    rows = grids.HGrid(q, 2)[:]
+    for dropped in ({0, q - 1}, {1}, {0}):
+        grid = grids.HGrid(q, 2, set(range(q)) - dropped)
+        want = rows[~np.isin(rows[:, 0], list(dropped))]
+        assert len(grid) == len(want)
         for step in (q - 1, q + 1, 2 * q + 3):
-            for lo in range(0, len(grid), step):
-                coeffs = grid[lo : lo + step]
-                assert np.array_equal(grid.at(bt, lo, lo + step, points), bt.horner(coeffs, points))
-                assert np.array_equal(grid.at(bt, lo, lo + step, np.arange(q)), bt.horner(coeffs))
+            blocks = [grid[lo : lo + step] for lo in range(0, len(grid), step)]
+            assert np.array_equal(np.concatenate(blocks), want)
+
+
+def _one_cell_scrambled(tower, name):
+    """Fresh tables of the tower and its base, with one cell of the table
+    name scrambled (no cell for None), each where few checks of
+    grids._norm_checks read it. Base MUL[q-1, q-1] and ADD[q-1, q-1] take
+    another code: sub_ok reads all of MUL, and only the base check reads
+    ADD. MEXP[s - 1], s = (order - 1)/(q - 1), takes another code of the
+    same norm: the square reads it and sees no change, and neither sub_ok
+    nor the additivity check reads it, so only the log/exp check sees it.
+    LOG[order - 1] moves by q - 1, which keeps every norm; the log/exp and
+    additivity checks see it. NOR[order - 1] takes another code, which only
+    the square sees, and only where q > 2."""
+    bt, tt = tables.BaseTables(tower.base), tables.TowerTables(tower)
+    q, m = tower.q, tower.order - 1
+    if name in ("MUL", "ADD"):
+        table = getattr(bt, name)
+        table[q - 1, q - 1] = (table[q - 1, q - 1] + 1) % q
+    elif name == "MEXP":
+        s = m // (q - 1)
+        tt.MEXP[s - 1] = tt.MEXP[s - 1 + q - 1]
+    elif name == "LOG":
+        tt.LOG[m] = (tt.LOG[m] + q - 1) % m
+    elif name == "NOR":
+        tt.NOR[m] = (tt.NOR[m] + 1) % q
+    return bt, tt
+
+
+@pytest.mark.parametrize("name", [None, "MUL", "ADD", "MEXP", "LOG", "NOR"])
+def test_thm22_classes_give_the_per_row_verdicts(monkeypatch, name):
+    # thm2.2 decides its exhaustive h once per scaling class only where
+    # every check of _norm_checks passes. On every thm2.2 tower up to 1024,
+    # on fresh tables, sound or with one cell scrambled, each row must get
+    # from its class the four verdicts (witness and lift, permutation and
+    # CPP) that the walk gives it row by row. The route must be taken on
+    # every sound tower, so that a fallback taken by mistake fails here, and
+    # refused on every scrambled one; only on F_2, where every class is one
+    # row, does a scrambled NOR cell pass, and there it changes no verdict
+    taken = []
+    for shape in grids._norm_lift_shapes(1024):
+        tower = grids._tower(*shape)
+        bt, tt = _one_cell_scrambled(tower, name)
+        # norm_square_table reads the scrambled base tables too
+        monkeypatch.setattr(tables, "base_tables", lambda field: bt)
+        pow_n = bt.pow_all(tower.n)
+        lift = lambda hv, xs: grids._lift_rows(tt, hv, tt.NOR, xs)
+        _, _, sub_ok, _, classes = grids._norm_checks(bt, tt, pow_n, lift)
+        if classes is not None:
+            h = grids.HGrid(tower.q, 2)
+            by_row, by_class = (np.hstack([block[1:5] for block in grids._lift_blocks(
+                bt, tt, h, lift, pow_n, None, sub_ok, None, route)]) for route in (None, classes))
+            assert by_row.shape == (4, len(h))
+            assert np.array_equal(by_class, by_row), (tower.q, tower.n)
+            taken.append((tower.q, tower.n))
+    every = [(p**r, n) for p, r, n in grids._norm_lift_shapes(1024)]
+    want = {None: every, "NOR": [(q, n) for q, n in every if q == 2]}
+    assert taken == want.get(name, [])
 
 
 def test_thm22_memory_peak_with_warm_tables():

@@ -26,7 +26,7 @@ from cppforge import (
     table_verdict,
     value_table,
 )
-from cppforge import fields
+from cppforge import fields, tables
 from cppforge.errors import OrderCapExceeded
 from cppforge.grids import tower_grid
 from cppforge.maps import trace_kernel
@@ -167,51 +167,6 @@ def test_base_horner_refuses_out_of_range_points(bt_small):
     for bad in (q, -1):
         with pytest.raises(IndexError):
             bt_small.horner(coeffs, np.array([0, bad], dtype=np.int32))
-
-
-def _product_rows(tops, c0s):
-    """The rows [c0, *top] of horner_product, top by top with c0 fastest."""
-    return np.array([[c0, *top] for top in tops for c0 in c0s], dtype=np.int32).reshape(
-        -1, tops.shape[1] + 1)
-
-
-def _scrambled(bt, seed):
-    """A copy of bt whose ADD and MUL hold arbitrary codes."""
-    rng = np.random.default_rng(seed)
-    out = object.__new__(type(bt))
-    out.field, out.q = bt.field, bt.q
-    out.ADD, out.MUL = (rng.integers(0, bt.q, size=(bt.q, bt.q)).astype(np.int32) for _ in "am")
-    return out
-
-
-@pytest.mark.parametrize("scramble", [False, True], ids=["sound", "scrambled"])
-def test_horner_product_is_per_row_horner(bt_small, scramble):
-    # the shared last step reads the cells per-row horner reads, so the two
-    # agree on any table contents, at every x and at any points
-    bt = _scrambled(bt_small, 5) if scramble else bt_small
-    q = bt.q
-    rng = np.random.default_rng(13)
-    for width in (1, 2, 3):
-        tops = rng.integers(0, q, size=(4, width)).astype(np.int32)
-        for c0s in (np.arange(q), np.array([q - 1, 0, q // 2]), np.zeros(0, dtype=np.int32)):
-            want = bt.horner(_product_rows(tops, c0s))
-            got = bt.horner_product(tops, c0s, np.arange(q))
-            assert got.shape == want.shape and got.dtype == np.int32
-            assert np.array_equal(got, want)
-            points = rng.integers(0, q, size=q + 3)
-            assert np.array_equal(bt.horner_product(tops, c0s, points), want[:, points])
-
-
-def test_horner_product_refuses_out_of_range_inputs(bt_small):
-    q = bt_small.q
-    tops = np.array([[1]], dtype=np.int32)
-    for bad in (q, -1):
-        with pytest.raises(IndexError):
-            bt_small.horner_product(tops, np.array([0, bad]), np.arange(q))
-        with pytest.raises(IndexError):
-            bt_small.horner_product(tops, np.arange(q), np.array([0, bad]))
-        with pytest.raises(IndexError):
-            bt_small.horner_product(np.array([[bad]]), np.arange(q), np.arange(q))
 
 
 def test_base_mul_by_x_matches_scalar(bt):
@@ -443,6 +398,20 @@ def test_bulk_cap_refuses_huge_towers():
     assert big.order == 2**18 > BULK_TOWER_CAP
     with pytest.raises(OrderCapExceeded):
         tower_tables(big)
+
+
+@pytest.mark.parametrize("name, stand_in, why", [
+    ("trace_list", lambda tw: [tw.q] * tw.order, "trace left the base field"),
+    ("norm_exponent", lambda tw: 1, "norm left the base field"),
+    ("trace_list", lambda tw: [0] * tw.order, "trace kernel has the wrong size"),
+], ids=["trace", "norm", "kernel"])
+def test_tower_tables_refuse_a_trace_or_norm_off_the_base(monkeypatch, name, stand_in, why):
+    # TowerTables checks what it reads off the scalar route: a trace or norm
+    # value past the base codes, or a trace kernel of another size than
+    # q^(n-1), stops the build
+    monkeypatch.setattr(tables, name, stand_in)
+    with pytest.raises(AssertionError, match=why):
+        TowerTables(make_tower(make_prime_field(3), 2))
 
 
 def test_table_caches_return_same_object():
