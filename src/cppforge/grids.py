@@ -48,10 +48,14 @@ and thm3.7 walk it through one generator (_lift_blocks): per block, it
 checks the witness on the whole base, lifts the rows the verdict needs,
 reads the failing cells of the sweep's table, and keeps past the block
 only the verdicts of the rows sampled for the scalar replay. h and h(v*y),
-v in F_q^*, get the same thm2.2 verdicts: where every check of
-_norm_checks passes, thm2.2's exhaustive h are decided on 2q^2 class
-representatives, and each row takes its class's by one gather on its top
-(c1, c2). Its note, square cells, fiber check and replay stay its own.
+v in F_q^*, get the same thm2.2 verdicts, and h(v*y) scales (c0, c1, c2) to
+(c0, c1*v, c2*v^2): where every check of _norm_checks passes, thm2.2's
+exhaustive h are decided on q^2 + 2q class representatives (q^2 + 3q for
+odd q, where the c2 of the rows with c1 = 0 fall in two square classes),
+and each row takes its class's by one gather on its top (c1, c2). thm2.2's
+random h are decided once per distinct row, on any tables, and each row
+takes its own by one gather too. A row's note, square cells, fiber check
+and replay stay its own.
 """
 
 from __future__ import annotations
@@ -90,14 +94,14 @@ from .tables import _ROW_CELLS, BULK_TOWER_CAP, base_tables, bijective_rows, cpp
 DEFAULT_SEED = 20260819
 H_DEGREE = 2  # every nonzero h of degree <= H_DEGREE is swept exhaustively
 # rows x q cells per block of a walk that lifts only the rows whose witness
-# permutes. thm2.2's class representatives hold them densely (126 of
-# F_4096/F_64's 8192): 2^15 cells raised the sweep's peak RSS by 1.5 MB
+# permutes. thm2.2's class representatives hold them densely (64 of
+# F_4096/F_64's 4224): 2^15 cells raised the sweep's peak RSS by 1.5 MB
 _WITNESS_CELLS = 1 << 13
 # tower elements, spread evenly, where a row of a whole-tower batch must be
 # distinct to be built in full. Of thm3.2's 144,799 rows at its default, 64
 # leading columns leave 35,012, 64 spread ones 8,351 and 256 spread 3,407
 _PREFIX = 64
-_GATHER = 1 << 14  # rows per block of a walk that gathers its verdicts by class
+_GATHER = 1 << 14  # rows per block of a walk that gathers its verdicts
 
 
 @memo(lambda p, r, n: p ** (r * n))
@@ -288,8 +292,9 @@ def _lift_blocks(bt, tt, h, lift, pow_n: np.ndarray, cells, witness_first: bool 
     CPP verdicts of the rows that key sampled are stored there.
     witness_first says the lift's first q columns are the witness map: then
     only the rows whose witness permutes are lifted, and otherwise every
-    row. With classes (top_class, verdicts) from _norm_checks, the row [c0,
-    c1, c2] takes the verdicts[:, top_class[c1, c2] + c0] instead."""
+    row. With classes, classes(lo, coeffs) gives the four verdicts of the
+    block of rows coeffs that starts at row lo, gathered from rows decided
+    before (each row's scaling class, or its distinct random h)."""
     # blocks are sized by what each row builds whole: its q witness cells
     # when few rows are lifted, else its order lift cells (q-sized blocks of
     # lifted rows doubled thm3.2's memory peak); a gathered row, nothing
@@ -298,8 +303,7 @@ def _lift_blocks(bt, tt, h, lift, pow_n: np.ndarray, cells, witness_first: bool 
     for lo in range(0, len(h), step):
         coeffs = h[lo : lo + step]
         if classes:
-            top_class, verdicts = classes
-            wit_perm, wit_cpp, perm, cpp = verdicts[:, top_class[coeffs[:, 1], coeffs[:, 2]] + coeffs[:, 0]]
+            wit_perm, wit_cpp, perm, cpp = classes(lo, coeffs)
         else:
             hv = bt.horner(coeffs)
             wit_perm, wit_cpp = cpp_rows(bt, bt.mul_by_x(hv[:, pow_n]))
@@ -311,6 +315,13 @@ def _lift_blocks(bt, tt, h, lift, pow_n: np.ndarray, cells, witness_first: bool 
             if lo <= i < lo + len(coeffs):
                 sampled[i] = (wit_cpp[i - lo], cpp[i - lo])
         yield coeffs, wit_perm, wit_cpp, perm, cpp, cells_ok
+
+
+def _row_verdicts(bt, tt, h, lift, pow_n: np.ndarray, witness_first: bool) -> np.ndarray:
+    """The (wit_perm, wit_cpp, perm, cpp) of _lift_blocks, one column per
+    row of h, for a later walk to gather."""
+    walk = _lift_blocks(bt, tt, h, lift, pow_n, None, witness_first)
+    return np.hstack([np.zeros((4, 0), dtype=bool)] + [block[1:5] for block in walk])
 
 
 class HGrid:
@@ -358,13 +369,34 @@ class HGrid:
 
 
 def _random_h_coeffs(q: int, count: int, rng) -> np.ndarray:
-    """Seeded random h of degree < q, padded to a common width."""
+    """Seeded random h of degree < q, padded to a common width.
+
+    Row i has degree d = degs[i], d + 1 coefficients drawn from 0..q-1 and
+    then its leading one from 1..q-1, as if drawn row by row with
+    rng.integers; every word is read in one pass, and the rng ends where
+    the row-by-row draw leaves it. numpy draws an int64 below 2^32 from the
+    next 32-bit word w as w*span >> 32, and reads the word after while
+    (w*span) mod 2^32 < 2^32 mod span (Lemire's method); a draw from 1..1
+    reads no word."""
     out = np.zeros((count, q), dtype=np.int32)
     degs = rng.integers(0, q, size=count)
-    for i, d in enumerate(degs):
-        row = rng.integers(0, q, size=d + 1)
-        row[d] = rng.integers(1, q)
-        out[i, : d + 1] = row
+    lead = int(q > 2)
+    widths = degs + 1 + lead  # words per row
+    row = np.repeat(np.arange(count), widths)
+    col = np.arange(len(row)) - np.repeat(np.cumsum(widths) - widths, widths)
+    coeff = col <= degs[row]  # else the row's leading draw
+    spans = np.where(coeff, q, q - 1).astype(np.uint64)
+    words = rng.integers(0, 2**32, size=len(spans), dtype=np.uint32).astype(np.uint64)
+    while True:
+        rejected = np.flatnonzero(words * spans % 2**32 < 2**32 % spans)
+        if not len(rejected):
+            break
+        # that draw reads the next word, and every later draw moves one on
+        words = np.append(np.delete(words, rejected[0]),
+                          rng.integers(0, 2**32, size=1, dtype=np.uint32))
+    vals = (words * spans >> 32).astype(np.int32)
+    out[row[coeff], col[coeff]] = vals[coeff]
+    out[np.arange(count), degs] = vals[~coeff] + 1 if lead else 1
     return out
 
 
@@ -397,10 +429,12 @@ def _norm_checks(bt, tt, pow_n: np.ndarray, lift):
     _scales passes. Then h_v(y) = h(v*y) = (c0, c1*v, c2*v^2) has the
     witness u^-1*w(u*x) and the lift u^-1*L(u*x), v = u^n, w and L those of
     h, since nor(u*x) = v*nor(x) is the square's cell (x, u); times u^-1 is
-    additive, so both keep their permutation and CPP verdicts. So classes
-    is (top_class, verdicts) for _lift_blocks: the (wit_perm, wit_cpp, perm,
-    cpp) of the 2q^2 representatives, walked row by row, and top_class[c1,
-    c2] the first of its class's rows, (c0, 1, c2/c1^2) or (c0, 0, c2)."""
+    additive, so both keep their permutation and CPP verdicts. So classes,
+    for _lift_blocks, gives each row the (wit_perm, wit_cpp, perm, cpp) of
+    its class's representative, walked row by row: (c0, 1, c2/c1^2) where
+    c1 != 0, else (c0, 0, t) for t the one of 0, 1 and, where q is odd, g =
+    MEXP[m/(q - 1)] in c2's square class. That is q^2 + 2q rows, or q^2 +
+    3q for odd q."""
     q, m = bt.q, tt.tower.order - 1
     # failing cells (x, c) of the square table; none on sound tables
     bad_x, bad_c = np.nonzero(~tt.norm_square_table())
@@ -412,12 +446,22 @@ def _norm_checks(bt, tt, pow_n: np.ndarray, lift):
               and (pow_n[bt.MUL] == bt.MUL[pow_n[:, None], pow_n[None, :]]).all())
     if not (sub_ok and pow_ok and len(bad_x) == 0 and _scales(bt, tt)):
         return bad_x, bad_c, sub_ok, pow_ok, None
-    # the representative (c0, k, d) is row q*(2d + k) + c0
-    reps = np.indices((q, 2, q), dtype=np.int32).reshape(3, -1)[::-1].T
+    # the representative (c0, 1, d) is row q*d + c0, and (c0, 0, t) row
+    # q*(q + j) + c0 for t the j-th of 0, 1 and, where q is odd, g = MEXP[s]
+    s = m // (q - 1)
+    tops = [(1, d) for d in range(q)] + [(0, 0), (0, 1), (0, int(tt.MEXP[s]))][: 2 + q % 2]
+    tops = np.array(tops, dtype=np.int32)
+    reps = np.column_stack([np.tile(np.arange(q, dtype=np.int32), len(tops)),
+                            np.repeat(tops, q, axis=0)])
     c1, c2 = np.indices((q, q))
-    top_class = q * np.where(c1 > 0, 2 * tt.MEXP[tt.LOG[c2] + -2 * tt.LOG[c1] % m] + 1, 2 * c2)
-    walk = _lift_blocks(bt, tt, reps, lift, pow_n, None, True)
-    return bad_x, bad_c, sub_ok, pow_ok, (top_class, np.hstack([v[1:5] for v in walk]))
+    # c2 = g^j is g times a square exactly when j is odd, and even q has
+    # no such c2 (LOG[0] = 2m leaves 0 in the square class)
+    odd = tt.LOG[c2] // s % 2 * (q % 2)
+    top_class = q * np.where(c1 > 0, tt.MEXP[tt.LOG[c2] + -2 * tt.LOG[c1] % m], q + (c2 > 0) + odd)
+    verdicts = _row_verdicts(bt, tt, reps, lift, pow_n, True)
+    # take, not fancy indexing: it gathers a block about three times faster
+    return bad_x, bad_c, sub_ok, pow_ok, (
+        lambda lo, c: verdicts.take(top_class.take(q * c[:, 1] + c[:, 2]) + c[:, 0], axis=1))
 
 
 @_sweep("thm2.2", 4096, _norm_lift_shapes,
@@ -441,9 +485,10 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
     map bijects exactly when the witness permutes. A tower that fails a
     check takes the direct route for it: every row handed to the lift
     verdict, or the induced map checked on its own. Where every check of
-    _norm_checks passes, the exhaustive h are decided by scaling class. The
-    pair scan evaluates h anew for its own rows, none on sound tables. The
-    square at x is the cell (x, h(nor x)) of norm_square_table.
+    _norm_checks passes, the exhaustive h are decided by scaling class; the
+    random h are decided once per distinct row. The pair scan evaluates h
+    anew for its own rows, none on sound tables. The square at x is the
+    cell (x, h(nor x)) of norm_square_table.
     """
     q, n, order = tower.q, tower.n, tower.order
     rep.extras["pairs"].append((q, n))
@@ -455,9 +500,14 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
     bad_x, bad_c, sub_ok, pow_ok, classes = _norm_checks(bt, tt, pow_n, lift)
     all_h = HGrid(q, H_DEGREE)
     rand_h = _random_h_coeffs(q, random_h, rng)
+    # a random h has degree < q, so equal rows are one h: each distinct row
+    # is decided once, and every row gathers its verdicts
+    distinct, inverse = np.unique(rand_h, axis=0, return_inverse=True)
+    rand_verdicts = _row_verdicts(bt, tt, distinct, lift, pow_n, sub_ok)
+    rand_classes = lambda lo, c: rand_verdicts.take(inverse[lo : lo + len(c)], axis=1)
     # row -> (witness, lift) CPP verdicts of the sampled all_h rows
     sampled = dict.fromkeys(rng.integers(0, len(all_h), size=8).tolist())
-    for h, h_sampled, h_classes in ((all_h, sampled, classes), (rand_h, None, None)):
+    for h, h_sampled, h_classes in ((all_h, sampled, classes), (rand_h, None, rand_classes)):
         for coeffs, wit_perm, wit_cpp, perm, lift_cpp, square_ok in _lift_blocks(
                 bt, tt, h, lift, pow_n, (tt.NOR[bad_x], bad_c), sub_ok, h_sampled, h_classes):
             # fiber criterion with induced v -> v*h(v)^n

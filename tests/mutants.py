@@ -98,8 +98,23 @@ MUTANTS = [
      "bad_x, bad_c = np.nonzero(~tt.norm_square_table() & False)",
      ["tests/test_grids.py::test_a_corrupted_table_still_shows"]),
     # thm2.2's class of the top (c1, c2) taken as (1, c2), not (1, c2/c1^2)
-    ("cppforge/grids.py", "2 * tt.MEXP[tt.LOG[c2] + -2 * tt.LOG[c1] % m] + 1", "2 * c2 + 1",
+    ("cppforge/grids.py", "tt.MEXP[tt.LOG[c2] + -2 * tt.LOG[c1] % m]", "c2",
      ["tests/test_grids.py::test_thm22_classes_give_the_per_row_verdicts"]),
+    # thm2.2's class of (c0, 0, c2) taken as (c0, 0, 1) on odd q too, where
+    # a non-square c2 is not c2*v^2 for any v
+    ("cppforge/grids.py", "odd = tt.LOG[c2] // s % 2 * (q % 2)", "odd = 0 * c2",
+     ["tests/test_grids.py::test_norm_lift_sweep_small_scale"]),
+    # each random h row gathers the verdicts of the next distinct row
+    ("cppforge/grids.py", "inverse[lo : lo + len(c)]", "(inverse[lo : lo + len(c)] + 1) % len(distinct)",
+     ["tests/test_grids.py::test_norm_lift_sweep_small_scale"]),
+    # a rejected word of the random h draw dropped once, and the word
+    # after it kept unchecked
+    ("cppforge/grids.py", "    while True:\n        rejected", "    for _ in range(1):\n        rejected",
+     ["tests/test_grids.py::test_random_h_draw_is_the_row_by_row_draw"]),
+    # y -> g*y taken as additive under the digitwise addition unchecked
+    ("cppforge/grids.py", "return bool((gy[1:] == tt.add(gy[codes[1:] - e], gy[e])).all()",
+     "return bool(True",
+     ["tests/test_grids.py::test_scales_refuses_a_relabeled_tower"]),
     # base ADD taken as the tower's addition on F_q unchecked
     ("cppforge/grids.py", "and (bt.ADD == tt.add(codes[:q, None], codes[None, :q])).all())",
      "and True)",

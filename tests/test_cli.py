@@ -195,6 +195,24 @@ def test_construct_cap_governs_the_base_field_scan(capsys, monkeypatch, call):
     assert run(capsys, *argv) == want
 
 
+def test_construct_exits_on_a_prediction_its_check_refutes(capsys, monkeypatch):
+    # a builder whose predicted CPP status disagrees with the exhaustive
+    # check of its lift: construct still prints the report, names the
+    # disagreement on stderr and exits with the counterexample code
+    def flipped(h, tower, cap=None):
+        res = lifts.norm_lift(h, tower, cap)
+        res.predicted_cpp = not res.predicted_cpp
+        return res
+
+    monkeypatch.setattr(cli, "norm_lift", flipped)
+    code, out, err = run(capsys, "construct", "norm-lift", "--p", "2", "--r", "2", "--n", "2",
+                         "--h", "[2]", "--reproducible")
+    assert code == cli.EXIT_COUNTEREXAMPLE == 3
+    rep = json.loads(out)
+    assert (rep["predicted_cpp"], rep["verified_cpp"]) == (False, True)
+    assert err == "cppforge: predicted and verified CPP status disagree\n"
+
+
 def test_construct_bad_l_pairs(capsys):
     code, _, err = run(capsys, "construct", "trace-general", "--p", "2", "--r", "2",
                        "--n", "3", "--h", "[1,1]", "--a", "1", "--L", "[[1]]")

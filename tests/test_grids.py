@@ -223,6 +223,69 @@ def _report_json(rep):
     return out
 
 
+def _random_h_row_by_row(q, count, rng):
+    """The reference draw of grids._random_h_coeffs: two rng.integers calls
+    a row, its coefficients and then its leading one."""
+    out = np.zeros((count, q), dtype=np.int32)
+    degs = rng.integers(0, q, size=count)
+    for i, d in enumerate(degs):
+        row = rng.integers(0, q, size=d + 1)
+        row[d] = rng.integers(1, q)
+        out[i, : d + 1] = row
+    return out
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _zero_output_after(rng, k):
+    """Set rng's PCG64 state so that its k-th 64-bit output from now is 0,
+    so that the k-th pair of 32-bit words is two zero words. PCG64 steps
+    s -> s*mult + inc mod 2^128 and then outputs the high half of s xor its
+    low half, rotated: a state whose halves are equal outputs 0, and k steps
+    back from it are k steps of s -> (s - inc)*mult^-1."""
+    inc = rng.bit_generator.state["state"]["inc"]
+    state, inverse = (1 << 64) + 1, pow(_PCG64_MULT, -1, 1 << 128)
+    for _ in range(k):
+        state = (state - inc) * inverse % (1 << 128)
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+
+
+@pytest.mark.parametrize("q", sorted({p**r for p, r, _ in grids._norm_lift_shapes(65536)}))
+def test_random_h_draw_is_the_row_by_row_draw(q):
+    # the one-pass draw gives the rows of the row-by-row draw and leaves
+    # the rng where it leaves it, on every base of the thm2.2 walk up to
+    # 2^16. A zero word is rejected for every span that is not a power of
+    # two (2^32 mod span > 0): placed at each output from the 1st to the
+    # 30th, two zero words in a row land on the degrees, on the
+    # coefficients or on the leading draws, and the one-pass draw must
+    # drop each as numpy does
+    def draws(seed, count, zero_at=None):
+        ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
+        if zero_at is not None:
+            _zero_output_after(ref, zero_at)
+            _zero_output_after(fast, zero_at)
+        want, got = _random_h_row_by_row(q, count, ref), grids._random_h_coeffs(q, count, fast)
+        assert np.array_equal(got, want), (seed, count, zero_at)
+        assert fast.bit_generator.state == ref.bit_generator.state, (seed, count, zero_at)
+
+    for seed in (0, 1, 7, DEFAULT_SEED):
+        for count in (0, 1, 5, 100):
+            draws(seed, count)
+    for zero_at in range(1, 31):
+        draws(3, 10, zero_at)
+
+
+def test_no_random_h_gives_the_exhaustive_report():
+    # random_h = 0 draws no row: the 635 exhaustive cases up to 64, as the
+    # sweep reported them when it drew its random h row by row
+    rep = sweep_norm_lift(max_order=64, random_h=0)
+    assert rep.clean and rep.cases == 635
+    digest = hashlib.sha256(json.dumps(_report_json(rep), sort_keys=True).encode()).hexdigest()
+    assert digest == "7b063e34361e28c1aa5c6b2198c254e9b9269bd1e245cf971e4c188069228e91"
+
+
 def test_no_sweep_depends_on_the_default_cap(monkeypatch):
     # each sweep checks its lifts at the tower's own order, the proof
     # identity of thm3.3 and thm3.7 included: a default cap below the
@@ -293,10 +356,16 @@ def test_prefix_width_changes_no_verdict(monkeypatch):
     # gives the same reports, for thm2.2, thm3.2, cor2.3, cor2.5 and thm3.7
     # alike. Width 1 rejects nothing, so every row takes the full path; 64
     # and 256, the two widths the prefix has had, stay under test. On sound
-    # tables thm2.2 decides its exhaustive h by scaling class: of the 1415
-    # rows whose witness permutes, by the verdicts its walk yields, it
-    # lifts only the class representatives' and the random h's. Their lifts
-    # permute, so every width builds exactly those in full. A batch budget
+    # tables thm2.2 decides its exhaustive h by scaling class and its random
+    # h once per distinct row: of the 1415 rows whose witness permutes, by
+    # the verdicts its walk yields, it lifts only the 179 permuting class
+    # representatives and the 42 permuting distinct random h, 221 rows.
+    # Their lifts permute, so every width builds exactly those in full.
+    # Over the 20 towers, the 179 are 4 on each of the nine F_2 towers, 6
+    # on each F_3 one, 4 on each F_4 one, 6 on F_5, 16 and 8 on the F_8
+    # ones, 10 on F_9, 15 on F_16 and 64 on F_32; the 42 are 2 on each F_2
+    # tower, 3, 3 over F_3, 2, 3, 3 over F_4, 1 over F_5, 1, 3 over F_8, 2
+    # over F_9, 3 over F_16 and none over F_32. A batch budget
     # of 2^10 cells splits every batch, the square table's too, and changes
     # no report either. At thm3.7's default only that budget splits its h
     # grid: F_125/F_5's 124 rows walk in blocks of 8
@@ -336,7 +405,7 @@ def test_prefix_width_changes_no_verdict(monkeypatch):
             monkeypatch.setattr(grids, "_PREFIX", width)
             norm = sweep_norm_lift(max_order=1024, random_h=20)
             assert verdict_rows[width] == 1415
-            assert full_rows[width] == witness_rows[width] == 399
+            assert full_rows[width] == witness_rows[width] == 221
             reports[cells, width] = (_report_json(norm),
                                      _report_json(sweep_trace_simple(max_order=256)),
                                      _report_json(sweep_monomial_norm(max_order=1024)),
@@ -437,6 +506,35 @@ def test_thm22_classes_give_the_per_row_verdicts(monkeypatch, name):
     every = [(p**r, n) for p, r, n in grids._norm_lift_shapes(1024)]
     want = {None: every, "NOR": [(q, n) for q, n in every if q == 2]}
     assert taken == want.get(name, [])
+
+
+@pytest.mark.parametrize("shape, refused", [
+    ((2, 1, 4), False), ((3, 1, 3), True), ((2, 3, 2), True), ((2, 2, 5), True),
+], ids=["F16/F2", "F27/F3", "F64/F8", "F1024/F4"])
+def test_scales_refuses_a_relabeled_tower(shape, refused):
+    # relabel the codes from q on by a seeded permutation pi, consistently
+    # in MEXP, LOG and NOR: MEXP'[i] = pi(MEXP[i]), LOG'[pi(x)] = LOG[x] and
+    # NOR'[pi(x)] = NOR[x]. That is still a sentinel log/exp pair whose
+    # codes below q are F_q^*, with the same square table and reuse checks,
+    # so only the additivity check of _scales can see that its product no
+    # longer fits the digitwise addition. Over F_2, g = 1 and a product by
+    # a power of g is the identity, which is additive on any labels
+    tower = grids._tower(*shape)
+    bt, tt = tables.base_tables(tower.base), tables.TowerTables(tower)
+    q, order = tower.q, tower.order
+    assert grids._scales(bt, tt)
+    pi = np.r_[np.arange(q), q + np.random.default_rng(1).permutation(order - q)]
+    lg, nor = tt.LOG.copy(), tt.NOR.copy()
+    tt.MEXP[:] = pi[tt.MEXP]
+    tt.LOG[pi], tt.NOR[pi] = lg, nor
+    assert (tt.MEXP[tt.LOG[1:]] == np.arange(1, order)).all()
+    assert (tt.LOG[:q] == lg[:q]).all() and (tt.NOR[:q] == nor[:q]).all()
+    pow_n = bt.pow_all(tower.n)
+    lift = lambda hv, xs: grids._lift_rows(tt, hv, tt.NOR, xs)
+    bad_x, _, sub_ok, pow_ok, classes = grids._norm_checks(bt, tt, pow_n, lift)
+    assert sub_ok and pow_ok and len(bad_x) == 0
+    assert grids._scales(bt, tt) is not refused
+    assert (classes is None) is refused
 
 
 def test_thm22_memory_peak_with_warm_tables():
@@ -637,7 +735,9 @@ def test_a_corrupted_table_still_shows(monkeypatch, name, cell, value, permuting
         bad = [c["h"] for c in rep.counterexamples
                if c.get("why") == "fiber verdict" and (c["q"], c["n"]) == (4, 5)]
         assert permuting in bad and rejected in bad
-    rows = 4**3 - 1 + 20  # every nonzero h of degree <= 2, and 20 random h
+    # every nonzero h of degree <= 2, and the 20 random h of F_1024/F_4,
+    # which hold 16 distinct rows: each is decided once
+    rows = 4**3 - 1 + 16
     assert (sum(lifted) < rows) if reused else (sum(lifted) == rows)
 
 
