@@ -120,18 +120,7 @@ def memo(cells):
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return _prime_factors(p) == [p]
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -840,11 +829,20 @@ def _canonical_modulus(home: FieldDesc, degree: int) -> tuple[int, ...]:
 
 def make_prime_field(p: int) -> FieldDesc:
     """F_p with the formal degree-1 modulus x."""
+    if isinstance(p, int) and p > MAX_FIELD_ORDER:  # before sqrt(p) trial divisions
+        raise OrderCapExceeded(p, MAX_FIELD_ORDER, "field construction")
     if not isinstance(p, int) or not _is_prime(p):
         raise NotPrime(p)
-    if p > MAX_FIELD_ORDER:
-        raise OrderCapExceeded(p, MAX_FIELD_ORDER, "field construction")
     return FieldDesc(p, 1, (0, 1))
+
+
+def _check_order(q: int, degree: int) -> None:
+    """Refuse q^degree past MAX_FIELD_ORDER. A degree past the cap's bit
+    length exceeds it for every q >= 2, so that power is named, not built."""
+    if degree > MAX_FIELD_ORDER.bit_length():
+        raise OrderCapExceeded(f"{q}^{degree}", MAX_FIELD_ORDER, "field construction")
+    if q**degree > MAX_FIELD_ORDER:
+        raise OrderCapExceeded(q**degree, MAX_FIELD_ORDER, "field construction")
 
 
 def _normalize_modulus(home: FieldDesc, degree: int, modulus) -> tuple[int, ...]:
@@ -871,8 +869,7 @@ def make_extension(base: FieldDesc, degree: int, modulus=None):
         raise BadInput("extension degree must be a positive integer")
     if base.r > 1:
         return make_tower(base, degree, modulus)
-    if base.p**degree > MAX_FIELD_ORDER:
-        raise OrderCapExceeded(base.p**degree, MAX_FIELD_ORDER, "field construction")
+    _check_order(base.p, degree)
     if degree == 1 and modulus is None:
         return base
     if modulus is None:
@@ -888,8 +885,7 @@ def make_tower(base: FieldDesc, n: int, modulus=None) -> TowerDesc:
         raise FieldMismatch("towers are built over a FieldDesc base")
     if not isinstance(n, int) or n < 1:
         raise BadInput("tower degree must be a positive integer")
-    if base.q**n > MAX_FIELD_ORDER:
-        raise OrderCapExceeded(base.q**n, MAX_FIELD_ORDER, "field construction")
+    _check_order(base.q, n)
     if modulus is None:
         mod = _canonical_modulus(base, n)
     else:

@@ -75,6 +75,7 @@ from .fields import (
     FieldElement,
     Poly,
     TowerDesc,
+    _is_prime,
     make_extension,
     make_prime_field,
     make_tower,
@@ -110,21 +111,10 @@ def _tower(p: int, r: int, n: int) -> TowerDesc:
     return make_tower(base, n)
 
 
-def _primes_upto(m: int) -> list[int]:
-    sieve = [True] * (m + 1)
-    out = []
-    for v in range(2, m + 1):
-        if sieve[v]:
-            out.append(v)
-            for w in range(v * v, m + 1, v):
-                sieve[w] = False
-    return out
-
-
 def _grid_shapes(max_order: int) -> list[tuple[int, int, int]]:
     """The (p, r, n), q = p^r, of each tower of tower_grid, by (q^n, p, r)."""
     out = []
-    for p in _primes_upto(int(math.isqrt(max_order))):
+    for p in filter(_is_prime, range(2, math.isqrt(max_order) + 1)):
         r = 1
         while p ** (2 * r) <= max_order:
             n = 2
@@ -246,7 +236,7 @@ def _lift_rows(tt, hcols: np.ndarray, sel: np.ndarray, xs=slice(None)) -> np.nda
     """Rowwise x * hcols[., sel[x]] at the tower elements xs (every x by
     default): hcols holds base-field values (one row per h), and sel maps
     each tower element to its base column (the norm or trace table)."""
-    return tt.MEXP[tt.LOG[hcols][:, sel[xs]] + tt.LOG[xs]]
+    return tt.MEXP[tt.LOG[hcols].take(sel[xs], axis=1) + tt.LOG[xs]]
 
 
 def _distinct_rows(tabs: np.ndarray) -> np.ndarray:
@@ -372,31 +362,20 @@ def _random_h_coeffs(q: int, count: int, rng) -> np.ndarray:
     """Seeded random h of degree < q, padded to a common width.
 
     Row i has degree d = degs[i], d + 1 coefficients drawn from 0..q-1 and
-    then its leading one from 1..q-1, as if drawn row by row with
-    rng.integers; every word is read in one pass, and the rng ends where
-    the row-by-row draw leaves it. numpy draws an int64 below 2^32 from the
-    next 32-bit word w as w*span >> 32, and reads the word after while
-    (w*span) mod 2^32 < 2^32 mod span (Lemire's method); a draw from 1..1
-    reads no word."""
+    then its leading one from 1..q-1, which replaces its d-th coefficient,
+    as if drawn row by row with rng.integers. One rng.integers call with an
+    array of low bounds draws the values of every row in that order, each
+    as a scalar call would, so the rng ends where the row-by-row draw
+    leaves it."""
     out = np.zeros((count, q), dtype=np.int32)
     degs = rng.integers(0, q, size=count)
-    lead = int(q > 2)
-    widths = degs + 1 + lead  # words per row
+    widths = degs + 2  # draws per row
     row = np.repeat(np.arange(count), widths)
     col = np.arange(len(row)) - np.repeat(np.cumsum(widths) - widths, widths)
-    coeff = col <= degs[row]  # else the row's leading draw
-    spans = np.where(coeff, q, q - 1).astype(np.uint64)
-    words = rng.integers(0, 2**32, size=len(spans), dtype=np.uint32).astype(np.uint64)
-    while True:
-        rejected = np.flatnonzero(words * spans % 2**32 < 2**32 % spans)
-        if not len(rejected):
-            break
-        # that draw reads the next word, and every later draw moves one on
-        words = np.append(np.delete(words, rejected[0]),
-                          rng.integers(0, 2**32, size=1, dtype=np.uint32))
-    vals = (words * spans >> 32).astype(np.int32)
-    out[row[coeff], col[coeff]] = vals[coeff]
-    out[np.arange(count), degs] = vals[~coeff] + 1 if lead else 1
+    lead = col > degs[row]  # the row's leading draw
+    vals = rng.integers(lead.astype(np.int64), q)
+    out[row[~lead], col[~lead]] = vals[~lead]
+    out[np.arange(count), degs] = vals[lead]
     return out
 
 

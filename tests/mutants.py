@@ -107,9 +107,8 @@ MUTANTS = [
     # each random h row gathers the verdicts of the next distinct row
     ("cppforge/grids.py", "inverse[lo : lo + len(c)]", "(inverse[lo : lo + len(c)] + 1) % len(distinct)",
      ["tests/test_grids.py::test_norm_lift_sweep_small_scale"]),
-    # a rejected word of the random h draw dropped once, and the word
-    # after it kept unchecked
-    ("cppforge/grids.py", "    while True:\n        rejected", "    for _ in range(1):\n        rejected",
+    # the leading coefficient of a random h drawn from 0..q-1, not 1..q-1
+    ("cppforge/grids.py", "rng.integers(lead.astype(np.int64), q)", "rng.integers(0 * lead, q)",
      ["tests/test_grids.py::test_random_h_draw_is_the_row_by_row_draw"]),
     # y -> g*y taken as additive under the digitwise addition unchecked
     ("cppforge/grids.py", "return bool((gy[1:] == tt.add(gy[codes[1:] - e], gy[e])).all()",
@@ -127,8 +126,8 @@ MUTANTS = [
      "scan = np.flatnonzero(h_bij & ~perm & False)",
      ["tests/test_grids.py::test_a_corrupted_table_still_shows"]),
     # the spread prefix multiplies by the leading codes, not by its own x
-    ("cppforge/grids.py", "tt.LOG[hcols][:, sel[xs]] + tt.LOG[xs]",
-     "tt.LOG[hcols][:, sel[xs]] + tt.LOG[: len(sel[xs])]",
+    ("cppforge/grids.py", "tt.LOG[hcols].take(sel[xs], axis=1) + tt.LOG[xs]",
+     "tt.LOG[hcols].take(sel[xs], axis=1) + tt.LOG[: len(sel[xs])]",
      ["tests/test_grids.py::test_a_corrupted_table_still_shows"]),
     # thm3.7's failing identity cells dropped, so no row's identity fails
     ("cppforge/grids.py", "np.nonzero(tt.TR[table] != bt.MUL[tt.TR])",

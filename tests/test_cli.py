@@ -11,6 +11,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -106,6 +107,24 @@ def test_cap_env_is_honored_and_flag_wins(capsys, monkeypatch):
     monkeypatch.setenv("CPPFORGE_CAP", "many")
     code, _, err = run(capsys, "verify", "--p", "2", "--r", "4", "--poly", "[0,1]")
     assert code == 4 and "not an integer" in err
+
+
+@pytest.mark.parametrize("field, order", [
+    (["--p", "1000000000000000003"], "1000000000000000003"),
+    (["--p", "1048577"], "1048577"),
+    (["--p", "2", "--r", "1000000000000000000"], "2^1000000000000000000"),
+    (["--p", "3", "--r", "2", "--n", "1000000000000000000"], "9^1000000000000000000"),
+    (["--p", "2", "--r", "100000000"], "2^100000000"),
+])
+def test_an_oversized_field_is_refused_before_it_is_computed(capsys, field, order):
+    # the cap comes before the trial division of p, which takes sqrt(p)
+    # steps (1048577 = 17 * 61681 is refused by the cap too), and a degree
+    # past the cap's bit length is refused as p^d, before p^d is built
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", *field, "--poly", "[1]")
+    assert time.perf_counter() - t0 < 5
+    _assert_refused(code, out, err)
+    assert err == f"cppforge: field construction refused: order {order} exceeds cap 1048576\n"
 
 
 # --- construct ------------------------------------------------------------

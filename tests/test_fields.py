@@ -54,6 +54,24 @@ def test_not_prime_rejected():
             make_prime_field(bad)
 
 
+def _primes_upto(m):
+    """The primes up to m, by the sieve of Eratosthenes."""
+    sieve = [True] * (m + 1)
+    out = []
+    for v in range(2, m + 1):
+        if sieve[v]:
+            out.append(v)
+            for w in range(v * v, m + 1, v):
+                sieve[w] = False
+    return out
+
+
+def test_is_prime_is_the_sieve():
+    # the one trial division, read as a prime test, against an independent
+    # sieve; below 2 there is no prime
+    assert list(filter(fields._is_prime, range(-2, 5000))) == _primes_upto(4999)
+
+
 def _axioms_exhaustive(f):
     q = f.order
     for a in range(q):

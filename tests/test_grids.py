@@ -451,6 +451,23 @@ def test_hgrid_blocks_keep_only_the_given_c0(q):
             assert np.array_equal(np.concatenate(blocks), want)
 
 
+@pytest.mark.parametrize("q", [2, 3, 64])
+def test_hgrid_refuses_a_strided_block(q):
+    with pytest.raises(ValueError, match="stride 1"):
+        grids.HGrid(q, 2)[0:10:2]
+
+
+def test_hgrid_without_c0_is_empty():
+    # thm3.2's grid over F_2: no c0 is outside {0, -1}, so it has no row,
+    # and its one block has no row either
+    grid = grids.HGrid(2, 2, set())
+    assert len(grid) == 0
+    block = grid[:]
+    assert block.shape == (0, 3) and block.dtype == np.int32
+    with pytest.raises(IndexError):
+        grid[0]
+
+
 def _one_cell_scrambled(tower, name):
     """Fresh tables of the tower and its base, with one cell of the table
     name scrambled (no cell for None), each where few checks of
