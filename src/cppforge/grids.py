@@ -34,8 +34,9 @@ verdicts from the witness. An injective lift has injective pairs x -> (nor
 x, lift x), so the fiber pair scan sorts only the rows whose induced map
 bijects and whose lift repeats. The thm2.2 commuting square at a row and x
 depends only on x and c = h(nor x), so one order x q table per tower
-(TowerTables.norm_square_table) decides it: a row's square fails exactly
-when the row takes the value c at nor x for some failing cell (x, c).
+(_norm_square) decides it: a row's square fails exactly when the row
+takes the value c at nor x for some failing cell (x, c). Like every check
+of _norm_checks, the square reads only the tables it is handed.
 thm3.7's lift and proof identity at x likewise depend only on x and c =
 h(tr x): one order x q table per (k, a) (_binomial_lift_table) decides
 both.
@@ -90,10 +91,11 @@ from .lifts import (
     trace_lift_simple,
 )
 from .maps import PPoly, binomial_kernel_criterion, norm_exponent
-from .tables import _ROW_CELLS, BULK_TOWER_CAP, base_tables, bijective_rows, cpp_rows, tower_tables
+from .tables import BULK_TOWER_CAP, base_tables, bijective_rows, cpp_rows, tower_tables
 
 DEFAULT_SEED = 20260819
 H_DEGREE = 2  # every nonzero h of degree <= H_DEGREE is swept exhaustively
+_ROW_CELLS = 1 << 21  # cells per batched block of whole rows
 # rows x q cells per block of a walk that lifts only the rows whose witness
 # permutes. thm2.2's class representatives hold them densely (64 of
 # F_4096/F_64's 4224): 2^15 cells raised the sweep's peak RSS by 1.5 MB
@@ -401,9 +403,23 @@ def _scales(bt, tt) -> bool:
                 and (bt.ADD == tt.add(codes[:q, None], codes[None, :q])).all())
 
 
+def _norm_square(bt, tt, pow_n: np.ndarray) -> np.ndarray:
+    """S[x, c] = (nor(x*c) == nor(x) * pow_n[c]) for every tower x and base
+    c: norm multiplicativity with one factor in the base, whose norm is c^n.
+    x*c takes the lift's log path and the right side the base MUL handed
+    in, so a corrupted cell of either shows; built _ROW_CELLS cells a block."""
+    q, order, step = bt.q, tt.tower.order, max(1, _ROW_CELLS // bt.q)
+    out = np.empty((order, q), dtype=bool)
+    for lo in range(0, order, step):
+        x = slice(lo, lo + step)
+        lhs = tt.NOR[tt.MEXP[tt.LOG[x, None] + tt.LOG[None, :q]]]
+        out[x] = lhs == bt.MUL[tt.NOR[x, None], pow_n[None, :]]
+    return out
+
+
 def _norm_checks(bt, tt, pow_n: np.ndarray, lift):
     """What thm2.2 may reuse on a tower: (bad_x, bad_c, sub_ok, pow_ok,
-    classes), the failing cells of norm_square_table, the reuse checks of
+    classes), the failing cells of _norm_square, the reuse checks of
     sweep_norm_lift, and None unless those pass with no failing cell and
     _scales passes. Then h_v(y) = h(v*y) = (c0, c1*v, c2*v^2) has the
     witness u^-1*w(u*x) and the lift u^-1*L(u*x), v = u^n, w and L those of
@@ -416,7 +432,7 @@ def _norm_checks(bt, tt, pow_n: np.ndarray, lift):
     3q for odd q."""
     q, m = bt.q, tt.tower.order - 1
     # failing cells (x, c) of the square table; none on sound tables
-    bad_x, bad_c = np.nonzero(~tt.norm_square_table())
+    bad_x, bad_c = np.nonzero(~_norm_square(bt, tt, pow_n))
     # the lift's first q columns are the witness map
     sub_ok = ((tt.NOR[:q] == pow_n).all()
               and (tt.MEXP[tt.LOG[:q, None] + tt.LOG[None, :q]] == bt.MUL).all())
@@ -467,7 +483,7 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
     _norm_checks passes, the exhaustive h are decided by scaling class; the
     random h are decided once per distinct row. The pair scan evaluates h
     anew for its own rows, none on sound tables. The square at x is the
-    cell (x, h(nor x)) of norm_square_table.
+    cell (x, h(nor x)) of _norm_square.
     """
     q, n, order = tower.q, tower.n, tower.order
     rep.extras["pairs"].append((q, n))
@@ -562,6 +578,7 @@ def sweep_quadratic_monomials(rep: SweepReport, tower: TowerDesc, rng) -> None:
         for k in range(1, t):
             if e == 1 and math.gcd(k, t) == 1:
                 continue
+            # g = 2^(e*gcd(k, t)) - 1 >= 3, so some alpha is admissible
             g = math.gcd(2 ** (e * k) - 1, q - 1)
             built = []
             for alpha in range(1, q):
@@ -575,8 +592,6 @@ def sweep_quadratic_monomials(rep: SweepReport, tower: TowerDesc, rng) -> None:
                               "why": "inadmissible alpha accepted"})
                 except PreconditionViolated:
                     rep.skipped += 1
-            if not built:
-                continue
             tt = tower_tables(tower)
             exp_tab = tt.pow_all(built[0].params["exponent"])
             alphas = np.array([res.params["alpha"] for res in built])[:, None]

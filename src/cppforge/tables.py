@@ -11,9 +11,8 @@ FieldDesc._cadd_each row per code and BaseTables.pow_all is
 FieldDesc._cpow_all. Every other table is built from these: beyond the
 batched kernels, no arithmetic is the module's own, and test_tables.py
 pins each table to the scalar ops. TowerTables holds arrays only and
-reads every scalar off its tower. A field's tables are memoized
-(fields.memo), a base's at q^2 cells, a tower's at q^n; a tower's base
-tables are built only when norm_square_table reads them.
+reads every scalar off its tower, never a base table. A field's tables
+are memoized (fields.memo), a base's at q^2 cells, a tower's at q^n.
 
 The base-table kernels (BaseTables.horner, add_to_x, mul_by_x and
 bijective_rows) look each cell up through one flat index into the raveled
@@ -37,7 +36,6 @@ from .maps import norm_exponent, trace_list
 BULK_BASE_CAP = 1 << 10
 # TowerTables wraps a level's exp/log lists, which stop at _LOG_TABLE_MAX
 BULK_TOWER_CAP = _LOG_TABLE_MAX
-_ROW_CELLS = 1 << 21  # cells per batched block of whole rows
 
 
 class BaseTables:
@@ -160,21 +158,6 @@ class TowerTables:
     def scale_row(self, b: int) -> np.ndarray:
         """embed(b) * x for every x."""
         return self.MEXP[self.LOG[b] + self.LOG]
-
-    def norm_square_table(self) -> np.ndarray:
-        """S[x, c] = (nor(x*c) == nor(x) * c^n) for every tower x and base c:
-        norm multiplicativity with one factor in the base, whose norm is
-        c^n. x*c takes the lift's log path and the right side the base
-        tables, so a corrupted cell shows; built afresh on each call, a
-        block of _ROW_CELLS cells at a time."""
-        bt = base_tables(self.tower.base)
-        c_n, step = bt.pow_all(self.tower.n)[None, :], max(1, _ROW_CELLS // bt.q)
-        out = np.empty((self.tower.order, bt.q), dtype=bool)
-        for lo in range(0, self.tower.order, step):
-            x = slice(lo, lo + step)
-            lhs = self.NOR[self.MEXP[self.LOG[x, None] + self.LOG[None, : bt.q]]]
-            out[x] = lhs == bt.MUL[self.NOR[x, None], c_n]
-        return out
 
 
 # -- the batched verdict ---------------------------------------------------

@@ -94,9 +94,13 @@ MUTANTS = [
      "pow_ok = True or (bijective_rows(pow_n[None, :])[0]",
      ["tests/test_grids.py::test_a_corrupted_table_still_shows"]),
     # the square table's failing cells dropped, so no row's square fails
-    ("cppforge/grids.py", "bad_x, bad_c = np.nonzero(~tt.norm_square_table())",
-     "bad_x, bad_c = np.nonzero(~tt.norm_square_table() & False)",
+    ("cppforge/grids.py", "bad_x, bad_c = np.nonzero(~_norm_square(bt, tt, pow_n))",
+     "bad_x, bad_c = np.nonzero(~_norm_square(bt, tt, pow_n) & False)",
      ["tests/test_grids.py::test_a_corrupted_table_still_shows"]),
+    # the square reads the memo's base tables, not the ones it is handed
+    ("cppforge/grids.py", "out[x] = lhs == bt.MUL[tt.NOR[x, None], pow_n[None, :]]",
+     "out[x] = lhs == base_tables(tt.tower.base).MUL[tt.NOR[x, None], pow_n[None, :]]",
+     ["tests/test_grids.py::test_norm_checks_read_the_base_tables_they_are_handed"]),
     # thm2.2's class of the top (c1, c2) taken as (1, c2), not (1, c2/c1^2)
     ("cppforge/grids.py", "tt.MEXP[tt.LOG[c2] + -2 * tt.LOG[c1] % m]", "c2",
      ["tests/test_grids.py::test_thm22_classes_give_the_per_row_verdicts"]),

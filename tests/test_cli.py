@@ -78,6 +78,12 @@ def test_verify_unparseable_poly(capsys):
     assert code == 4 and "cannot parse" in err
 
 
+def test_verify_reads_a_bare_code_as_a_one_term_list(capsys):
+    bare = run(capsys, "verify", "--p", "3", "--poly", "1", "--reproducible")
+    assert bare == run(capsys, "verify", "--p", "3", "--poly", "[1]", "--reproducible")
+    assert bare[0] == 0 and json.loads(bare[1])["poly"] == [1]
+
+
 def test_verify_mod_requires_extension(capsys):
     code, _, err = run(capsys, "verify", "--p", "2", "--mod", "[1,1,1]",
                        "--poly", "[0,1]")
@@ -115,11 +121,13 @@ def test_cap_env_is_honored_and_flag_wins(capsys, monkeypatch):
     (["--p", "2", "--r", "1000000000000000000"], "2^1000000000000000000"),
     (["--p", "3", "--r", "2", "--n", "1000000000000000000"], "9^1000000000000000000"),
     (["--p", "2", "--r", "100000000"], "2^100000000"),
+    (["--p", "2", "--r", "10", "--n", "3"], "1073741824"),
 ])
 def test_an_oversized_field_is_refused_before_it_is_computed(capsys, field, order):
     # the cap comes before the trial division of p, which takes sqrt(p)
-    # steps (1048577 = 17 * 61681 is refused by the cap too), and a degree
-    # past the cap's bit length is refused as p^d, before p^d is built
+    # steps (1048577 = 17 * 61681 is refused by the cap too), a degree
+    # past the cap's bit length is refused as p^d, before p^d is built, and
+    # a smaller one by the order it gives (F_1024 itself is within the cap)
     t0 = time.perf_counter()
     code, out, err = run(capsys, "verify", *field, "--poly", "[1]")
     assert time.perf_counter() - t0 < 5
@@ -544,8 +552,9 @@ def test_grid_refuses_an_over_cap_walk_before_it_builds_a_tower(capsys, monkeypa
 
 
 def test_grid_refuses_a_walk_past_the_field_cap_before_it_lists_the_walk(capsys, monkeypatch):
-    # listing the walk of 10^14 would sieve the primes up to 10^7, a list
-    # of about 80 MB; the refusal comes first and allocates next to nothing
+    # listing the walk of 10^14 would trial-divide every integer up to 10^7
+    # and hold a shape for each of the 664,579 primes below it; the refusal
+    # comes first and allocates next to nothing
     import tracemalloc
 
     from cppforge import grids
@@ -666,24 +675,34 @@ def test_missing_subcommand_exits_4(capsys):
     assert exc.value.code == 4
 
 
-@pytest.mark.parametrize("call", [
-    "construct norm-lift --p 2 --r 2 --n 0 --h [1]",
-    "verify --p 2 --n -1 --poly [0,1]",
-    "verify --p 2 --n 0 --poly [0,1]",
-    "verify --p 2 --r -1 --poly [0,1]",
-    "verify --p 2 --r 0 --poly [0,1]",
-    "kernel-check --p 2 --r 2 --n 3 --k 1 --c 9",
-    "construct trace-general --p 2 --r 2 --n 3 --h [2,1] --L [[0,9]]",
-    "construct trace-general --p 2 --r 2 --n 3 --h [2,1] --L [[99,1]]",
-    "construct trace-general --p 2 --r 2 --n 3 --h [2,1] --L [[0,0]]",
-    "verify --p 2 --r 2 --mod [1,1] --poly [0,1]",
-    "verify --p 2 --r 2 --mod [1,1,0] --poly [0,1]",
-    "verify --p 2 --r 2 --n 2 --tmod [1,1] --poly [0,1]",
-])
-def test_malformed_input_exits_4_with_a_message(capsys, call):
+MALFORMED = {
+    "construct norm-lift --p 2 --r 2 --n 0 --h [1]": "tower degree must be a positive integer",
+    "verify --p 2 --n -1 --poly [0,1]": "tower degree must be a positive integer",
+    "verify --p 2 --n 0 --poly [0,1]": "tower degree must be a positive integer",
+    "verify --p 2 --r -1 --poly [0,1]": "extension degree must be a positive integer",
+    "verify --p 2 --r 0 --poly [0,1]": "extension degree must be a positive integer",
+    "kernel-check --p 2 --r 2 --n 3 --k 1 --c 9": "code 9 outside 0..3",
+    "construct trace-general --p 2 --r 2 --n 3 --h [2,1] --L [[0,9]]": "code 9 outside 0..3",
+    "construct trace-general --p 2 --r 2 --n 3 --h [2,1] --L [[99,1]]":
+        "exponent index 99 outside 0..5",
+    "construct trace-general --p 2 --r 2 --n 3 --h [2,1] --L [[0,0]]":
+        "the zero p-polynomial is not allowed",
+    "verify --p 2 --r 2 --mod [1,1] --poly [0,1]": "modulus must have 3 coefficients, got 2",
+    "verify --p 2 --r 2 --mod [1,1,0] --poly [0,1]": "modulus must be monic",
+    "verify --p 2 --r 2 --n 2 --tmod [1,1] --poly [0,1]": "modulus must have 3 coefficients, got 2",
+    "verify --p 2 --poly {1}": "--poly: expected a list of integer codes like [0,2,1]",
+    "construct trace-general --p 2 --r 2 --n 3 --h [2,1] --L [[1,":
+        "--L: cannot parse '[[1,' as [[index,coeff],...]",
+    "verify --poly [1]": "this command needs --p",
+    "kernel-check --p 2 --k 1 --c 1": "this command needs --n",
+}
+
+
+@pytest.mark.parametrize("call, message", list(MALFORMED.items()), ids=list(MALFORMED))
+def test_malformed_input_exits_4_with_a_message(capsys, call, message):
     code, out, err = run(capsys, *call.split())
     assert code == 4
-    assert err.startswith("cppforge: ") and "Traceback" not in err
+    assert err == f"cppforge: {message}\n"
     assert out == ""
 
 

@@ -17,7 +17,8 @@ import pytest
 
 from cppforge import REGISTRY, SweepReport, clear_caches, norm_lift_pairs, tower_grid
 from cppforge import cli, fields, grids, maps, permcheck, tables
-from cppforge import Poly, trace_lift_binomial
+from cppforge import Poly, make_extension, make_prime_field, make_tower, rel_norm
+from cppforge import trace_lift_binomial
 from cppforge.errors import PreconditionViolated
 from cppforge.grids import (
     DEFAULT_SEED,
@@ -399,7 +400,6 @@ def test_prefix_width_changes_no_verdict(monkeypatch):
     budgets = (grids._ROW_CELLS, 1 << 10)
     for cells in budgets:
         monkeypatch.setattr(grids, "_ROW_CELLS", cells)
-        monkeypatch.setattr(tables, "_ROW_CELLS", cells)
         for width in widths:
             full_rows[width] = witness_rows[width] = verdict_rows[width] = 0
             monkeypatch.setattr(grids, "_PREFIX", width)
@@ -468,6 +468,46 @@ def test_hgrid_without_c0_is_empty():
         grid[0]
 
 
+@pytest.fixture(scope="module", params=[(2, 2, 3), (3, 1, 3), (5, 1, 2), (2, 3, 2)])
+def tt(request):
+    p, r, n = request.param
+    return tables.tower_tables(make_tower(make_extension(make_prime_field(p), r), n))
+
+
+def test_norm_square_table_matches_scalar_norm(tt):
+    tw = tt.tower
+    bt = tables.base_tables(tw.base)
+    pow_n = bt.pow_all(tw.n)
+    square = grids._norm_square(bt, tt, pow_n)
+    assert square.shape == (tt.tower.order, tt.tower.q)
+    for x in tw.elements():
+        for c in tw.base.elements():
+            want = rel_norm(x * tw.embed(c)) == rel_norm(x) * c**tw.n
+            assert square[x.code, c.code] == want
+    assert square.all()
+    # built afresh from the tables it is asked on, so a bad cell shows
+    bad = tables.TowerTables(tw)
+    bad.NOR[1] = (bad.NOR[1] + 1) % tt.tower.q
+    assert not grids._norm_square(bt, bad, pow_n)[1].all()
+
+
+def test_norm_checks_read_the_base_tables_they_are_handed():
+    # F_64/F_4 with MUL[3, 1] scrambled in a fresh copy of its base tables,
+    # the memo's left sound: the square reads that cell wherever nor x = 3
+    # and c^3 = 1, so it must fail there and only there, and no reuse pass
+    tower = grids._tower(2, 2, 3)
+    bt, tt = tables.BaseTables(tower.base), tables.tower_tables(tower)
+    bt.MUL[3, 1] ^= 1
+    pow_n = bt.pow_all(tower.n)
+    lift = lambda hv, xs: grids._lift_rows(tt, hv, tt.NOR, xs)
+    bad_x, bad_c, sub_ok, _, classes = grids._norm_checks(bt, tt, pow_n, lift)
+    want = np.argwhere((tt.NOR[:, None] == 3) & (pow_n[None, :] == 1))
+    assert len(want) == 21 * 3  # nor x = 3 on 63/3 of F_64^*, c^3 = 1 on F_4^*
+    assert np.array_equal(np.column_stack([bad_x, bad_c]), want)
+    assert not sub_ok and classes is None
+    assert tables.base_tables(tower.base).MUL[3, 1] == 3
+
+
 def _one_cell_scrambled(tower, name):
     """Fresh tables of the tower and its base, with one cell of the table
     name scrambled (no cell for None), each where few checks of
@@ -495,7 +535,7 @@ def _one_cell_scrambled(tower, name):
 
 
 @pytest.mark.parametrize("name", [None, "MUL", "ADD", "MEXP", "LOG", "NOR"])
-def test_thm22_classes_give_the_per_row_verdicts(monkeypatch, name):
+def test_thm22_classes_give_the_per_row_verdicts(name):
     # thm2.2 decides its exhaustive h once per scaling class only where
     # every check of _norm_checks passes. On every thm2.2 tower up to 1024,
     # on fresh tables, sound or with one cell scrambled, each row must get
@@ -508,8 +548,6 @@ def test_thm22_classes_give_the_per_row_verdicts(monkeypatch, name):
     for shape in grids._norm_lift_shapes(1024):
         tower = grids._tower(*shape)
         bt, tt = _one_cell_scrambled(tower, name)
-        # norm_square_table reads the scrambled base tables too
-        monkeypatch.setattr(tables, "base_tables", lambda field: bt)
         pow_n = bt.pow_all(tower.n)
         lift = lambda hv, xs: grids._lift_rows(tt, hv, tt.NOR, xs)
         _, _, sub_ok, _, classes = grids._norm_checks(bt, tt, pow_n, lift)
@@ -665,7 +703,7 @@ def test_binomial_lift_tables_fit_one_row_block():
     # bulk cap that has an admissible k keeps it within _ROW_CELLS cells
     shapes = [s for s in grids._grid_shapes(tables.BULK_TOWER_CAP) if _binomial_ks(*s)]
     assert (2, 5, 3) in shapes
-    assert max(p ** (r * n) * p**r for p, r, n in shapes) <= tables._ROW_CELLS
+    assert max(p ** (r * n) * p**r for p, r, n in shapes) <= grids._ROW_CELLS
 
 
 def _f1024_over_f4():

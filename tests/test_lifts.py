@@ -128,6 +128,10 @@ def test_cppeg_both_configurations():
 
 
 def test_cppeg_rejects_bad_shapes(t42):
+    with pytest.raises(PreconditionViolated, match="integer parameters"):
+        cppeg_construct(1.0, 4, 2, 2)  # e not an int
+    with pytest.raises(PreconditionViolated, match="e >= 1"):
+        cppeg_construct(0, 4, 2, 2)
     with pytest.raises(PreconditionViolated):
         cppeg_construct(1, 4, 4, 2)  # k = t
     with pytest.raises(PreconditionViolated):
@@ -140,6 +144,12 @@ def test_cppeg_rejects_bad_shapes(t42):
         cppeg_construct(2, 2, 1, 16)  # code outside F_16
     with pytest.raises(FieldMismatch):
         cppeg_construct(2, 2, 1, t42.decode(2))  # F_16/F_4 is not the flat F_16
+
+
+def test_cppeg_takes_alpha_as_a_code_or_an_element_of_f16(f16):
+    by_code, by_element = cppeg_construct(2, 2, 1, 2), cppeg_construct(2, 2, 1, f16.decode(2))
+    assert by_element.params == by_code.params
+    assert by_element.map_table() == by_code.map_table()
 
 
 def test_cppeg_witness_collapses_to_frobenius_scaling():

@@ -246,21 +246,6 @@ def test_tower_structural_checks_hold(tt):
     assert norm_multiplicative(tt)
 
 
-def test_norm_square_table_matches_scalar_norm(tt):
-    tw = tt.tower
-    square = tt.norm_square_table()
-    assert square.shape == (tt.tower.order, tt.tower.q)
-    for x in tw.elements():
-        for c in tw.base.elements():
-            want = rel_norm(x * tw.embed(c)) == rel_norm(x) * c**tw.n
-            assert square[x.code, c.code] == want
-    assert square.all()
-    # built afresh from the tables it is asked on, so a bad cell shows
-    bad = TowerTables(tw)
-    bad.NOR[1] = (bad.NOR[1] + 1) % tt.tower.q
-    assert not bad.norm_square_table()[1].all()
-
-
 def test_tower_add_to_x_and_cpp_status(tt):
     xs = np.arange(tt.tower.order, dtype=np.int32)
     assert np.array_equal(tt.add_to_x(np.zeros(tt.tower.order, dtype=np.int32)), xs)
@@ -400,6 +385,12 @@ def test_bulk_cap_refuses_huge_towers():
         tower_tables(big)
 
 
+def test_bulk_cap_refuses_large_bases():
+    with pytest.raises(OrderCapExceeded,
+                       match="bulk base tables refused: order 2048 exceeds cap 1024"):
+        tables.BaseTables(make_extension(make_prime_field(2), 11))
+
+
 @pytest.mark.parametrize("name, stand_in, why", [
     ("trace_list", lambda tw: [tw.q] * tw.order, "trace left the base field"),
     ("norm_exponent", lambda tw: 1, "norm left the base field"),
@@ -427,15 +418,13 @@ def test_table_caches_return_same_object():
 
 
 def test_tower_tables_build_no_base_tables(monkeypatch):
-    # only norm_square_table reads the base tables, so only it builds them
+    # a tower's tables read every scalar off the tower, never a base table
     monkeypatch.setattr(fields, "_MEMO", fields._Memo())
     f9 = make_extension(make_prime_field(3), 2)
     for tw in (make_tower(f9, 2), make_tower(make_prime_field(2), 4)):
         built, misses = tower_tables.misses, base_tables.misses
-        tt = tower_tables(tw)
+        tower_tables(tw)
         assert (tower_tables.misses, base_tables.misses) == (built + 1, misses), tw
-        assert tt.norm_square_table().all()
-        assert base_tables.misses == misses + 1, tw
 
 
 def test_tower_tables_cache_stays_at_its_bound(monkeypatch):
