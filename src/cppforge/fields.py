@@ -18,15 +18,17 @@ reads at full degree > 1. A larger level keeps the convolution and the
 digit loop. This module owns that data; tables.py wraps it in numpy arrays
 rather than deriving its own.
 
-The exp/log lists are derived from the convolution: it fills two
-half-width tables of products by the generator, one for each half of a
-code's digits, and each power of the generator is then one code addition
-of two entries (see _build_log_tables). They are kept in sentinel form
-(log_tables): mexp = exp + exp + zeros and lg = log with the log of 0 read
-as 2m (m = order - 1), so that mexp[lg[a] + lg[b]] is the product of any
-two codes, zero included, by one lookup. The lists are built lazily, on a
-level's first multiply, and shared per field through the memo, so a field
-rebuilt per call (as the CLI does) builds them once per process. The memo
+The exp/log lists are derived from the convolution: two half-width tables
+of products by the generator, one for each half of a code's digits, take
+one convolution per base-p digit place and one code addition per other
+entry, since the product is F_p-linear in the digits; each power of the
+generator is then one inlined code addition of two entries (see
+_build_log_tables). They are kept in sentinel form (log_tables): mexp =
+exp + exp + zeros and lg = log with the log of 0 read as 2m (m = order -
+1), so that mexp[lg[a] + lg[b]] is the product of any two codes, zero
+included, by one lookup. The lists are built lazily, on a level's first
+multiply, and shared per field through the memo, so a field rebuilt per
+call (as the CLI does) builds them once per process. The memo
 (memo) holds every value the package reuses; each entry costs the order of
 the field it keeps alive, and the summed cost stays within _MEMO_CELLS.
 
@@ -351,13 +353,17 @@ class FieldDesc:
         return acc
 
     def _find_generator(self) -> int:
-        """Smallest code of multiplicative order order - 1, by the convolution."""
+        """Smallest code of multiplicative order order - 1, by the convolution.
+
+        Above degree 1 the search starts at the radix: every smaller code
+        lies in the subfield, whose orders divide radix - 1 < order - 1.
+        """
         m = self.order - 1
         if m == 1:
             return 1
         one = self._vec(1)
         factors = _prime_factors(m)
-        for cand in range(2, self.order):
+        for cand in range(self._radix if self._deg > 1 else 2, self.order):
             v = self._vec(cand)
             if all(self._pow_vec(v, m // f) != one for f in factors):
                 return cand
@@ -372,8 +378,9 @@ class FieldDesc:
         (at most 2m - 2). mexp[:m] is the exp list.
 
         Built from the convolution on first use, never by the constructor:
-        about 2*sqrt(order) convolutions fill two half-width product tables,
-        and each power follows by one code addition (_build_log_tables).
+        full_degree convolutions and about 2*sqrt(order) code additions
+        fill two half-width product tables, and each power follows by one
+        code addition (_build_log_tables).
         Shared through the memo (_sentinel_lists): an equal field built
         later reuses the same lists, and tables.py reads them too. None when
         the order exceeds _LOG_TABLE_MAX.
@@ -395,31 +402,56 @@ class FieldDesc:
     def _build_log_tables(self) -> tuple[list[int], list[int]]:
         """The powers of the generator g, and their logs.
 
-        Digit addition never carries, so a code c splits at lo =
-        radix^ceil(d/2) into c % lo and (c // lo) * lo, and by the
-        distributive law c*g = (c % lo)*g + (c // lo * lo)*g. The two
-        half-width product tables, low[v] = v*g and high[v] = (v*lo)*g, are
-        built by the convolution (about 2*sqrt(order) products); each power
-        then costs one code addition.
+        Digit addition never carries, so a code c splits at lo = _add_lo
+        into c % lo and (c // lo) * lo, and by the distributive law c*g =
+        (c % lo)*g + (c // lo * lo)*g. The two half-width product tables,
+        low[v] = v*g and high[v] = (v*lo)*g, are F_p-linear in v's base-p
+        digits: the convolution gives the entry of each unit k = p^i, and
+        every other entry is one code addition, out[v] = out[v - k] + out[k]
+        for k <= v < p*k (full_degree convolutions in all). Each power then
+        costs one code addition, inlined: an XOR for p = 2, and for odd p
+        two lookups in the half table (_add_tab), with low and high split at
+        lo beforehand.
         """
-        m = self.order - 1
+        m, p, lo = self.order - 1, self.p, self._add_lo
         g = self._vec(self._find_generator())
-        lo = self._radix ** ((self._deg + 1) // 2)
-        low = [self._codeof(self._mul_vec(self._vec(v), g)) for v in range(lo)]
-        high = [
-            self._codeof(self._mul_vec(self._vec(v * lo), g)) for v in range(self.order // lo)
-        ]
-        add = self._cadd
+
+        def times_g(unit, size):
+            out, k = [0] * size, 1
+            while k < size:
+                out[k] = self._codeof(self._mul_vec(self._vec(k * unit), g))
+                for v in range(k + 1, p * k):
+                    out[v] = self._cadd(out[v - k], out[k])
+                k *= p
+            return out
+
+        low, high = times_g(1, lo), times_g(lo, self.order // lo)
         # exp and log hold the int objects of one list of codes, not one
         # object per entry: a retained level of order 2^16 keeps 1.8 MB less
         codes = list(range(self.order))
         exp = [0] * m
         log = [-1] * self.order
         c = 1
-        for j in codes[:m]:
-            exp[j] = codes[c]
-            log[c] = j
-            c = add(low[c % lo], high[c // lo])
+        if p == 2:
+            mask, w = lo - 1, lo.bit_length() - 1
+            for j in codes[:m]:
+                exp[j] = codes[c]
+                log[c] = j
+                c = low[c & mask] ^ high[c >> w]
+        elif self.full_degree == 1:  # lo = order, so low is the whole map
+            for j in codes[:m]:
+                exp[j] = codes[c]
+                log[c] = j
+                c = low[c]
+        else:
+            tab, cl, ch = self._add_tab, 1, 0
+            low_l, low_h = [v % lo * lo for v in low], [v // lo * lo for v in low]
+            high_l, high_h = [v % lo for v in high], [v // lo for v in high]
+            for j in codes[:m]:
+                exp[j] = codes[c]
+                log[c] = j
+                cl, ch = tab[low_l[cl] + high_l[ch]], tab[low_h[cl] + high_h[ch]]
+                c = ch * lo + cl
         if c != 1:
             raise AssertionError("generator order mismatch while building tables")
         # g^m = 1 holds for every nonzero g; only a generator reaches every code
@@ -752,14 +784,17 @@ def _peval_all(home: FieldDesc, cs: Sequence[int]) -> list[int]:
     multiplies by one lookup per x in the sentinel lists (log_tables).
     For p = 2 the same pass XORs the coefficient in; odd p reads the sum
     from the coefficient's translation list (FieldDesc._translation) in the
-    same pass. A level past _LOG_TABLE_MAX runs _peval per point.
+    same pass. A level past _LOG_TABLE_MAX runs _peval per point. The first
+    step multiplies by the leading coefficient, whose log is one number
+    for every x, so it reads no accumulator.
     """
     order = home.order
-    if not cs:
-        return [0] * order
-    acc, rest = [cs[-1]] * order, cs[-2::-1]
+    if len(cs) < 2:
+        return [cs[0] if cs else 0] * order
+    rest = cs[-2::-1]
     if home.full_degree == 1:
         p = home.p
+        acc = [cs[-1]] * order
         for c in rest:
             acc = [(a * x + c) % p for x, a in enumerate(acc)]
         return acc
@@ -767,14 +802,18 @@ def _peval_all(home: FieldDesc, cs: Sequence[int]) -> list[int]:
     if lists is None:
         return [_peval(home, cs, x) for x in range(order)]
     mexp, lg = lists
-    for c in rest:
+    lead = lg[cs[-1]]
+    for i, c in enumerate(rest):
         if home.p == 2:
-            acc = [mexp[lg[a] + lx] ^ c for a, lx in zip(acc, lg)]
+            acc = ([mexp[lg[a] + lx] ^ c for a, lx in zip(acc, lg)] if i else
+                   [mexp[lead + lx] ^ c for lx in lg])
         elif c:
             t = home._translation(c)
-            acc = [t[mexp[lg[a] + lx]] for a, lx in zip(acc, lg)]
+            acc = ([t[mexp[lg[a] + lx]] for a, lx in zip(acc, lg)] if i else
+                   [t[mexp[lead + lx]] for lx in lg])
         else:
-            acc = [mexp[lg[a] + lx] for a, lx in zip(acc, lg)]
+            acc = ([mexp[lg[a] + lx] for a, lx in zip(acc, lg)] if i else
+                   [mexp[lead + lx] for lx in lg])
     return acc
 
 

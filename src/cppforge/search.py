@@ -46,14 +46,16 @@ class CompleteMapping:
         }
 
 
-@memo(lambda home: home.order**2)  # q polynomials of q coefficients
+@memo(lambda home: home.order**3)  # q scalings of q polynomials of q coefficients
 def _lagrange_basis(home):
-    """Basis polynomials, memoized per equal field: basis[a] interpolates
-    the indicator of a.
+    """Scaled basis polynomials, memoized per equal field: basis[a][v] is
+    the coefficient list of v times the polynomial that interpolates the
+    indicator of a, so basis[a][1] is that polynomial itself.
 
     Over any finite field the master polynomial is x^q - x with constant
-    derivative -1, so basis[a] = -(x^q - x)/(x - a), computed by synthetic
-    division in O(q) per point.
+    derivative -1, so basis[a][1] = -(x^q - x)/(x - a), computed by
+    synthetic division in O(q) per point; its q scalings are one list pass
+    each.
     """
     q = home.order
     bases = []
@@ -64,22 +66,21 @@ def _lagrange_basis(home):
             cs[i] = home._cmul(cs[i + 1], a)
         if q >= 2:
             cs[0] = home._csub(home._cmul(cs[1], a), 1)
-        bases.append([home._cneg(c) for c in cs])
+        row = [home._cneg(c) for c in cs]
+        bases.append([home._cmul_each([v] * q, row) for v in range(q)])
     return bases
 
 
 def lagrange_interpolate(field, table) -> Poly:
-    """The unique polynomial of degree < q hitting table[i] at decode(i)."""
+    """The unique polynomial of degree < q hitting table[i] at decode(i):
+    the sum of basis[a][table[a]], one list pass per nonzero value."""
     q = field.order
     tab = _code_table(q, table)
     bases = _lagrange_basis(field)
     out = [0] * q
     for a, v in enumerate(tab):
         if v:
-            row = bases[a]
-            for i in range(q):
-                if row[i]:
-                    out[i] = field._cadd(out[i], field._cmul(v, row[i]))
+            out = field._cadd_each(out, bases[a][v])
     return Poly._raw(field, out)
 
 
@@ -94,7 +95,8 @@ def enumerate_complete_mappings(field: FieldDesc) -> list[CompleteMapping]:
     q = field.order
     if q > SEARCH_CAP_Q:
         raise SearchCapExceeded(q, SEARCH_CAP_Q)
-    add = field._cadd
+    # plus[x][v] = v + x, one list pass per x
+    plus = [field._cadd_each([x] * q, range(q)) for x in range(q)]
     results: list[CompleteMapping] = []
     table = [0] * q
     used = [False] * q
@@ -108,10 +110,11 @@ def enumerate_complete_mappings(field: FieldDesc) -> list[CompleteMapping]:
             poly = lagrange_interpolate(field, tab)
             results.append(CompleteMapping(field, tab, poly, poly.is_monic()))
             return
+        row = plus[x]
         for v in range(1, q):
             if used[v]:
                 continue
-            s = add(v, x)
+            s = row[v]
             if used_shift[s]:
                 continue
             used[v] = used_shift[s] = True

@@ -43,6 +43,19 @@ MUTANTS = [
     ("cppforge/fields.py", "self._add_lo = p ** ((self.full_degree + 1) // 2)",
      "self._add_lo = p ** (self.full_degree // 2)",
      ["tests/test_fields.py::test_negation_matches_the_digitwise_reference_on_every_element_up_to_729"]),
+    # a half-table entry past a unit adds the entry one below, not v - k
+    ("cppforge/fields.py", "self._cadd(out[v - k], out[k])", "self._cadd(out[v - 1], out[k])",
+     ["tests/test_fields.py::test_log_tables_equal_the_two_half_table_build_on_large_odd_levels"]),
+    # the generator search skips the radix, which generates F_4/F_2
+    ("cppforge/fields.py", "range(self._radix if self._deg > 1 else 2, self.order)",
+     "range(self._radix + 1 if self._deg > 1 else 2, self.order)",
+     ["tests/test_fields.py::test_find_generator_is_the_smallest_code_of_full_order_on_every_level_up_to_256"]),
+    # Horner's first step multiplies by 1, not by the leading coefficient
+    ("cppforge/fields.py", "lead = lg[cs[-1]]", "lead = lg[1]",
+     ["tests/test_fields.py::test_peval_all_from_a_non_monic_lead_is_the_per_point_horner"]),
+    # a list of bools joined as ints: json spells them true and false
+    ("cppforge/cli.py", "all(type(x) is int for x in v)", "all(isinstance(x, int) for x in v)",
+     ["tests/test_cli.py::test_a_list_of_bools_is_not_printed_as_ints"]),
     # one Frobenius pass dropped between two indices of a p-polynomial
     ("cppforge/maps.py", "for _ in range(i - pos):", "for _ in range(i - pos - 1):",
      ["tests/test_maps.py::test_ppoly_eval_all_is_the_pointwise_chain_on_every_tower_up_to_729"]),

@@ -379,6 +379,19 @@ def test_whole_field_passes_are_the_per_point_route(shape, data):
     assert f._cadd_each(us, vs) == [f._cadd(u, v) for u, v in zip(us, vs)]
 
 
+def test_peval_all_from_a_non_monic_lead_is_the_per_point_horner(f2, f3, f9, f16):
+    levels = [f9, f16, make_tower(f2, 6), make_tower(f3, 4), make_tower(f9, 2),
+              make_extension(make_prime_field(5), 3)]
+    rng = random.Random(5)
+    for f in levels:
+        for degree in range(6):
+            cs = [rng.randrange(f.order) for _ in range(degree)] + [rng.randrange(2, f.order)]
+            if degree % 2:
+                cs[-2] = 0  # odd p adds no constant on the first step
+            want = [fields._peval(f, cs, x) for x in range(f.order)]
+            assert fields._peval_all(f, cs) == want, (f, cs)
+
+
 def test_multiplicative_generator_has_full_order(f4, f9, f16):
     for f in (f4, f9, f16):
         g = f.multiplicative_generator()
@@ -598,7 +611,33 @@ def test_log_tables_equal_the_walk_by_convolution_under_other_moduli(f2, f3):
         assert f._build_log_tables() == _walk_by_convolution(f), f
 
 
-def test_log_tables_take_two_half_width_tables_of_convolutions(memo, monkeypatch, f2):
+def _two_half_tables(f):
+    """The lists as the earlier build made them: every entry of both half
+    tables of products by the convolution, split at radix^ceil(d/2), and
+    one _cadd call per power."""
+    m = f.order - 1
+    g = f._vec(f._find_generator())
+    lo = f._radix ** ((f._deg + 1) // 2)
+    low = [f._codeof(f._mul_vec(f._vec(v), g)) for v in range(lo)]
+    high = [f._codeof(f._mul_vec(f._vec(v * lo), g)) for v in range(f.order // lo)]
+    exp, log = [0] * m, [-1] * f.order
+    c = 1
+    for j in range(m):
+        exp[j] = c
+        log[c] = j
+        c = f._cadd(low[c % lo], high[c // lo])
+    assert c == 1
+    return exp, log
+
+
+@pytest.mark.parametrize("p, r, n", [(17, 1, 3), (5, 1, 6), (7, 1, 5), (3, 2, 5)],
+                         ids=["F_4913/F_17", "F_15625/F_5", "F_16807/F_7", "F_59049/F_9"])
+def test_log_tables_equal_the_two_half_table_build_on_large_odd_levels(p, r, n):
+    tw = make_tower(make_extension(make_prime_field(p), r), n)
+    assert tw._build_log_tables() == _two_half_tables(tw)
+
+
+def test_log_tables_take_one_convolution_per_digit(memo, monkeypatch, f2):
     tw = make_tower(f2, 12)
     calls = []
     mul_vec = FieldDesc._mul_vec
@@ -613,8 +652,18 @@ def test_log_tables_take_two_half_width_tables_of_convolutions(memo, monkeypatch
     search = len(calls)
     calls.clear()
     tw.log_tables()
-    # lo = 2^6: 64 low and 64 high products, where one per power took 4095
-    assert len(calls) <= 2 * 64 + search < 4095
+    # one product per digit unit 2^i of the two half tables: 6 + 6
+    assert len(calls) == tw.full_degree + search
+
+
+def test_find_generator_is_the_smallest_code_of_full_order_on_every_level_up_to_256():
+    # brute force from code 1, independent of where the search starts and
+    # of the walk (which calls _find_generator itself)
+    levels = _levels(256)
+    assert {f._deg > 1 for f in levels} == {True, False}
+    for f in levels:
+        want = next(c for c in range(1, f.order) if _order_by_convolution(f, c) == f.order - 1)
+        assert f._find_generator() == want, f
 
 
 def test_a_generator_that_misses_codes_is_refused(monkeypatch, f2):

@@ -1,5 +1,7 @@
 """Complete-mapping search, its slow twin, interpolation, h-form rewrite."""
 
+import random
+
 import pytest
 
 from cppforge import (
@@ -20,6 +22,7 @@ from cppforge.errors import (
     SearchCapExceeded,
 )
 from cppforge.permcheck import eval_poly, value_table
+from cppforge.search import _lagrange_basis
 
 KNOWN_COUNTS = {2: 0, 3: 1, 4: 2, 5: 3, 7: 19, 8: 48}
 
@@ -83,6 +86,33 @@ def test_lagrange_interpolation_reproduces_tables():
         lagrange_interpolate(f9, tab[:5])
     with pytest.raises(OutOfRange):
         lagrange_interpolate(f9, [9] * 9)
+
+
+def _fields_upto_11():
+    return [_field(q) for q in (2, 3, 4, 5, 7, 8, 11)] + [make_extension(make_prime_field(3), 2)]
+
+
+def test_lagrange_basis_rows_are_the_scalings_of_the_basis_polynomial():
+    for field in _fields_upto_11():
+        q = field.order
+        basis = _lagrange_basis(field)
+        assert len(basis) == q
+        for a, rows in enumerate(basis):
+            assert len(rows) == q
+            # basis[a][1] interpolates the indicator of a
+            assert value_table(Poly(field, rows[1])) == [int(x == a) for x in range(q)]
+            for v in range(q):
+                assert rows[v] == [field._cmul(v, c) for c in rows[1]], (field, a, v)
+
+
+def test_interpolated_seeded_tables_evaluate_back_on_every_field_up_to_11():
+    rng = random.Random(11)
+    for field in _fields_upto_11():
+        q = field.order
+        for tab in ([0] * q, list(range(q)), *([rng.randrange(q) for _ in range(q)] for _ in range(5))):
+            poly = lagrange_interpolate(field, tab)
+            assert poly.degree < q
+            assert value_table(poly) == tab, (field, tab)
 
 
 def test_h_form_round_trip_identity_exponent():
