@@ -363,8 +363,6 @@ def cmd_kernel_check(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    if args.max_order is not None and args.max_order < 0:
-        raise BadInput(f"grid --max-order must be >= 0, got {args.max_order}")
     from .grids import REGISTRY  # numpy loads only for a sweep
 
     sweep = REGISTRY[args.token]

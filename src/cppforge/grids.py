@@ -19,44 +19,15 @@ reference path vouch for each other.
 The norm and trace lifts cost only what their verdicts need, and every
 shortcut is exact for any table contents, so none takes a theorem on
 trust. Each lift reduces to a witness on the base field, x*h(x^n) for the
-norm lift and x*h(x) for the trace lifts. A row whose values repeat is not
-a permutation, so not a CPP. One helper, _lift_verdicts, gives every
-whole-tower verdict: it reads each row at _PREFIX elements spread evenly
-over the tower, and builds in full, _ROW_CELLS cells at a time, only the
-rows distinct there. The norm lift (thm2.2) hands it fewer rows: codes
-below q are the embedded F_q, where nor(x) = x^n, so the lift's first q
-columns are the witness map x*h(x^n) that the witness pass has checked,
-and x -> x^n carries the witness onto the fiber criterion's induced map
-v*h(v)^n. Two checks of q x q cells per tower confirm the two facts on the
-tables: a tower that passes the first hands over only the rows whose
-witness permutes, and one that passes the second takes the induced-map
-verdicts from the witness. An injective lift has injective pairs x -> (nor
-x, lift x), so the fiber pair scan sorts only the rows whose induced map
-bijects and whose lift repeats. The thm2.2 commuting square at a row and x
-depends only on x and c = h(nor x), so one order x q table per tower
-(_norm_square) decides it: a row's square fails exactly when the row
-takes the value c at nor x for some failing cell (x, c). Like every check
-of _norm_checks, the square reads only the tables it is handed.
-thm3.7's lift and proof identity at x likewise depend only on x and c =
-h(tr x): one order x q table per (k, a) (_binomial_lift_table) decides
-both.
-
-The exhaustive h of thm2.2, thm3.2, thm3.3 and thm3.7 come from one lazy
-grid (HGrid): the nonzero coefficient vectors in code order, each a pair
-(top, c0) with c0 fastest, built a block at a time from their indices, so
-the q^3 rows of a degree-2 grid are never all in memory. thm2.2, thm3.2
-and thm3.7 walk it through one generator (_lift_blocks): per block, it
-checks the witness on the whole base, lifts the rows the verdict needs,
-reads the failing cells of the sweep's table, and keeps past the block
-only the verdicts of the rows sampled for the scalar replay. h and h(v*y),
-v in F_q^*, get the same thm2.2 verdicts, and h(v*y) scales (c0, c1, c2) to
-(c0, c1*v, c2*v^2): where every check of _norm_checks passes, thm2.2's
-exhaustive h are decided on q^2 + 2q class representatives (q^2 + 3q for
-odd q, where the c2 of the rows with c1 = 0 fall in two square classes),
-and each row takes its class's by one gather on its top (c1, c2). thm2.2's
-random h are decided once per distinct row, on any tables, and each row
-takes its own by one gather too. A row's note, square cells, fiber check
-and replay stay its own.
+norm lift and x*h(x) for the trace lifts, and a row whose values repeat is
+not a permutation, so not a CPP. Each shortcut has one owner, whose
+docstring gives its proof: _lift_verdicts builds in full only the rows
+distinct at _PREFIX spread elements; _lift_blocks is the one block walk of
+thm2.2, thm3.2 and thm3.7 over a lazy HGrid; sweep_norm_lift reuses the
+witness pass on the towers that pass _norm_checks; _norm_square and
+_binomial_lift_table each decide a lift check by one order x q table;
+_norm_classes decides thm2.2's exhaustive h once per scaling class, and
+_verdict_gather decides a set of rows once for every row to gather.
 """
 
 from __future__ import annotations
@@ -70,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import HypothesisFails, OrderCapExceeded, PreconditionViolated
+from .errors import BadInput, HypothesisFails, OrderCapExceeded, PreconditionViolated
 from .fields import (
     MAX_FIELD_ORDER,
     FieldElement,
@@ -105,6 +76,7 @@ _WITNESS_CELLS = 1 << 13
 # leading columns leave 35,012, 64 spread ones 8,351 and 256 spread 3,407
 _PREFIX = 64
 _GATHER = 1 << 14  # rows per block of a walk that gathers its verdicts
+_RANDOM_H = 100  # seeded random h of degree < q per thm2.2 tower
 
 
 @memo(lambda p, r, n: p ** (r * n))
@@ -195,20 +167,21 @@ REGISTRY: dict = {}
 
 
 def _sweep(token: str, default_max_order: int, towers, extras: dict):
-    """Register body(rep, tower, rng, **options) as the sweep `token`: it
-    walks the (p, r, n) shapes towers(max_order), max_order defaulting to
+    """Register body(rep, tower, rng) as the sweep `token`: it walks the
+    (p, r, n) shapes towers(max_order), max_order defaulting to
     default_max_order (exposed on the sweep), and refuses a walk with a
-    tower past BULK_TOWER_CAP before it builds any tower (a max_order past
-    MAX_FIELD_ORDER before it lists the walk). Every tower draws
-    from one seeded rng in walk order; rep.extras starts as a copy of the
-    zero dict extras, whose counters each body advances in place."""
+    tower past BULK_TOWER_CAP before it builds any tower (a negative
+    max_order, or one past MAX_FIELD_ORDER, before it lists the walk).
+    Every tower draws from one seeded rng in walk order; rep.extras starts
+    as a copy of the zero dict extras, whose counters each body advances."""
 
     def register(body):
-        def sweep(max_order: Optional[int] = None, seed: int = DEFAULT_SEED,
-                  **options) -> SweepReport:
+        def sweep(max_order: Optional[int] = None, seed: int = DEFAULT_SEED) -> SweepReport:
             t0 = time.perf_counter()
             if max_order is None:
                 max_order = default_max_order
+            if max_order < 0:
+                raise BadInput(f"max_order (grid --max-order) must be >= 0, got {max_order}")
             # every walk past 2^20 holds F_(2^20)/F_2, or F_(4^10)/F_(2^10)
             # for cor2.5, past the bulk cap: refused before it is listed
             if max_order > MAX_FIELD_ORDER:
@@ -220,7 +193,7 @@ def _sweep(token: str, default_max_order: int, towers, extras: dict):
             rng = np.random.default_rng(seed)
             rep = SweepReport(token, extras=copy.deepcopy(extras))
             for shape in walk:
-                body(rep, _tower(*shape), rng, **options)
+                body(rep, _tower(*shape), rng)
             rep.elapsed = time.perf_counter() - t0
             return rep
 
@@ -284,9 +257,8 @@ def _lift_blocks(bt, tt, h, lift, pow_n: np.ndarray, cells, witness_first: bool 
     CPP verdicts of the rows that key sampled are stored there.
     witness_first says the lift's first q columns are the witness map: then
     only the rows whose witness permutes are lifted, and otherwise every
-    row. With classes, classes(lo, coeffs) gives the four verdicts of the
-    block of rows coeffs that starts at row lo, gathered from rows decided
-    before (each row's scaling class, or its distinct random h)."""
+    row. With classes (from _verdict_gather), classes(lo, coeffs) gives the
+    four verdicts of the block of rows coeffs that starts at row lo."""
     # blocks are sized by what each row builds whole: its q witness cells
     # when few rows are lifted, else its order lift cells (q-sized blocks of
     # lifted rows doubled thm3.2's memory peak); a gathered row, nothing
@@ -309,11 +281,15 @@ def _lift_blocks(bt, tt, h, lift, pow_n: np.ndarray, cells, witness_first: bool 
         yield coeffs, wit_perm, wit_cpp, perm, cpp, cells_ok
 
 
-def _row_verdicts(bt, tt, h, lift, pow_n: np.ndarray, witness_first: bool) -> np.ndarray:
-    """The (wit_perm, wit_cpp, perm, cpp) of _lift_blocks, one column per
-    row of h, for a later walk to gather."""
-    walk = _lift_blocks(bt, tt, h, lift, pow_n, None, witness_first)
-    return np.hstack([np.zeros((4, 0), dtype=bool)] + [block[1:5] for block in walk])
+def _verdict_gather(bt, tt, rows, lift, pow_n: np.ndarray, witness_first: bool, index):
+    """classes for _lift_blocks: the rows are decided once, in one walk of
+    _lift_blocks, and classes(lo, coeffs) takes the (wit_perm, wit_cpp,
+    perm, cpp) of rows[index(lo, coeffs)]. A row's note, square cells,
+    fiber check and replay stay its own."""
+    walk = _lift_blocks(bt, tt, rows, lift, pow_n, None, witness_first)
+    verdicts = np.hstack([np.zeros((4, 0), dtype=bool)] + [block[1:5] for block in walk])
+    # take, not fancy indexing: it gathers a block about three times faster
+    return lambda lo, coeffs: verdicts.take(index(lo, coeffs), axis=1)
 
 
 class HGrid:
@@ -417,20 +393,10 @@ def _norm_square(bt, tt, pow_n: np.ndarray) -> np.ndarray:
     return out
 
 
-def _norm_checks(bt, tt, pow_n: np.ndarray, lift):
-    """What thm2.2 may reuse on a tower: (bad_x, bad_c, sub_ok, pow_ok,
-    classes), the failing cells of _norm_square, the reuse checks of
-    sweep_norm_lift, and None unless those pass with no failing cell and
-    _scales passes. Then h_v(y) = h(v*y) = (c0, c1*v, c2*v^2) has the
-    witness u^-1*w(u*x) and the lift u^-1*L(u*x), v = u^n, w and L those of
-    h, since nor(u*x) = v*nor(x) is the square's cell (x, u); times u^-1 is
-    additive, so both keep their permutation and CPP verdicts. So classes,
-    for _lift_blocks, gives each row the (wit_perm, wit_cpp, perm, cpp) of
-    its class's representative, walked row by row: (c0, 1, c2/c1^2) where
-    c1 != 0, else (c0, 0, t) for t the one of 0, 1 and, where q is odd, g =
-    MEXP[m/(q - 1)] in c2's square class. That is q^2 + 2q rows, or q^2 +
-    3q for odd q."""
-    q, m = bt.q, tt.tower.order - 1
+def _norm_checks(bt, tt, pow_n: np.ndarray):
+    """What thm2.2 may reuse on a tower: (bad_x, bad_c, sub_ok, pow_ok), the
+    failing cells of _norm_square and the reuse checks of sweep_norm_lift."""
+    q = bt.q
     # failing cells (x, c) of the square table; none on sound tables
     bad_x, bad_c = np.nonzero(~_norm_square(bt, tt, pow_n))
     # the lift's first q columns are the witness map
@@ -439,8 +405,23 @@ def _norm_checks(bt, tt, pow_n: np.ndarray, lift):
     # x -> x^n carries the witness onto the induced map
     pow_ok = (bijective_rows(pow_n[None, :])[0]
               and (pow_n[bt.MUL] == bt.MUL[pow_n[:, None], pow_n[None, :]]).all())
+    return bad_x, bad_c, sub_ok, pow_ok
+
+
+def _norm_classes(bt, tt, pow_n: np.ndarray, lift, bad_x, sub_ok, pow_ok):
+    """thm2.2's exhaustive h by scaling class: classes for _lift_blocks, or
+    None unless sub_ok and pow_ok pass with no failing square cell bad_x and
+    _scales passes. Then h_v(y) = h(v*y) = (c0, c1*v, c2*v^2) has the
+    witness u^-1*w(u*x) and the lift u^-1*L(u*x), v = u^n, w and L those of
+    h, since nor(u*x) = v*nor(x) is the square's cell (x, u); times u^-1 is
+    additive, so both keep their permutation and CPP verdicts. So each row
+    takes the verdicts of its class's representative: (c0, 1, c2/c1^2) where
+    c1 != 0, else (c0, 0, t) for t the one of 0, 1 and, where q is odd, g =
+    MEXP[m/(q - 1)] in c2's square class. That is q^2 + 2q rows, or q^2 +
+    3q for odd q."""
     if not (sub_ok and pow_ok and len(bad_x) == 0 and _scales(bt, tt)):
-        return bad_x, bad_c, sub_ok, pow_ok, None
+        return None
+    q, m = bt.q, tt.tower.order - 1
     # the representative (c0, 1, d) is row q*d + c0, and (c0, 0, t) row
     # q*(q + j) + c0 for t the j-th of 0, 1 and, where q is odd, g = MEXP[s]
     s = m // (q - 1)
@@ -453,21 +434,20 @@ def _norm_checks(bt, tt, pow_n: np.ndarray, lift):
     # no such c2 (LOG[0] = 2m leaves 0 in the square class)
     odd = tt.LOG[c2] // s % 2 * (q % 2)
     top_class = q * np.where(c1 > 0, tt.MEXP[tt.LOG[c2] + -2 * tt.LOG[c1] % m], q + (c2 > 0) + odd)
-    verdicts = _row_verdicts(bt, tt, reps, lift, pow_n, True)
-    # take, not fancy indexing: it gathers a block about three times faster
-    return bad_x, bad_c, sub_ok, pow_ok, (
-        lambda lo, c: verdicts.take(top_class.take(q * c[:, 1] + c[:, 2]) + c[:, 0], axis=1))
+    return _verdict_gather(bt, tt, reps, lift, pow_n, True,
+                           lambda lo, c: top_class.take(q * c[:, 1] + c[:, 2]) + c[:, 0])
 
 
 @_sweep("thm2.2", 4096, _norm_lift_shapes,
         {"pairs": [], "fiber_cases": 0, "fiber_agreements": 0, "builder_crosschecks": 0})
-def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100) -> None:
+def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng) -> None:
     """x*h(nor(x)) CPP on the tower vs x*h(x^n) CPP on the base.
 
     Runs over every admissible (q, n) pair, every nonzero h of degree <=
-    H_DEGREE, plus seeded random h of degree < q. The fiber-criterion
-    verdict (lambda = nor, induced map v -> v*h(v)^n) is folded into the
-    same pass and must agree with the direct permutation check.
+    H_DEGREE, plus _RANDOM_H seeded random h of degree < q. The
+    fiber-criterion verdict (lambda = nor, induced map v -> v*h(v)^n) is
+    folded into the same pass and must agree with the direct permutation
+    check.
 
     The lift and the fiber criterion reuse the witness pass, and every row
     gets the verdict a full check would, whatever the tables hold. Two
@@ -479,11 +459,11 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
     MUL; then it carries the witness onto the induced map, and the induced
     map bijects exactly when the witness permutes. A tower that fails a
     check takes the direct route for it: every row handed to the lift
-    verdict, or the induced map checked on its own. Where every check of
-    _norm_checks passes, the exhaustive h are decided by scaling class; the
-    random h are decided once per distinct row. The pair scan evaluates h
-    anew for its own rows, none on sound tables. The square at x is the
-    cell (x, h(nor x)) of _norm_square.
+    verdict, or the induced map checked on its own. The exhaustive h are
+    decided by scaling class where _norm_classes takes them, and the random
+    h once per distinct row, each through _verdict_gather. The pair scan
+    evaluates h anew for its own rows, none on sound tables. The square at
+    x is the cell (x, h(nor x)) of _norm_square.
     """
     q, n, order = tower.q, tower.n, tower.order
     rep.extras["pairs"].append((q, n))
@@ -492,14 +472,14 @@ def sweep_norm_lift(rep: SweepReport, tower: TowerDesc, rng, random_h: int = 100
     pow_n = bt.pow_all(n)  # x -> x^n: substitution index and induced-map power
     lam_scaled = (tt.NOR.astype(np.int64) * order).astype(np.int32)
     lift = lambda hv, xs: _lift_rows(tt, hv, tt.NOR, xs)
-    bad_x, bad_c, sub_ok, pow_ok, classes = _norm_checks(bt, tt, pow_n, lift)
+    bad_x, bad_c, sub_ok, pow_ok = _norm_checks(bt, tt, pow_n)
+    classes = _norm_classes(bt, tt, pow_n, lift, bad_x, sub_ok, pow_ok)
     all_h = HGrid(q, H_DEGREE)
-    rand_h = _random_h_coeffs(q, random_h, rng)
-    # a random h has degree < q, so equal rows are one h: each distinct row
-    # is decided once, and every row gathers its verdicts
+    rand_h = _random_h_coeffs(q, _RANDOM_H, rng)
+    # a random h has degree < q, so equal rows are one h
     distinct, inverse = np.unique(rand_h, axis=0, return_inverse=True)
-    rand_verdicts = _row_verdicts(bt, tt, distinct, lift, pow_n, sub_ok)
-    rand_classes = lambda lo, c: rand_verdicts.take(inverse[lo : lo + len(c)], axis=1)
+    rand_classes = _verdict_gather(bt, tt, distinct, lift, pow_n, sub_ok,
+                                   lambda lo, c: inverse[lo : lo + len(c)])
     # row -> (witness, lift) CPP verdicts of the sampled all_h rows
     sampled = dict.fromkeys(rng.integers(0, len(all_h), size=8).tolist())
     for h, h_sampled, h_classes in ((all_h, sampled, classes), (rand_h, None, rand_classes)):
@@ -676,8 +656,8 @@ def _binomial_lift_table(tt, bt, k: int, a: int):
     tr(T[x, c]) = tr(x)*c."""
     q, order = tt.tower.q, tt.tower.order
     avec = tt.pow_all(tt.tower.p**k - 1)
-    adiff = tt.add(avec[tt.TR], tt.scale_row(tt.tower.base._cneg(1))[avec])  # A(tr x) - A(x)
-    table = tt.mul(tt.add(np.arange(q)[None, :], tt.scale_row(a)[adiff][:, None]),
+    adiff = tt.add(avec[tt.TR], tt.mul(tt.tower.base._cneg(1), avec))  # A(tr x) - A(x)
+    table = tt.mul(tt.add(np.arange(q)[None, :], tt.mul(a, adiff)[:, None]),
                    np.arange(order)[:, None])
     bad_x, bad_c = np.nonzero(tt.TR[table] != bt.MUL[tt.TR])
     return (lambda hv, xs: table.ravel()[xs * q + hv[:, tt.TR[xs]]]), bad_x, bad_c
@@ -740,7 +720,7 @@ def sweep_kernel_binomials(rep: SweepReport, tower: TowerDesc, rng) -> None:
     for k in ks:
         frob = tt.pow_map(kernel, p**k)
         for c in range(q):
-            img = tt.add(frob, minus[tt.scale_row(c)[kernel]])
+            img = tt.add(frob, minus[tt.mul(c, kernel)])
             if not (tt.TR[img] == 0).all():
                 rep.note(False, False, {"q": q, "n": n, "k": k, "c": c,
                                         "why": "image escaped the kernel"})

@@ -110,6 +110,10 @@ MUTANTS = [
     ("cppforge/grids.py", "bad_x, bad_c = np.nonzero(~_norm_square(bt, tt, pow_n))",
      "bad_x, bad_c = np.nonzero(~_norm_square(bt, tt, pow_n) & False)",
      ["tests/test_grids.py::test_a_corrupted_table_still_shows"]),
+    # the class route taken on a tower whose square table has failing cells
+    ("cppforge/grids.py", "sub_ok and pow_ok and len(bad_x) == 0 and _scales(bt, tt)",
+     "sub_ok and pow_ok and _scales(bt, tt)",
+     ["tests/test_grids.py::test_thm22_classes_give_the_per_row_verdicts[NOR]"]),
     # the square reads the memo's base tables, not the ones it is handed
     ("cppforge/grids.py", "out[x] = lhs == bt.MUL[tt.NOR[x, None], pow_n[None, :]]",
      "out[x] = lhs == base_tables(tt.tower.base).MUL[tt.NOR[x, None], pow_n[None, :]]",

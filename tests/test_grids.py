@@ -19,7 +19,7 @@ from cppforge import REGISTRY, SweepReport, clear_caches, norm_lift_pairs, tower
 from cppforge import cli, fields, grids, maps, permcheck, tables
 from cppforge import Poly, make_extension, make_prime_field, make_tower, rel_norm
 from cppforge import trace_lift_binomial
-from cppforge.errors import PreconditionViolated
+from cppforge.errors import BadInput, PreconditionViolated
 from cppforge.grids import (
     DEFAULT_SEED,
     sweep_kernel_binomials,
@@ -87,8 +87,9 @@ def test_sweep_report_bookkeeping():
     assert (batched.cases, batched.agreements, batched.true_outcomes) == (3, 2, 2)
 
 
-def test_norm_lift_sweep_small_scale():
-    rep = sweep_norm_lift(max_order=256, random_h=20)
+def test_norm_lift_sweep_small_scale(monkeypatch):
+    monkeypatch.setattr(grids, "_RANDOM_H", 20)
+    rep = sweep_norm_lift(max_order=256)
     assert rep.clean
     assert (rep.cases, rep.true_outcomes) == (5237, 60)
     assert rep.extras["fiber_cases"] == rep.cases
@@ -208,10 +209,11 @@ def test_every_cleared_cache_is_bounded():
     assert not fields._MEMO and fields._MEMO.cells == 0
 
 
-def test_seed_changes_random_draws_but_not_cleanliness():
-    rep = sweep_norm_lift(max_order=64, random_h=5, seed=1)
+def test_seed_changes_random_draws_but_not_cleanliness(monkeypatch):
+    monkeypatch.setattr(grids, "_RANDOM_H", 5)
+    rep = sweep_norm_lift(max_order=64, seed=1)
     assert rep.clean
-    other = sweep_norm_lift(max_order=64, random_h=5, seed=2)
+    other = sweep_norm_lift(max_order=64, seed=2)
     assert other.clean
     # same exhaustive portion, possibly different random tails; case counts
     # stay equal because the draw count per pair is fixed
@@ -278,10 +280,46 @@ def test_random_h_draw_is_the_row_by_row_draw(q):
         draws(3, 10, zero_at)
 
 
-def test_no_random_h_gives_the_exhaustive_report():
-    # random_h = 0 draws no row: the 635 exhaustive cases up to 64, as the
+_PCG64_INC = 313386238064130078450704156869577063669
+
+
+@pytest.mark.parametrize("draw, values, state, buffered", [
+    (lambda rng: [], [], 205277191500246388680700372192703885222, (0, 0)),
+    (lambda rng: [int(rng.integers(1, 64)) for _ in range(4)], [41, 42, 22, 24],
+     263993454261643283012091300572793366324, (0, 1586091810)),
+    (lambda rng: rng.integers(0, 4096, size=6).tolist(), [2657, 2671, 1393, 1512, 130, 1951],
+     255244448610716845575830902345592047097, (0, 2046775861)),
+    (lambda rng: rng.integers(np.array([0, 1, 0, 1, 1, 0], dtype=np.int64), 7).tolist(),
+     [4, 4, 2, 3, 1, 3], 255244448610716845575830902345592047097, (0, 2046775861)),
+    (lambda rng: rng.choice(12, size=3, replace=False).tolist(), [4, 6, 7],
+     255244448610716845575830902345592047097, (1, 2046775861)),
+], ids=["seeding", "integers-scalar", "integers-size", "integers-array-low", "choice-no-replace"])
+def test_numpy_stream_at_the_default_seed(draw, values, state, buffered):
+    # every grid digest rests on numpy's default_rng stream, which numpy
+    # does not promise to keep across feature releases. Each call form the
+    # sweeps draw with, from a fresh rng at DEFAULT_SEED, must give these
+    # values and leave this PCG64 state: a stream change fails here, under
+    # the name of the form that moved, and not only as changed digests
+    rng = np.random.default_rng(DEFAULT_SEED)
+    assert draw(rng) == values
+    assert rng.bit_generator.state == {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": _PCG64_INC},
+        "has_uint32": buffered[0], "uinteger": buffered[1]}
+
+
+@pytest.mark.parametrize("token", list(REGISTRY))
+def test_every_sweep_refuses_a_negative_max_order(token):
+    # refused before the walk is listed: _grid_shapes would raise a bare
+    # ValueError from math.isqrt, and cor2.5's walk would be empty
+    with pytest.raises(BadInput, match="max_order"):
+        REGISTRY[token](max_order=-1)
+
+
+def test_no_random_h_gives_the_exhaustive_report(monkeypatch):
+    # _RANDOM_H = 0 draws no row: the 635 exhaustive cases up to 64, as the
     # sweep reported them when it drew its random h row by row
-    rep = sweep_norm_lift(max_order=64, random_h=0)
+    monkeypatch.setattr(grids, "_RANDOM_H", 0)
+    rep = sweep_norm_lift(max_order=64)
     assert rep.clean and rep.cases == 635
     digest = hashlib.sha256(json.dumps(_report_json(rep), sort_keys=True).encode()).hexdigest()
     assert digest == "7b063e34361e28c1aa5c6b2198c254e9b9269bd1e245cf971e4c188069228e91"
@@ -398,12 +436,13 @@ def test_prefix_width_changes_no_verdict(monkeypatch):
     widths = (1, 2, 16, 64, 256)
     assert grids._PREFIX in widths
     budgets = (grids._ROW_CELLS, 1 << 10)
+    monkeypatch.setattr(grids, "_RANDOM_H", 20)
     for cells in budgets:
         monkeypatch.setattr(grids, "_ROW_CELLS", cells)
         for width in widths:
             full_rows[width] = witness_rows[width] = verdict_rows[width] = 0
             monkeypatch.setattr(grids, "_PREFIX", width)
-            norm = sweep_norm_lift(max_order=1024, random_h=20)
+            norm = sweep_norm_lift(max_order=1024)
             assert verdict_rows[width] == 1415
             assert full_rows[width] == witness_rows[width] == 221
             reports[cells, width] = (_report_json(norm),
@@ -491,6 +530,14 @@ def test_norm_square_table_matches_scalar_norm(tt):
     assert not grids._norm_square(bt, bad, pow_n)[1].all()
 
 
+def _norm_route(bt, tt, pow_n, lift):
+    """(bad_x, bad_c, sub_ok, pow_ok, classes): grids._norm_checks and the
+    class route that its checks gate, called as sweep_norm_lift calls them."""
+    bad_x, bad_c, sub_ok, pow_ok = grids._norm_checks(bt, tt, pow_n)
+    return bad_x, bad_c, sub_ok, pow_ok, grids._norm_classes(bt, tt, pow_n, lift, bad_x,
+                                                             sub_ok, pow_ok)
+
+
 def test_norm_checks_read_the_base_tables_they_are_handed():
     # F_64/F_4 with MUL[3, 1] scrambled in a fresh copy of its base tables,
     # the memo's left sound: the square reads that cell wherever nor x = 3
@@ -500,7 +547,7 @@ def test_norm_checks_read_the_base_tables_they_are_handed():
     bt.MUL[3, 1] ^= 1
     pow_n = bt.pow_all(tower.n)
     lift = lambda hv, xs: grids._lift_rows(tt, hv, tt.NOR, xs)
-    bad_x, bad_c, sub_ok, _, classes = grids._norm_checks(bt, tt, pow_n, lift)
+    bad_x, bad_c, sub_ok, _, classes = _norm_route(bt, tt, pow_n, lift)
     want = np.argwhere((tt.NOR[:, None] == 3) & (pow_n[None, :] == 1))
     assert len(want) == 21 * 3  # nor x = 3 on 63/3 of F_64^*, c^3 = 1 on F_4^*
     assert np.array_equal(np.column_stack([bad_x, bad_c]), want)
@@ -510,8 +557,8 @@ def test_norm_checks_read_the_base_tables_they_are_handed():
 
 def _one_cell_scrambled(tower, name):
     """Fresh tables of the tower and its base, with one cell of the table
-    name scrambled (no cell for None), each where few checks of
-    grids._norm_checks read it. Base MUL[q-1, q-1] and ADD[q-1, q-1] take
+    name scrambled (no cell for None), each where few checks of the class
+    route's gate read it. Base MUL[q-1, q-1] and ADD[q-1, q-1] take
     another code: sub_ok reads all of MUL, and only the base check reads
     ADD. MEXP[s - 1], s = (order - 1)/(q - 1), takes another code of the
     same norm: the square reads it and sees no change, and neither sub_ok
@@ -537,7 +584,7 @@ def _one_cell_scrambled(tower, name):
 @pytest.mark.parametrize("name", [None, "MUL", "ADD", "MEXP", "LOG", "NOR"])
 def test_thm22_classes_give_the_per_row_verdicts(name):
     # thm2.2 decides its exhaustive h once per scaling class only where
-    # every check of _norm_checks passes. On every thm2.2 tower up to 1024,
+    # every check of the class route's gate passes. On every thm2.2 tower up to 1024,
     # on fresh tables, sound or with one cell scrambled, each row must get
     # from its class the four verdicts (witness and lift, permutation and
     # CPP) that the walk gives it row by row. The route must be taken on
@@ -550,7 +597,7 @@ def test_thm22_classes_give_the_per_row_verdicts(name):
         bt, tt = _one_cell_scrambled(tower, name)
         pow_n = bt.pow_all(tower.n)
         lift = lambda hv, xs: grids._lift_rows(tt, hv, tt.NOR, xs)
-        _, _, sub_ok, _, classes = grids._norm_checks(bt, tt, pow_n, lift)
+        _, _, sub_ok, _, classes = _norm_route(bt, tt, pow_n, lift)
         if classes is not None:
             h = grids.HGrid(tower.q, 2)
             by_row, by_class = (np.hstack([block[1:5] for block in grids._lift_blocks(
@@ -586,7 +633,7 @@ def test_scales_refuses_a_relabeled_tower(shape, refused):
     assert (tt.LOG[:q] == lg[:q]).all() and (tt.NOR[:q] == nor[:q]).all()
     pow_n = bt.pow_all(tower.n)
     lift = lambda hv, xs: grids._lift_rows(tt, hv, tt.NOR, xs)
-    bad_x, _, sub_ok, pow_ok, classes = grids._norm_checks(bt, tt, pow_n, lift)
+    bad_x, _, sub_ok, pow_ok, classes = _norm_route(bt, tt, pow_n, lift)
     assert sub_ok and pow_ok and len(bad_x) == 0
     assert grids._scales(bt, tt) is not refused
     assert (classes is None) is refused
@@ -777,10 +824,11 @@ def test_a_corrupted_table_still_shows(monkeypatch, name, cell, value, permuting
         return real_lift_verdicts(t, rows, count)
 
     monkeypatch.setattr(grids, "_lift_verdicts", counting_lift_verdicts)
+    monkeypatch.setattr(grids, "_RANDOM_H", 20)
     table = getattr(bt if name in ("ADD", "MUL") else tt, name)
     try:
         table[cell] = value
-        rep = sweep_norm_lift(max_order=1024, random_h=20)
+        rep = sweep_norm_lift(max_order=1024)
     finally:
         clear_caches()
     out = _report_json(rep)
