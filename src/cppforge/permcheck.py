@@ -16,7 +16,6 @@ decomposition is verified, not trusted.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from operator import indexOf
@@ -100,20 +99,39 @@ def table_verdict(order: int, table: Sequence[int]) -> PermVerdict:
 
     The witness is min over colliding codes of (first, second preimage of
     the collided value), which is independent of how the scan is chunked.
-    Counter(table) decides bijectivity. The first preimages of distinct
-    values differ, so the least of them fixes the witness: it is the first
-    x whose value occurs twice, and the second preimage is that value's
-    next occurrence.
+    The first preimages of distinct values differ, so the least of them
+    fixes the witness: it is the first x that is not the last preimage of
+    its value, and the second preimage is that value's next occurrence.
+    Most tables that do not permute repeat table[0], so one scan for a
+    repeat of it comes first; past it, one set decides bijectivity
+    (_distinct), and only a table that repeats a later value maps each
+    value to its last preimage.
     """
     if len(table) != order:
         raise BadTableLength(len(table), order)
-    counts = Counter(table)
-    if len(counts) == order:
+    if order and table[0] in table[1:]:
+        x = 0
+    elif _distinct(order, table):
         return PermVerdict(True, None)
-    x = next(x for x, v in enumerate(table) if counts[v] > 1)
+    else:
+        last = dict(zip(table, range(order)))
+        x = next(x for x, v in enumerate(table) if last[v] != x)
     # islice and indexOf take a numpy row as well as a list or tuple
     y = x + 1 + indexOf(islice(table, x + 1, None), table[x])
     return PermVerdict(False, (x, y))
+
+
+def _distinct(order: int, table: Sequence[int]) -> bool:
+    """Are the order values of table distinct?  If so they must be the
+    codes below order: the set's least and greatest value are checked, and
+    OutOfRange names one outside."""
+    seen = set(table)
+    if len(seen) < order:
+        return False
+    for v in (min(seen), max(seen)) if seen else ():
+        if not 0 <= v < order:
+            raise OutOfRange(v, order)
+    return True
 
 
 def is_permutation(f: Poly, cap: Optional[int] = None) -> PermVerdict:
@@ -121,19 +139,21 @@ def is_permutation(f: Poly, cap: Optional[int] = None) -> PermVerdict:
 
 
 def table_is_cpp(home: FieldDesc, table: Sequence[int]) -> bool:
-    """Is the value table over home a CPP?  The shifted table f + x is built
-    only when f permutes; is_complete_permutation reports both witnesses."""
-    if not table_verdict(home.order, table).is_permutation:
-        return False
-    shifted = home._cadd_each(table, range(home.order))
-    return table_verdict(home.order, shifted).is_permutation
+    """Is the value table over home a CPP?  No witness is asked for, so one
+    set decides each of f and f + x, and f + x is built only when f
+    permutes; is_complete_permutation reports both witnesses. f + x of codes
+    below order are codes below order, so its set needs no bounds."""
+    order = home.order
+    if len(table) != order:
+        raise BadTableLength(len(table), order)
+    return _distinct(order, table) and len(set(home._cadd_x(table))) == order
 
 
 def is_complete_permutation(f: Poly, cap: Optional[int] = None) -> CppCheck:
     """Verdicts for f and for f + x; f is a CPP when both hold."""
     home = f.home
     tab = value_table(f, cap)
-    shifted = home._cadd_each(tab, range(home.order))
+    shifted = home._cadd_x(tab)
     return CppCheck(table_verdict(home.order, tab), table_verdict(home.order, shifted))
 
 

@@ -39,6 +39,10 @@ MUTANTS = [
     ("cppforge/fields.py", "low = tab[cl * lo : cl * lo + lo]",
      "low = tab[cl * lo + 1 : cl * lo + lo + 1]",
      ["tests/test_fields.py::test_translation_lists_are_the_addition_of_every_constant_up_to_729"]),
+    # the odd-p f + x walk with the two halves of x swapped
+    ("cppforge/fields.py", "tab[u % lo * lo + xl] + lo * high[u // lo]",
+     "tab[u % lo * lo + s // lo] + lo * tab[xl * lo + u // lo]",
+     ["tests/test_fields.py::test_whole_field_passes_match_the_per_point_route_on_every_level_up_to_729"]),
     # a level's split point no longer matches its half table's width
     ("cppforge/fields.py", "self._add_lo = p ** ((self.full_degree + 1) // 2)",
      "self._add_lo = p ** (self.full_degree // 2)",
@@ -51,8 +55,24 @@ MUTANTS = [
      "range(self._radix + 1 if self._deg > 1 else 2, self.order)",
      ["tests/test_fields.py::test_find_generator_is_the_smallest_code_of_full_order_on_every_level_up_to_256"]),
     # Horner's first step multiplies by 1, not by the leading coefficient
-    ("cppforge/fields.py", "lead = lg[cs[-1]]", "lead = lg[1]",
+    ("cppforge/fields.py", "lead, acc = lg[cs[-1]], None", "lead, acc = lg[1], None",
      ["tests/test_fields.py::test_peval_all_from_a_non_monic_lead_is_the_per_point_horner"]),
+    # a monic first step translates by the constant, not the next coefficient
+    ("cppforge/fields.py", "c, rest = cs[-2], rest[1:]", "c, rest = cs[0], rest[1:]",
+     ["tests/test_fields.py::test_peval_all_from_a_non_monic_lead_is_the_per_point_horner"]),
+    # the x = 0 probe looks for a repeat of the last value, not of table[0]
+    ("cppforge/permcheck.py", "if order and table[0] in table[1:]:",
+     "if order and table[-1] in table[:-1]:",
+     ["tests/test_permcheck.py::test_table_verdict_keeps_the_dict_scan_witness"]),
+    # past the probe, x is sought as the first x not its value's first
+    # preimage, which finds the least second preimage instead
+    ("cppforge/permcheck.py", "last = dict(zip(table, range(order)))",
+     "last = dict(zip(reversed(table), reversed(range(order))))",
+     ["tests/test_permcheck.py::test_table_verdict_keeps_the_dict_scan_witness"]),
+    # the set of distinct values is bounded below only
+    ("cppforge/permcheck.py", "for v in (min(seen), max(seen)) if seen else ():",
+     "for v in (min(seen),) if seen else ():",
+     ["tests/test_permcheck.py::test_distinct_codes_outside_the_field_are_out_of_range"]),
     # a list of bools joined as ints: json spells them true and false
     ("cppforge/cli.py", "all(type(x) is int for x in v)", "all(isinstance(x, int) for x in v)",
      ["tests/test_cli.py::test_a_list_of_bools_is_not_printed_as_ints"]),

@@ -221,9 +221,13 @@ def _coeff_lists(order, rng):
 def _assert_passes_match(f, rng, lists):
     order = f.order
     for cs in lists:
-        assert fields._peval_all(f, cs) == [fields._peval(f, cs, x) for x in range(order)], (f, cs)
+        tab = fields._peval_all(f, cs)
+        assert tab == [fields._peval(f, cs, x) for x in range(order)], (f, cs)
+        # the f + x pass, against the definition of addition
+        assert f._cadd_x(tab) == [fields._digit_add(f.p, v, x) for x, v in enumerate(tab)], (f, cs)
     us = [rng.randrange(order) for _ in range(order)]
     assert f._cadd_each(us, range(order)) == [f._cadd(u, x) for x, u in enumerate(us)], f
+    assert f._cadd_x(us) == [fields._digit_add(f.p, u, x) for x, u in enumerate(us)], f
     assert f._cmul_each(us, range(order)) == [f._cmul(u, x) for x, u in enumerate(us)], f
     for e in (0, 1, f.p, rng.randrange(2, 2 * order)):
         assert f._cpow_all(e) == [f._cpow(x, e) for x in range(order)], (f, e)
@@ -239,12 +243,15 @@ def test_whole_field_passes_match_the_per_point_route_on_every_level_up_to_729()
 
 @pytest.mark.parametrize(
     "p, r, n",
-    [(2, 1, 12), (2, 6, 2), (5, 1, 5), (2, 1, 16), (17, 1, 3)],
-    ids=["F_4096/F_2", "F_4096/F_64", "F_3125/F_5", "F_65536/F_2", "F_4913/F_17"],
+    [(2, 1, 12), (2, 6, 2), (5, 1, 5), (2, 1, 16), (17, 1, 3), (37, 1, 3)],
+    ids=["F_4096/F_2", "F_4096/F_64", "F_3125/F_5", "F_65536/F_2", "F_4913/F_17",
+         "F_50653/F_37"],
 )
 def test_whole_field_passes_match_the_per_point_route_on_seeded_lists(p, r, n):
     # F_65536/F_2 is the largest level with exp/log lists; F_4913/F_17 has
-    # them and a half table of 17^4 cells, whose entries pass one byte
+    # them and a half table of 17^4 cells, whose entries pass one byte, and
+    # F_50653/F_37 the widest half table (lo = 1369), whose entries lie past
+    # the interpreter's cache of small ints
     tw = make_tower(make_extension(make_prime_field(p), r), n)
     rng = random.Random(tw.order)
     _assert_passes_match(tw, rng, _coeff_lists(tw.order, rng)[4::2])
@@ -390,6 +397,12 @@ def test_peval_all_from_a_non_monic_lead_is_the_per_point_horner(f2, f3, f9, f16
                 cs[-2] = 0  # odd p adds no constant on the first step
             want = [fields._peval(f, cs, x) for x in range(f.order)]
             assert fields._peval_all(f, cs) == want, (f, cs)
+        # a monic lead: the first step is the translation by the next
+        # coefficient, zero or not
+        for c in (0, rng.randrange(1, f.order)):
+            for cs in ([c, 1], [rng.randrange(f.order), c, 1], [0, rng.randrange(f.order), c, 1]):
+                want = [fields._peval(f, cs, x) for x in range(f.order)]
+                assert fields._peval_all(f, cs) == want, (f, cs)
 
 
 def test_multiplicative_generator_has_full_order(f4, f9, f16):

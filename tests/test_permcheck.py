@@ -18,7 +18,8 @@ from cppforge import (
     value_table,
 )
 from cppforge.errors import BadTableLength, FieldMismatch, OrderCapExceeded, OutOfRange
-from cppforge.permcheck import PermVerdict, eval_poly, table_verdict
+from cppforge.fields import _digit_add
+from cppforge.permcheck import PermVerdict, eval_poly, table_is_cpp, table_verdict
 
 
 def test_value_table_matches_pointwise_eval():
@@ -73,17 +74,29 @@ def _seeded_tables(order, rng):
     one[j] = one[i]
     last = list(perm)
     last[-1] = last[rng.randrange(order - 1)]
-    return {
+    # the one collision's first preimage near order/2, past the x = 0 probe
+    middle = list(perm)
+    mid = (order - 1) // 2
+    middle[rng.randrange(mid + 1, order)] = middle[mid]
+    tables = {
         "permutation": perm,
         "one collision": one,
+        "collision first preimage in the middle": middle,
         "many collisions": [rng.randrange(order // 2) for _ in range(order)],
         "collision at the last index": last,
         "last two equal": perm[:-1] + perm[-2:-1],
         "constant": [perm[0]] * order,
     }
+    if order > 2:  # table[0] unique, and the least collision at x = 1
+        at_one = list(perm)
+        at_one[rng.randrange(2, order)] = perm[1]
+        tables["least collision at 1"] = at_one
+    return tables
 
 
-@pytest.mark.parametrize("order", [2, 3, 4, 9, 64, 729, 2187, 3125, 4096])
+# at 65536, "last two equal" passes the x = 0 probe and the set, so the
+# last-preimage map is built over the whole table
+@pytest.mark.parametrize("order", [2, 3, 4, 9, 64, 729, 2187, 3125, 4096, 65536])
 def test_table_verdict_keeps_the_dict_scan_witness(order):
     rng = random.Random(order)
     for kind, tab in _seeded_tables(order, rng).items():
@@ -93,6 +106,39 @@ def test_table_verdict_keeps_the_dict_scan_witness(order):
         assert table_verdict(order, tuple(tab)) == want, (order, kind)
         rows = np.array([tab, tab[::-1]], dtype=np.int32)
         assert table_verdict(order, rows[0]) == want, (order, kind)
+
+
+def test_distinct_codes_outside_the_field_are_out_of_range():
+    # the set that finds no collision also bounds the values; the empty set
+    # has no least or greatest value, and the empty table permutes
+    assert table_verdict(0, []) == PermVerdict(True, None)
+    for order, tab, code in ((2, [0, 5], 5), (3, [0, 1, -1], -1)):
+        with pytest.raises(OutOfRange) as err:
+            table_verdict(order, tab)
+        assert (err.value.code, err.value.order) == (code, order)
+    with pytest.raises(OutOfRange):
+        table_is_cpp(make_prime_field(3), [0, 4, 8])
+    # a colliding table is not a permutation, whatever its values
+    assert table_verdict(3, [5, 5, -1]) == PermVerdict(False, (0, 1))
+
+
+_SMALL_HOMES = [make_prime_field(p) for p in (2, 3, 5, 7, 11)] + [
+    make_extension(make_prime_field(2), 2), make_extension(make_prime_field(2), 3),
+    make_extension(make_prime_field(3), 2), make_tower(make_prime_field(2), 2),
+    make_tower(make_prime_field(2), 3), make_tower(make_prime_field(3), 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_SMALL_HOMES), st.data())
+def test_verdicts_match_the_dict_scan_on_small_tables(home, data):
+    order = home.order
+    tab = data.draw(st.one_of(st.permutations(range(order)),
+                              st.lists(st.integers(0, order - 1), min_size=order, max_size=order)))
+    want = _reference_verdict(order, tab)
+    assert table_verdict(order, tab) == want
+    shifted = [_digit_add(home.p, v, x) for x, v in enumerate(tab)]
+    cpp = want.is_permutation and _reference_verdict(order, shifted).is_permutation
+    assert table_is_cpp(home, tab) == cpp
 
 
 def test_squaring_on_f3_collides_at_1_2():
