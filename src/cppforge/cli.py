@@ -191,35 +191,6 @@ def _text_lines(d: dict, indent: int = 0) -> list[str]:
     return out
 
 
-def _json(v, pad: str = "\n") -> str:
-    """json.dumps(v, indent=2) byte for byte, where pad is the newline and
-    indent that precede v. A list of ints is one join over int.__repr__,
-    the stdlib encoder's own rendering: that encoder is pure Python under
-    indent, one call per item, and a report's code list holds thousands.
-    A non-empty list or dict recurses (every report key is a str). A str,
-    int, bool or None is spelled as json.dumps spells it, and a float or an
-    empty container by json.dumps, whose text for those has no newline.
-    """
-    if type(v) is str:
-        return json.encoder.encode_basestring_ascii(v)  # json.dumps's str encoder
-    if type(v) is int:
-        return int.__repr__(v)
-    if type(v) is bool or v is None:
-        return "null" if v is None else "true" if v else "false"
-    inner = pad + "  "
-    if isinstance(v, (list, tuple)) and v:
-        if all(type(x) is int for x in v):  # not bool, which json spells true
-            items = map(int.__repr__, v)
-        else:
-            items = [_json(x, inner) for x in v]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(v, dict) and v:
-        items = [json.encoder.encode_basestring_ascii(k) + ": " + _json(x, inner)
-                 for k, x in v.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    return json.dumps(v)
-
-
 def _write_out(args, payload: str):
     if args.out:
         with open(args.out, "w") as fh:
@@ -230,13 +201,12 @@ def _write_out(args, payload: str):
 
 def _emit(args, report: dict):
     """Write the report in args.format, with a timestamp unless
-    --reproducible. JSON is _json's text, the bytes of json.dumps(report,
-    indent=2) with each code list joined in one pass."""
+    --reproducible. JSON is json.dumps(report, indent=2)."""
     if not args.reproducible:
         report = dict(report)
         report["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if args.format == "json":
-        payload = _json(report) + "\n"
+        payload = json.dumps(report, indent=2) + "\n"
     elif args.format == "csv":
         flat = _flatten(report)
         buf = io.StringIO()

@@ -41,16 +41,16 @@ first read, and splits codes at _add_lo.
 
 Beside the per-element _cmul/_cadd/_cpow, a level has whole-field list
 passes from the same lists and the same addition rule: _cadd_each and
-_cmul_each add and multiply two code lists elementwise, _cadd_x lists f(x)
-+ x from the table of f, _cpow_all lists x^e for every code, and
-_peval_all evaluates a polynomial at every code, Horner one coefficient
-at a time. A pass is one list comprehension, with the per-element work in
-lookups rather than method calls. The products read the cached sentinel
-lists; odd-p Horner adds each constant c through its translation list u
--> u + c, built from two rows of the half table (_translation), and
-_cadd_x walks x's two halves in code order, so it splits only f(x). On a
-level past _LOG_TABLE_MAX, _peval_all, _cpow_all and _cmul_each run the
-per-element methods and _cadd_each and _cadd_x map _cadd.
+_cmul_each add and multiply two code lists elementwise (the table of f + x
+is _cadd_each of f's table and the codes), _translation lists u + c for
+every code u, _cpow_all lists x^e for every code, and _peval_all
+evaluates a polynomial at every code, Horner one coefficient at a time. A
+pass is one list comprehension, with the per-element work in lookups
+rather than method calls. The products read the cached sentinel lists;
+odd-p Horner adds each constant c through its translation list, built
+from two rows of the half table. On a level past _LOG_TABLE_MAX,
+_peval_all, _cpow_all and _cmul_each run the per-element methods and
+_cadd_each maps _cadd.
 
 Moduli, when not supplied, are chosen canonically: candidate coefficient
 tuples are scanned in ascending code order (constant coefficient varying
@@ -503,7 +503,7 @@ class FieldDesc:
         past _LOG_TABLE_MAX maps _cadd."""
         p = self.p
         if p == 2:
-            return [u ^ v for u, v in zip(us, vs)]
+            return list(map(xor, us, vs))
         if self.full_degree == 1:
             return [(u + v) % p for u, v in zip(us, vs)]
         tab, lo = self._add_tab, self._add_lo
@@ -512,37 +512,21 @@ class FieldDesc:
         return [tab[u % lo * lo + v % lo] + lo * tab[u // lo * lo + v // lo]
                 for u, v in zip(us, vs)]
 
-    def _cadd_x(self, us: Sequence[int]) -> list[int]:
-        """[_cadd(u, x) for x, u in enumerate(us)] for a list us of order
-        codes: the table of f + x from the table of f. p = 2 is one XOR pass
-        and full degree 1 one pass mod p. An odd-p level with a half table
-        walks x in code order as xh*lo + xl, so only u needs splitting: the
-        sum is lo*(uh + xh) + (ul + xl), read from the row of xh and the row
-        of ul. A level past _LOG_TABLE_MAX maps _cadd."""
-        p, order = self.p, self.order
-        if p == 2:
-            return list(map(xor, us, range(order)))
-        if self.full_degree == 1:
-            return [(u + x) % p for x, u in enumerate(us)]
-        tab, lo = self._add_tab, self._add_lo
-        if tab is None:
-            return list(map(self._cadd, us, range(order)))
-        out = []
-        for s in range(0, order, lo):  # x = s + xl: the row of xh starts at s
-            high = tab[s : s + lo]
-            out += [tab[u % lo * lo + xl] + lo * high[u // lo]
-                    for xl, u in enumerate(us[s : s + lo])]
-        return out
-
     def _translation(self, c: int) -> list[int]:
-        """[_cadd(u, c) for u in range(order)] on an odd-p level of full
-        degree > 1, with no division: u splits as uh*lo + ul, so the sum is
-        lo*(uh + ch) + (ul + cl), and the two half-table rows of ch and cl
-        give every term. Only a level with exp/log lists asks for one, and
-        every such level has a table."""
+        """[_cadd(u, c) for u in range(order)], the row u -> u + c. p = 2 is
+        one XOR pass, and full degree 1 the codes rotated by c. An odd-p
+        level of full degree > 1 divides nothing: u splits as uh*lo + ul, so
+        the sum is lo*(uh + ch) + (ul + cl), and the two half-table rows of
+        ch and cl give every term. Every caller's level lies within
+        _LOG_TABLE_MAX, so it has a half table."""
+        order = self.order
+        if self.p == 2:
+            return [u ^ c for u in range(order)]
+        if self.full_degree == 1:
+            return [*range(c, order), *range(c)]
         tab, lo = self._add_tab, self._add_lo
         ch, cl = divmod(c, lo)
-        high = [lo * v for v in tab[ch * lo : ch * lo + self.order // lo]]
+        high = [lo * v for v in tab[ch * lo : ch * lo + order // lo]]
         low = tab[cl * lo : cl * lo + lo]
         return [h + l for h in high for l in low]
 
@@ -830,9 +814,7 @@ def _peval_all(home: FieldDesc, cs: Sequence[int]) -> list[int]:
     mexp, lg = lists
     lead, acc = lg[cs[-1]], None  # acc stays None until the first step
     if cs[-1] == 1:
-        c, rest = cs[-2], rest[1:]
-        acc = ([x ^ c for x in range(order)] if home.p == 2 else
-               home._translation(c) if c else list(range(order)))
+        acc, rest = home._translation(cs[-2]), rest[1:]
     for c in rest:
         if home.p == 2:
             acc = ([mexp[lg[a] + lx] ^ c for a, lx in zip(acc, lg)] if acc else

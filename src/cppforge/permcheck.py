@@ -146,14 +146,14 @@ def table_is_cpp(home: FieldDesc, table: Sequence[int]) -> bool:
     order = home.order
     if len(table) != order:
         raise BadTableLength(len(table), order)
-    return _distinct(order, table) and len(set(home._cadd_x(table))) == order
+    return _distinct(order, table) and len(set(home._cadd_each(table, range(order)))) == order
 
 
 def is_complete_permutation(f: Poly, cap: Optional[int] = None) -> CppCheck:
     """Verdicts for f and for f + x; f is a CPP when both hold."""
     home = f.home
     tab = value_table(f, cap)
-    shifted = home._cadd_x(tab)
+    shifted = home._cadd_each(tab, range(home.order))
     return CppCheck(table_verdict(home.order, tab), table_verdict(home.order, shifted))
 
 

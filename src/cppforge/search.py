@@ -95,8 +95,8 @@ def enumerate_complete_mappings(field: FieldDesc) -> list[CompleteMapping]:
     q = field.order
     if q > SEARCH_CAP_Q:
         raise SearchCapExceeded(q, SEARCH_CAP_Q)
-    # plus[x][v] = v + x, one list pass per x
-    plus = [field._cadd_each([x] * q, range(q)) for x in range(q)]
+    # plus[x][v] = v + x
+    plus = [field._translation(x) for x in range(q)]
     results: list[CompleteMapping] = []
     table = [0] * q
     used = [False] * q

@@ -7,7 +7,7 @@ source of truth, and the lookup data is the scalar route's own: MEXP and
 LOG are arrays of a level's cached sentinel exp/log lists
 (FieldDesc.log_tables), the odd-p tower addition reads the level's half
 table (FieldDesc._add_tab) in place, TR is maps.trace_list, ADD is a
-FieldDesc._cadd_each row per code and BaseTables.pow_all is
+FieldDesc._translation row per code and BaseTables.pow_all is
 FieldDesc._cpow_all. Every other table is built from these: beyond the
 batched kernels, no arithmetic is the module's own, and test_tables.py
 pins each table to the scalar ops. TowerTables holds arrays only and
@@ -49,7 +49,7 @@ class BaseTables:
             raise OrderCapExceeded(q, BULK_BASE_CAP, "bulk base tables")
         self.field = field
         self.q = q
-        self.ADD = np.array([field._cadd_each([a] * q, range(q)) for a in range(q)], dtype=np.int32)
+        self.ADD = np.array([field._translation(a) for a in range(q)], dtype=np.int32)
         mexp, lg = (np.array(t, dtype=np.int32) for t in field.log_tables())
         self.MUL = mexp[lg[:, None] + lg[None, :]]
 

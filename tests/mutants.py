@@ -39,10 +39,10 @@ MUTANTS = [
     ("cppforge/fields.py", "low = tab[cl * lo : cl * lo + lo]",
      "low = tab[cl * lo + 1 : cl * lo + lo + 1]",
      ["tests/test_fields.py::test_translation_lists_are_the_addition_of_every_constant_up_to_729"]),
-    # the odd-p f + x walk with the two halves of x swapped
-    ("cppforge/fields.py", "tab[u % lo * lo + xl] + lo * high[u // lo]",
-     "tab[u % lo * lo + s // lo] + lo * tab[xl * lo + u // lo]",
-     ["tests/test_fields.py::test_whole_field_passes_match_the_per_point_route_on_every_level_up_to_729"]),
+    # a p = 2 translation list drops the constant's low bit
+    ("cppforge/fields.py", "return [u ^ c for u in range(order)]",
+     "return [u ^ (c & ~1) for u in range(order)]",
+     ["tests/test_fields.py::test_translation_lists_are_the_addition_of_every_constant_up_to_729"]),
     # a level's split point no longer matches its half table's width
     ("cppforge/fields.py", "self._add_lo = p ** ((self.full_degree + 1) // 2)",
      "self._add_lo = p ** (self.full_degree // 2)",
@@ -58,7 +58,7 @@ MUTANTS = [
     ("cppforge/fields.py", "lead, acc = lg[cs[-1]], None", "lead, acc = lg[1], None",
      ["tests/test_fields.py::test_peval_all_from_a_non_monic_lead_is_the_per_point_horner"]),
     # a monic first step translates by the constant, not the next coefficient
-    ("cppforge/fields.py", "c, rest = cs[-2], rest[1:]", "c, rest = cs[0], rest[1:]",
+    ("cppforge/fields.py", "home._translation(cs[-2])", "home._translation(cs[0])",
      ["tests/test_fields.py::test_peval_all_from_a_non_monic_lead_is_the_per_point_horner"]),
     # the x = 0 probe looks for a repeat of the last value, not of table[0]
     ("cppforge/permcheck.py", "if order and table[0] in table[1:]:",
@@ -73,9 +73,6 @@ MUTANTS = [
     ("cppforge/permcheck.py", "for v in (min(seen), max(seen)) if seen else ():",
      "for v in (min(seen),) if seen else ():",
      ["tests/test_permcheck.py::test_distinct_codes_outside_the_field_are_out_of_range"]),
-    # a list of bools joined as ints: json spells them true and false
-    ("cppforge/cli.py", "all(type(x) is int for x in v)", "all(isinstance(x, int) for x in v)",
-     ["tests/test_cli.py::test_a_list_of_bools_is_not_printed_as_ints"]),
     # one Frobenius pass dropped between two indices of a p-polynomial
     ("cppforge/maps.py", "for _ in range(i - pos):", "for _ in range(i - pos - 1):",
      ["tests/test_maps.py::test_ppoly_eval_all_is_the_pointwise_chain_on_every_tower_up_to_729"]),
@@ -86,8 +83,8 @@ MUTANTS = [
     ("cppforge/lifts.py", "alist[0] = L.coefficient(0).code", "alist[0] = 0",
      ["tests/test_lifts.py::test_trace_general_lists_the_map_of_its_dense_polynomial"]),
     # the base addition table built with its columns reversed
-    ("cppforge/tables.py", "field._cadd_each([a] * q, range(q))",
-     "field._cadd_each([a] * q, reversed(range(q)))",
+    ("cppforge/tables.py", "[field._translation(a) for a in range(q)]",
+     "[field._translation(a)[::-1] for a in range(q)]",
      ["tests/test_tables.py::test_base_tables_match_scalar_ops"]),
     # base powers with the exponent reduced mod q instead of taken whole
     ("cppforge/tables.py", "self.field._cpow_all(int(e))", "self.field._cpow_all(int(e) % self.q)",

@@ -224,10 +224,11 @@ def _assert_passes_match(f, rng, lists):
         tab = fields._peval_all(f, cs)
         assert tab == [fields._peval(f, cs, x) for x in range(order)], (f, cs)
         # the f + x pass, against the definition of addition
-        assert f._cadd_x(tab) == [fields._digit_add(f.p, v, x) for x, v in enumerate(tab)], (f, cs)
+        assert f._cadd_each(tab, range(order)) == [fields._digit_add(f.p, v, x)
+                                                   for x, v in enumerate(tab)], (f, cs)
     us = [rng.randrange(order) for _ in range(order)]
     assert f._cadd_each(us, range(order)) == [f._cadd(u, x) for x, u in enumerate(us)], f
-    assert f._cadd_x(us) == [fields._digit_add(f.p, u, x) for x, u in enumerate(us)], f
+    assert f._cadd_each(us, range(order)) == [fields._digit_add(f.p, u, x) for x, u in enumerate(us)], f
     assert f._cmul_each(us, range(order)) == [f._cmul(u, x) for x, u in enumerate(us)], f
     for e in (0, 1, f.p, rng.randrange(2, 2 * order)):
         assert f._cpow_all(e) == [f._cpow(x, e) for x in range(order)], (f, e)
@@ -290,9 +291,12 @@ def test_value_table_past_the_log_lists_is_the_per_point_horner():
 
 
 def test_translation_lists_are_the_addition_of_every_constant_up_to_729():
-    # addition depends only on (p, full degree): one set of rows per shape
+    # addition depends only on (p, full degree): one set of rows per shape;
+    # p = 2, full degree 1 and the half-table levels each have a branch
+    levels = _levels(729)
+    assert {f.p == 2 for f in levels} == {f.full_degree == 1 for f in levels} == {True, False}
     want = {}
-    for f in _odd_p_levels(729):
+    for f in levels:
         codes = range(f.order)
         shape = (f.p, f.full_degree)
         if shape not in want:
